@@ -1,13 +1,16 @@
 // Microbenchmarks (google-benchmark) for the estimation and DSP kernels:
 // per-update cost of RLS / LMS / Kalman, the paper's 118-step RLS holdover,
-// and the per-epoch cost of root-MUSIC vs periodogram beat extraction.
+// the per-epoch cost of root-MUSIC vs periodogram beat extraction, and the
+// FFT both as a bare 4096-point transform and as the radar runs it.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 
 #include "dsp/music.hpp"
 #include "dsp/spectral.hpp"
+#include "dsp/window.hpp"
 #include "estimation/baselines.hpp"
 #include "estimation/rls.hpp"
 #include "estimation/rls_predictor.hpp"
@@ -108,6 +111,34 @@ void BM_Fft4096(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Fft4096);
+
+// The transform the radar receiver runs: one 512-sample Hann-windowed
+// segment zero-padded to 4096 points.
+void BM_Fft512HannPaddedTo4096(benchmark::State& state) {
+  auto x = bench_tone(512);
+  dsp::apply_window(x, dsp::make_window(dsp::WindowKind::kHann, x.size()));
+  dsp::ComplexSignal spectrum;
+  for (auto _ : state) {
+    dsp::fft_into(x, 4096, spectrum);
+    benchmark::DoNotOptimize(spectrum.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Fft512HannPaddedTo4096);
+
+// The spectral work of one periodogram-mode radar epoch: the up segment's
+// coherence statistic and beat from one shared spectrum, then the down
+// segment's beat (two 4096-point FFTs).
+void BM_PeriodogramEpoch(benchmark::State& state) {
+  const auto up = bench_tone(512);
+  auto down = bench_tone(512);
+  std::reverse(down.begin(), down.end());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dsp::summarize_periodogram(up, 1.0e6));
+    benchmark::DoNotOptimize(dsp::estimate_dominant_tone(down, 1.0e6));
+  }
+}
+BENCHMARK(BM_PeriodogramEpoch);
 
 }  // namespace
 

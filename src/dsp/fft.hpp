@@ -2,6 +2,9 @@
 //
 // The radar processing chain zero-pads to a power of two before transforming,
 // so a radix-2 kernel covers every call site while staying easy to verify.
+// Each power-of-two size has one process-wide plan (bit-reversal table and
+// per-stage twiddles), built on first use and shared by every later
+// transform of that size.
 #pragma once
 
 #include <complex>
@@ -31,6 +34,9 @@ void ifft_inplace(ComplexSignal& x);
 /// `min_size` (or the next power of two above the signal length, whichever
 /// is larger).
 ComplexSignal fft(const ComplexSignal& x, std::size_t min_size = 0);
+
+/// fft(x, min_size) written into `out`, reusing its storage.
+void fft_into(const ComplexSignal& x, std::size_t min_size, ComplexSignal& out);
 
 /// Convenience: FFT of a real signal.
 ComplexSignal fft(const RealSignal& x, std::size_t min_size = 0);

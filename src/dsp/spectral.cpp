@@ -17,25 +17,57 @@ double bin_to_hz(double bin, std::size_t fft_size, double sample_rate_hz) {
   return f * sample_rate_hz;
 }
 
-}  // namespace
+/// One thread's periodogram scratch: the window last asked for and buffers
+/// that keep their capacity from call to call.
+struct SpectrumWorkspace {
+  WindowKind window_kind = WindowKind::kRectangular;
+  RealSignal window;
+  ComplexSignal windowed;
+  ComplexSignal spectrum;
+  RealSignal power;
+};
 
-std::vector<ToneEstimate> estimate_tones_periodogram(
-    const ComplexSignal& signal, double sample_rate_hz, std::size_t count,
-    const PeriodogramOptions& options) {
-  if (sample_rate_hz <= 0.0) {
-    throw std::invalid_argument("estimate_tones: sample rate must be > 0");
+/// |FFT(window * signal)|^2, zero-padded to options.min_fft_size. The result
+/// lives in the calling thread's workspace until that thread's next call.
+const RealSignal& windowed_power_spectrum(const ComplexSignal& signal,
+                                          const PeriodogramOptions& options) {
+  thread_local SpectrumWorkspace ws;
+  if (ws.window.size() != signal.size() || ws.window_kind != options.window) {
+    ws.window = make_window(options.window, signal.size());
+    ws.window_kind = options.window;
   }
-  if (signal.empty() || count == 0) return {};
+  ws.windowed.assign(signal.begin(), signal.end());
+  apply_window(ws.windowed, ws.window);
+  fft_into(ws.windowed, options.min_fft_size, ws.spectrum);
+  ws.power.resize(ws.spectrum.size());
+  for (std::size_t i = 0; i < ws.spectrum.size(); ++i) {
+    ws.power[i] = std::norm(ws.spectrum[i]);
+  }
+  return ws.power;
+}
 
-  ComplexSignal windowed = signal;
-  apply_window(windowed, make_window(options.window, signal.size()));
-  const ComplexSignal spectrum = fft(windowed, options.min_fft_size);
-  const RealSignal power = power_spectrum(spectrum);
+/// Strongest bin over the mean bin of a power spectrum (0 when all zero).
+double peak_to_average(const RealSignal& power) {
+  double peak = 0.0, sum = 0.0;
+  for (const double p : power) {
+    peak = std::max(peak, p);
+    sum += p;
+  }
+  if (sum <= 0.0) return 0.0;
+  return peak / (sum / static_cast<double>(power.size()));
+}
+
+/// Greedy peak picking over the periodogram of a `signal_size`-sample signal
+/// (see estimate_tones_periodogram).
+std::vector<ToneEstimate> pick_tones(const RealSignal& power,
+                                     std::size_t signal_size,
+                                     double sample_rate_hz, std::size_t count,
+                                     const PeriodogramOptions& options) {
   const std::size_t n = power.size();
 
   // Guard band: the padding factor blows one pre-padding bin up to
   // pad_factor bins, so suppress +-2*pad_factor around each accepted peak.
-  const std::size_t pad_factor = std::max<std::size_t>(1, n / signal.size());
+  const std::size_t pad_factor = std::max<std::size_t>(1, n / signal_size);
   const std::size_t guard = 2 * pad_factor;
 
   std::vector<bool> masked(n, false);
@@ -81,6 +113,19 @@ std::vector<ToneEstimate> estimate_tones_periodogram(
   return tones;
 }
 
+}  // namespace
+
+std::vector<ToneEstimate> estimate_tones_periodogram(
+    const ComplexSignal& signal, double sample_rate_hz, std::size_t count,
+    const PeriodogramOptions& options) {
+  if (sample_rate_hz <= 0.0) {
+    throw std::invalid_argument("estimate_tones: sample rate must be > 0");
+  }
+  if (signal.empty() || count == 0) return {};
+  return pick_tones(windowed_power_spectrum(signal, options), signal.size(),
+                    sample_rate_hz, count, options);
+}
+
 std::optional<ToneEstimate> estimate_dominant_tone(
     const ComplexSignal& signal, double sample_rate_hz,
     const PeriodogramOptions& options) {
@@ -115,16 +160,23 @@ double mean_power(const ComplexSignal& signal) {
 double peak_to_average_power(const ComplexSignal& signal,
                              const PeriodogramOptions& options) {
   if (signal.empty()) return 0.0;
-  ComplexSignal windowed = signal;
-  apply_window(windowed, make_window(options.window, signal.size()));
-  const RealSignal power = power_spectrum(fft(windowed, options.min_fft_size));
-  double peak = 0.0, sum = 0.0;
-  for (const double p : power) {
-    peak = std::max(peak, p);
-    sum += p;
+  return peak_to_average(windowed_power_spectrum(signal, options));
+}
+
+PeriodogramSummary summarize_periodogram(const ComplexSignal& signal,
+                                         double sample_rate_hz,
+                                         const PeriodogramOptions& options) {
+  if (sample_rate_hz <= 0.0) {
+    throw std::invalid_argument("summarize_periodogram: sample rate must be > 0");
   }
-  if (sum <= 0.0) return 0.0;
-  return peak / (sum / static_cast<double>(power.size()));
+  if (signal.empty()) return {};
+  const RealSignal& power = windowed_power_spectrum(signal, options);
+  PeriodogramSummary summary;
+  summary.peak_to_average = peak_to_average(power);
+  const auto tones =
+      pick_tones(power, signal.size(), sample_rate_hz, 1, options);
+  if (!tones.empty()) summary.dominant_tone = tones.front();
+  return summary;
 }
 
 }  // namespace safe::dsp

@@ -55,4 +55,17 @@ double mean_power(const ComplexSignal& signal);
 double peak_to_average_power(const ComplexSignal& signal,
                              const PeriodogramOptions& options = {});
 
+/// What the radar receiver reads from one segment's periodogram.
+struct PeriodogramSummary {
+  double peak_to_average = 0.0;
+  std::optional<ToneEstimate> dominant_tone;
+};
+
+/// peak_to_average_power(signal, options) and
+/// estimate_dominant_tone(signal, sample_rate_hz, options), bit for bit, from
+/// one shared spectrum instead of two.
+PeriodogramSummary summarize_periodogram(const ComplexSignal& signal,
+                                         double sample_rate_hz,
+                                         const PeriodogramOptions& options = {});
+
 }  // namespace safe::dsp

@@ -124,21 +124,29 @@ RadarMeasurement RadarProcessor::measure(const EchoScene& scene) {
 
   const Segments seg = synthesize(scene);
 
+  // Estimate beats even when no coherent echo stands out: under jamming the
+  // receiver still produces (corrupted) measurements, which is precisely the
+  // failure mode of Figures 2a/3a.
+  const std::size_t components = std::max<std::size_t>(scene.echoes.size(), 1);
   RadarMeasurement m;
   m.rx_power_w = 0.5 * (dsp::mean_power(seg.up) + dsp::mean_power(seg.down));
-  m.peak_to_average = dsp::peak_to_average_power(seg.up);
+  if (config_.estimator == BeatEstimator::kPeriodogram) {
+    // The up segment's one spectrum gives both its coherence and its beat.
+    const dsp::PeriodogramSummary up =
+        dsp::summarize_periodogram(seg.up, config_.sample_rate_hz.value());
+    m.peak_to_average = up.peak_to_average;
+    m.beats.up_hz =
+        Hertz{up.dominant_tone ? up.dominant_tone->frequency_hz : 0.0};
+  } else {
+    m.peak_to_average = dsp::peak_to_average_power(seg.up);
+    m.beats.up_hz = Hertz{estimate_beat_hz(seg.up, components)};
+  }
+  m.beats.down_hz = Hertz{estimate_beat_hz(seg.down, components)};
   m.coherent_echo = m.peak_to_average > config_.coherence_threshold;
   m.power_alarm =
       m.rx_power_w > config_.power_alarm_factor * config_.noise_floor_w;
   if (m.coherent_echo) telemetry::add(metrics.coherent_echoes);
   if (m.power_alarm) telemetry::add(metrics.power_alarms);
-
-  // Estimate beats even when no coherent echo stands out: under jamming the
-  // receiver still produces (corrupted) measurements, which is precisely the
-  // failure mode of Figures 2a/3a.
-  const std::size_t components = std::max<std::size_t>(scene.echoes.size(), 1);
-  m.beats.up_hz = Hertz{estimate_beat_hz(seg.up, components)};
-  m.beats.down_hz = Hertz{estimate_beat_hz(seg.down, components)};
   m.estimate = range_rate_from_beats(config_.waveform, m.beats);
   return m;
 }

@@ -367,9 +367,14 @@ std::vector<SessionManager::Evicted> SessionManager::evict_idle(
     runtime::MutexLock guard(mutex_);
     for (auto it = sessions_.begin(); it != sessions_.end();) {
       const SessionPtr& session = it->second;
-      // Placeholder slots (HELLO mid-construction) are never idle.
-      if (session &&
-          now_ns - session->last_active_ns() > limits_.idle_timeout_ns) {
+      // Placeholder slots (HELLO mid-construction) are never idle, and
+      // neither is a session a pool worker stamped at or after now_ns (the
+      // unsigned difference would wrap). Read the stamp once: a worker may
+      // move it forward meanwhile.
+      const std::uint64_t last_active =
+          session ? session->last_active_ns() : now_ns;
+      if (last_active < now_ns &&
+          now_ns - last_active > limits_.idle_timeout_ns) {
         evicted.push_back(Evicted{.token = session->token(),
                                   .client_id = session->client_id()});
         dead.push_back(session);

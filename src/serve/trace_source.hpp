@@ -34,8 +34,9 @@ struct TraceSpec {
   core::AttackKind attack = core::AttackKind::kNone;
   units::Seconds attack_start_s{182.0};
   units::Seconds attack_end_s{300.0};
-  /// Periodogram by default: serving traffic values throughput, and the
-  /// paper's root-MUSIC is ~20x slower for nearly identical behaviour.
+  /// Periodogram by default: serving traffic values throughput, and an epoch
+  /// of the paper's root-MUSIC costs about 8x as much for nearly identical
+  /// behaviour.
   radar::BeatEstimator estimator = radar::BeatEstimator::kPeriodogram;
   bool hardened = false;  ///< hardened_pipeline_options() vs paper defaults
   std::uint64_t seed = 1;

@@ -116,15 +116,22 @@ Registry& registry() {
   return *r;
 }
 
+/// This thread's shard; null until the thread first records something.
+thread_local Shard* t_shard = nullptr;
+/// A name set while the thread had no shard and telemetry was off: the
+/// shard is only created (and registered for good) when one is needed.
+thread_local std::string t_pending_thread_name;
+
 Shard& local_shard() {
-  thread_local Shard* shard = [] {
+  if (t_shard == nullptr) {
+    auto shard = std::make_unique<Shard>();
+    shard->thread_name = std::move(t_pending_thread_name);
     Registry& r = registry();
     runtime::MutexLock guard(r.mutex);
-    r.shards.push_back(std::make_unique<Shard>());
-    r.shards.back()->tid = r.next_tid++;
-    return r.shards.back().get();
-  }();
-  return *shard;
+    shard->tid = r.next_tid++;
+    t_shard = r.shards.emplace_back(std::move(shard)).get();
+  }
+  return *t_shard;
 }
 
 std::uint64_t double_bits(double v) {
@@ -393,6 +400,10 @@ std::uint64_t counter_value(MetricId id) {
 }
 
 void set_thread_name(std::string name) {
+  if (t_shard == nullptr && !metrics_enabled() && !tracing_enabled()) {
+    t_pending_thread_name = std::move(name);
+    return;
+  }
   Shard& shard = local_shard();
   runtime::MutexLock guard(shard.trace_mutex);
   shard.thread_name = std::move(name);
@@ -707,6 +718,12 @@ void write_chrome_trace(std::ostream& out) {
   json += "}\n";
   out << json;
   out.flush();
+}
+
+std::size_t shard_count_for_testing() {
+  Registry& r = registry();
+  runtime::MutexLock guard(r.mutex);
+  return r.shards.size();
 }
 
 void reset_for_testing() {

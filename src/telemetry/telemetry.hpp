@@ -120,7 +120,9 @@ void record(MetricId id, double value) noexcept;
 /// powers campaign_cli --progress. Safe to call concurrently with recording.
 [[nodiscard]] std::uint64_t counter_value(MetricId id);
 
-/// Names this thread in exported traces (thread_name metadata event).
+/// Names this thread in exported traces (thread_name metadata event). With
+/// telemetry off, a thread that has recorded nothing keeps the name aside
+/// and registers no shard until it first records.
 void set_thread_name(std::string name);
 
 // --- trace events ----------------------------------------------------------
@@ -217,5 +219,8 @@ void write_chrome_trace(std::ostream& out);
 /// registrations (call-site static MetricIds stay valid). Only call while no
 /// other thread is recording.
 void reset_for_testing();
+
+/// Number of per-thread shards registered so far (shards are never freed).
+[[nodiscard]] std::size_t shard_count_for_testing();
 
 }  // namespace safe::telemetry

@@ -1,9 +1,14 @@
 // Tests for FFT, windows, and the periodogram tone estimator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <latch>
 #include <numbers>
 #include <random>
+#include <thread>
+#include <vector>
 
 #include "dsp/fft.hpp"
 #include "dsp/spectral.hpp"
@@ -27,6 +32,159 @@ void add_noise(ComplexSignal& x, double sigma, unsigned seed) {
   std::mt19937 rng(seed);
   std::normal_distribution<double> dist(0.0, sigma / std::sqrt(2.0));
   for (auto& xi : x) xi += Complex{dist(rng), dist(rng)};
+}
+
+/// The transform loop the cached plan replaced, kept as the oracle: per
+/// stage, twiddles from the recurrence w *= e^{-+2 pi i / len}.
+void reference_fft_inplace(ComplexSignal& x, bool inverse) {
+  const std::size_t n = x.size();
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1U;
+    for (; j & bit; bit >>= 1U) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(x[i], x[j]);
+  }
+  for (std::size_t len = 2; len <= n; len <<= 1U) {
+    const double angle = (inverse ? 2.0 : -2.0) * std::numbers::pi /
+                         static_cast<double>(len);
+    const Complex wlen = std::polar(1.0, angle);
+    for (std::size_t i = 0; i < n; i += len) {
+      Complex w{1.0, 0.0};
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const Complex u = x[i + k];
+        const Complex v = x[i + k + len / 2] * w;
+        x[i + k] = u + v;
+        x[i + k + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+  if (inverse) {
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (auto& xi : x) xi *= inv_n;
+  }
+}
+
+/// What fft(x, min_size) returned before the plan: copy, pad, transform.
+ComplexSignal reference_fft(const ComplexSignal& x, std::size_t min_size) {
+  ComplexSignal padded = x;
+  padded.resize(std::max(next_pow2(x.size()), next_pow2(min_size)));
+  reference_fft_inplace(padded, /*inverse=*/false);
+  return padded;
+}
+
+bool same_bits(const ComplexSignal& a, const ComplexSignal& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+/// Gaussian samples with signed zeros mixed in: the sign of a zero is where
+/// a reordered butterfly would first show.
+ComplexSignal random_signal(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::normal_distribution<double> dist(0.0, 1.0);
+  ComplexSignal x(n);
+  for (auto& xi : x) xi = Complex{dist(rng), dist(rng)};
+  x[0] = Complex{-0.0, -0.0};
+  if (n > 2) x[n / 2] = Complex{-0.0, 0.0};
+  if (n > 4) x[n - 1] = Complex{0.0, -0.0};
+  return x;
+}
+
+/// Zeros of random sign. Every output is then a zero whose sign records how
+/// each butterfly combined zeros; any nonzero sample would spread to every
+/// output and absorb those signs.
+ComplexSignal signed_zero_signal(std::size_t n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::bernoulli_distribution negative(0.5);
+  ComplexSignal x(n);
+  for (auto& xi : x) {
+    xi = Complex{negative(rng) ? -0.0 : 0.0, negative(rng) ? -0.0 : 0.0};
+  }
+  return x;
+}
+
+TEST(FftPlan, MatchesReferenceLoopBitForBitAtEveryPowerOfTwo) {
+  for (std::size_t n = 1; n <= 16384; n <<= 1U) {
+    const auto seed = static_cast<unsigned>(n);
+    for (const ComplexSignal& x :
+         {random_signal(n, seed), signed_zero_signal(n, seed)}) {
+      ComplexSignal expected = x;
+      ComplexSignal actual = x;
+      reference_fft_inplace(expected, /*inverse=*/false);
+      fft_inplace(actual);
+      EXPECT_TRUE(same_bits(actual, expected)) << "forward, n = " << n;
+
+      expected = x;
+      actual = x;
+      reference_fft_inplace(expected, /*inverse=*/true);
+      ifft_inplace(actual);
+      EXPECT_TRUE(same_bits(actual, expected)) << "inverse, n = " << n;
+    }
+  }
+}
+
+TEST(FftPlan, ZeroPaddedTransformMatchesReferenceLoop) {
+  // Non-power-of-two lengths and powers of two, padded by factors 1..8192.
+  // Hann-windowed with negative end samples, index 0 (and the last index)
+  // is exactly (-0, -0): the window's endpoints are +0.
+  unsigned seed = 1;
+  for (const std::size_t m : {1U, 2U, 3U, 5U, 7U, 100U, 255U, 257U, 500U, 511U,
+                              512U, 513U, 1000U, 3000U}) {
+    for (const std::size_t min_size : {0U, 1U, 64U, 1024U, 4096U, 8192U}) {
+      ComplexSignal x = random_signal(m, ++seed);
+      x.front() = Complex{-1.5, -0.25};
+      x.back() = Complex{-0.5, -2.0};
+      apply_window(x, make_window(WindowKind::kHann, m));
+      if (m > 1) {
+        ASSERT_TRUE(x[0].real() == 0.0 && std::signbit(x[0].real()));
+        ASSERT_TRUE(x[0].imag() == 0.0 && std::signbit(x[0].imag()));
+      }
+      EXPECT_TRUE(same_bits(fft(x, min_size), reference_fft(x, min_size)))
+          << "windowed, m = " << m << ", min_size = " << min_size;
+
+      const ComplexSignal y = random_signal(m, ++seed);
+      EXPECT_TRUE(same_bits(fft(y, min_size), reference_fft(y, min_size)))
+          << "raw, m = " << m << ", min_size = " << min_size;
+    }
+  }
+  EXPECT_TRUE(same_bits(fft(ComplexSignal{}, 16), reference_fft({}, 16)));
+}
+
+TEST(FftPlan, ConcurrentFirstUseOfUncachedSizes) {
+  // No other test transforms these sizes, so their plans are built here by
+  // several threads that ask for them at the same moment.
+  const std::vector<std::size_t> sizes = {32768, 65536, 131072};
+  const ComplexSignal short_input = random_signal(700, 3);
+  std::vector<ComplexSignal> inputs, expected, expected_padded;
+  for (const std::size_t n : sizes) {
+    inputs.push_back(random_signal(n, static_cast<unsigned>(n) + 1));
+    expected.push_back(inputs.back());
+    reference_fft_inplace(expected.back(), /*inverse=*/false);
+    expected_padded.push_back(reference_fft(short_input, n));
+  }
+
+  constexpr std::size_t kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (std::size_t s = 0; s < sizes.size(); ++s) {
+        ComplexSignal y = inputs[s];
+        fft_inplace(y);
+        if (!same_bits(y, expected[s])) ++mismatches[t];
+        if (!same_bits(fft(short_input, sizes[s]), expected_padded[s])) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
 }
 
 TEST(Fft, NextPow2) {
@@ -241,6 +399,56 @@ TEST(Periodogram, ToleratesModerateNoise) {
   const auto tone = estimate_dominant_tone(x, fs);
   ASSERT_TRUE(tone.has_value());
   EXPECT_NEAR(tone->frequency_hz, 75'000.0, 500.0);
+}
+
+TEST(Periodogram, SummaryEqualsSeparateEstimatesBitForBit) {
+  const double fs = 1.0e6;
+  ComplexSignal x = make_tone(61'000.0, fs, 512);
+  add_noise(x, 0.5, 17);
+  const PeriodogramOptions hamming{.window = WindowKind::kHamming};
+  // A different window and length in between must not leak through the
+  // per-thread window cache.
+  const auto hamming_tone = estimate_dominant_tone(x, fs, hamming);
+  (void)estimate_dominant_tone(make_tone(1'000.0, fs, 300), fs);
+
+  const PeriodogramSummary summary = summarize_periodogram(x, fs);
+  const double papr = peak_to_average_power(x);
+  const auto tone = estimate_dominant_tone(x, fs);
+  ASSERT_TRUE(tone.has_value());
+  ASSERT_TRUE(summary.dominant_tone.has_value());
+  EXPECT_EQ(std::memcmp(&summary.peak_to_average, &papr, sizeof papr), 0);
+  EXPECT_EQ(std::memcmp(&summary.dominant_tone->frequency_hz,
+                        &tone->frequency_hz, sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(&summary.dominant_tone->power, &tone->power,
+                        sizeof(double)),
+            0);
+
+  // The shared spectrum is the one the pre-plan transform produced.
+  ComplexSignal windowed = x;
+  apply_window(windowed, make_window(WindowKind::kHann, x.size()));
+  double peak = 0.0, sum = 0.0;
+  for (const Complex& bin : reference_fft(windowed, 4096)) {
+    peak = std::max(peak, std::norm(bin));
+    sum += std::norm(bin);
+  }
+  const double expected_papr = peak / (sum / 4096.0);
+  EXPECT_EQ(std::memcmp(&papr, &expected_papr, sizeof papr), 0);
+
+  const auto hamming_again = estimate_dominant_tone(x, fs, hamming);
+  ASSERT_TRUE(hamming_tone.has_value() && hamming_again.has_value());
+  EXPECT_EQ(std::memcmp(&hamming_tone->frequency_hz,
+                        &hamming_again->frequency_hz, sizeof(double)),
+            0);
+}
+
+TEST(Periodogram, SummaryOfEmptyOrZeroSignal) {
+  EXPECT_EQ(summarize_periodogram({}, 1.0e6).peak_to_average, 0.0);
+  const PeriodogramSummary zero = summarize_periodogram(ComplexSignal(64), 1.0e6);
+  EXPECT_EQ(zero.peak_to_average, 0.0);
+  EXPECT_FALSE(zero.dominant_tone.has_value());
+  EXPECT_THROW(summarize_periodogram(ComplexSignal(4), 0.0),
+               std::invalid_argument);
 }
 
 class PeriodogramSweep : public ::testing::TestWithParam<double> {};

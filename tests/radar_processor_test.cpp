@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
+#include "dsp/spectral.hpp"
 #include "radar/echo_scene.hpp"
 #include "radar/link_budget.hpp"
 #include "radar/processor.hpp"
@@ -176,6 +179,53 @@ TEST(RadarProcessor, DeterministicGivenSeed) {
   EXPECT_EQ(ma.estimate.distance_m.value(), mb.estimate.distance_m.value());
   EXPECT_EQ(ma.estimate.range_rate_mps.value(),
             mb.estimate.range_rate_mps.value());
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(RadarProcessor, PeriodogramMeasureEqualsSeparatelyComposedEstimates) {
+  // measure() reads the up segment's coherence statistic and beat from one
+  // shared spectrum. Composing the two public estimators on a twin
+  // receiver's segments must give the same bits: clean targets, a jammed
+  // epoch, a silent challenge slot and an all-zero epoch (no tone at all).
+  const auto cfg = test_config(BeatEstimator::kPeriodogram);
+  RadarProcessor radar(cfg, 43);
+  RadarProcessor twin(cfg, 43);
+  const double fs = cfg.sample_rate_hz.value();
+
+  std::vector<EchoScene> scenes = {target_scene(80.0, 2.0, cfg),
+                                   target_scene(15.0, -6.0, cfg)};
+  EchoScene jammed = target_scene(100.0, -1.0, cfg);
+  jammed.noise_power_w +=
+      received_jammer_power_w(cfg.waveform, JammerParameters{}, Meters{100.0});
+  scenes.push_back(jammed);
+  EchoScene silent;
+  silent.tx_enabled = false;
+  silent.noise_power_w = cfg.noise_floor_w;
+  scenes.push_back(silent);
+  scenes.push_back(EchoScene{});  // no echo, no noise: all-zero segments
+
+  for (std::size_t i = 0; i < scenes.size(); ++i) {
+    SCOPED_TRACE(i);
+    const RadarMeasurement m = radar.measure(scenes[i]);
+    const RadarProcessor::Segments seg = twin.synthesize(scenes[i]);
+    const double papr = dsp::peak_to_average_power(seg.up);
+    const auto up = dsp::estimate_dominant_tone(seg.up, fs);
+    const auto down = dsp::estimate_dominant_tone(seg.down, fs);
+    const BeatFrequencies beats{
+        .up_hz = Hertz{up ? up->frequency_hz : 0.0},
+        .down_hz = Hertz{down ? down->frequency_hz : 0.0}};
+    const RangeRate expected = range_rate_from_beats(cfg.waveform, beats);
+
+    EXPECT_TRUE(same_bits(m.peak_to_average, papr));
+    EXPECT_TRUE(same_bits(m.beats.up_hz.value(), beats.up_hz.value()));
+    EXPECT_TRUE(same_bits(m.beats.down_hz.value(), beats.down_hz.value()));
+    EXPECT_TRUE(same_bits(m.estimate.distance_m.value(),
+                          expected.distance_m.value()));
+    EXPECT_TRUE(same_bits(m.estimate.range_rate_mps.value(),
+                          expected.range_rate_mps.value()));
+    EXPECT_EQ(m.coherent_echo, papr > cfg.coherence_threshold);
+  }
 }
 
 // Accuracy sweep across the radar's specified range window.

@@ -111,6 +111,27 @@ TEST(ServeSession, IdleTimeoutEvictsOnFakeClock) {
   EXPECT_TRUE(manager.find(busy.session->token()));
 }
 
+TEST(ServeSession, ActivityStampedAfterTheSweepClockIsNotIdle) {
+  // A pool worker can stamp a session with a clock reading taken after the
+  // one the eviction sweep holds; the session is active, not idle for ~2^64 ns.
+  SessionLimits limits;
+  limits.idle_timeout_ns = 1000;
+  SessionManager manager(limits, 1);
+  const auto opened = manager.open(small_hello("ahead"), /*now_ns=*/0);
+  ASSERT_TRUE(opened.session);
+
+  const std::uint64_t now_ns = 5000;
+  opened.session->touch(now_ns + 7);
+  EXPECT_TRUE(manager.evict_idle(now_ns).empty());
+  opened.session->touch(now_ns);
+  EXPECT_TRUE(manager.evict_idle(now_ns).empty());
+  EXPECT_EQ(manager.size(), 1u);
+  EXPECT_EQ(manager.counters().evicted, 0u);
+
+  // Past the timeout from its last stamp it is idle as before.
+  EXPECT_EQ(manager.evict_idle(now_ns + limits.idle_timeout_ns + 1).size(), 1u);
+}
+
 TEST(ServeSession, EvictedStateDoesNotLeakIntoReopenedSession) {
   SessionLimits limits;
   limits.idle_timeout_ns = 1000;

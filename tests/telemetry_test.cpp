@@ -3,8 +3,10 @@
 // (non-finite values, key escaping), structural validity of the exported
 // Chrome trace, and the load-bearing property that merged deterministic
 // metrics are identical at --jobs 1 and --jobs 4.
+#include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <latch>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -15,6 +17,7 @@
 
 #include "runtime/campaign.hpp"
 #include "runtime/sink.hpp"
+#include "runtime/thread_pool.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -341,6 +344,51 @@ TEST_F(TelemetryTest, ChromeTraceIsStructurallyValid) {
   EXPECT_NE(trace.find("\"ph\":\"i\""), std::string::npos);  // instant
   EXPECT_NE(trace.find("\"name\":\"test.span\""), std::string::npos);
   EXPECT_NE(trace.find("\"step\":7"), std::string::npos);
+}
+
+TEST_F(TelemetryTest, PoolsWithTelemetryOffRegisterNoShard) {
+  // Every pool worker names itself; with telemetry off that must not
+  // register a shard, which is never freed (a campaign builds a pool per
+  // pass, so each pass would otherwise grow the process).
+  tm::set_metrics_enabled(false);
+  tm::set_tracing_enabled(false);
+  const std::size_t shards_before = tm::shard_count_for_testing();
+  for (int pass = 0; pass < 8; ++pass) {
+    runtime::ThreadPool pool(4);
+    std::atomic<int> ran{0};
+    for (int task = 0; task < 16; ++task) {
+      pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+    }
+    pool.wait_idle();
+    EXPECT_EQ(ran.load(), 16);
+  }
+  EXPECT_EQ(tm::shard_count_for_testing(), shards_before);
+}
+
+TEST_F(TelemetryTest, ThreadNamedWhileOffExportsItsNameOnceTracing) {
+  tm::set_metrics_enabled(false);
+  tm::set_tracing_enabled(false);
+  const std::size_t shards_before = tm::shard_count_for_testing();
+  std::latch named(1);
+  std::latch enabled(1);
+  std::thread worker([&] {
+    tm::set_thread_name("named-while-off");
+    named.count_down();
+    enabled.wait();
+    tm::ScopedTimer span("test.after_enable", "test");
+  });
+  named.wait();
+  EXPECT_EQ(tm::shard_count_for_testing(), shards_before);
+  tm::set_tracing_enabled(true);
+  enabled.count_down();
+  worker.join();
+
+  EXPECT_EQ(tm::shard_count_for_testing(), shards_before + 1);
+  std::ostringstream out;
+  tm::write_chrome_trace(out);
+  EXPECT_NE(out.str().find("\"name\":\"named-while-off\""), std::string::npos)
+      << out.str();
+  EXPECT_NE(out.str().find("test.after_enable"), std::string::npos);
 }
 
 TEST_F(TelemetryTest, FineEventsSuppressedAtCoarseDetail) {
