@@ -1,19 +1,27 @@
 // Microbenchmarks (google-benchmark) for the estimation and DSP kernels:
 // per-update cost of RLS / LMS / Kalman, the paper's 118-step RLS holdover,
-// the per-epoch cost of root-MUSIC vs periodogram beat extraction, and the
-// FFT both as a bare 4096-point transform and as the radar runs it.
+// the per-epoch cost of root-MUSIC vs periodogram beat extraction, the FFT
+// both as a bare 4096-point transform and as the radar runs it, and the
+// three root-MUSIC kernels at the radar's order-16, 512-sample configuration.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <utility>
+#include <vector>
 
+#include "dsp/covariance.hpp"
 #include "dsp/music.hpp"
 #include "dsp/spectral.hpp"
 #include "dsp/window.hpp"
 #include "estimation/baselines.hpp"
 #include "estimation/rls.hpp"
 #include "estimation/rls_predictor.hpp"
+#include "linalg/eigen_hermitian.hpp"
+#include "linalg/polynomial.hpp"
+#include "radar/link_budget.hpp"
+#include "radar/processor.hpp"
 
 namespace {
 
@@ -139,6 +147,89 @@ void BM_PeriodogramEpoch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PeriodogramEpoch);
+
+// The root-MUSIC kernels as the radar receiver runs them: one up segment
+// from RadarProcessor::synthesize (default configuration: 512 samples,
+// covariance order 16, one source), an echo 60 m out closing at 1 m/s.
+// With thermal noise the degree-30 null-spectrum polynomial converges in a
+// few dozen Durand-Kerner sweeps; without noise the covariance is rank one,
+// its roots pair up on the unit circle and rooting runs all 30 * 30 sweeps
+// (the capped calls, ~4% of a seed-1 figure run).
+dsp::ComplexSignal radar_segment(bool thermal_noise) {
+  const radar::RadarProcessorConfig cfg;
+  radar::RadarProcessor receiver(cfg, 1);
+  radar::EchoScene scene;
+  scene.noise_power_w = thermal_noise ? cfg.noise_floor_w : 0.0;
+  scene.echoes.push_back(radar::EchoComponent{
+      .distance_m = units::Meters{60.0},
+      .range_rate_mps = units::MetersPerSecond{-1.0},
+      .power_w = radar::received_echo_power_w(cfg.waveform, units::Meters{60.0},
+                                              10.0),
+  });
+  return receiver.synthesize(scene).up;
+}
+
+constexpr std::size_t kOrder = 16;
+
+/// The null-spectrum polynomial root_music_frequencies roots for one source.
+linalg::Polynomial null_spectrum_polynomial(const dsp::ComplexSignal& segment) {
+  const auto eig = linalg::eigen_hermitian(
+      dsp::forward_backward_covariance(segment, kOrder));
+  linalg::CMatrix projector(kOrder, kOrder);
+  for (std::size_t k = 0; k + 1 < kOrder; ++k) {
+    const linalg::CVector v = eig.eigenvectors.col(k);
+    projector += linalg::outer(v, v);
+  }
+  std::vector<linalg::Complex> coeffs(2 * kOrder - 1);
+  for (std::size_t j = 0; j < kOrder; ++j) {
+    for (std::size_t i = 0; i < kOrder; ++i) {
+      coeffs[j + (kOrder - 1) - i] += projector(i, j);
+    }
+  }
+  return linalg::Polynomial{std::move(coeffs)};
+}
+
+void BM_ForwardBackwardCovariance16x512(benchmark::State& state) {
+  const auto segment = radar_segment(true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dsp::forward_backward_covariance(segment, kOrder));
+  }
+}
+BENCHMARK(BM_ForwardBackwardCovariance16x512);
+
+void BM_EigenHermitian16(benchmark::State& state) {
+  const auto r = dsp::forward_backward_covariance(radar_segment(true), kOrder);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::eigen_hermitian(r));
+  }
+}
+BENCHMARK(BM_EigenHermitian16);
+
+void BM_FindRoots30Converging(benchmark::State& state) {
+  const auto p = null_spectrum_polynomial(radar_segment(true));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::find_roots(p));
+  }
+}
+BENCHMARK(BM_FindRoots30Converging);
+
+void BM_FindRoots30Capped(benchmark::State& state) {
+  const auto p = null_spectrum_polynomial(radar_segment(false));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::find_roots(p));
+  }
+}
+BENCHMARK(BM_FindRoots30Capped);
+
+void BM_RootMusicRadarSegment(benchmark::State& state) {
+  const auto segment = radar_segment(true);
+  const radar::RadarProcessorConfig cfg;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dsp::root_music_frequencies(
+        segment, cfg.sample_rate_hz.value(), 1, {.covariance_order = kOrder}));
+  }
+}
+BENCHMARK(BM_RootMusicRadarSegment);
 
 }  // namespace
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
 
 #include "dsp/covariance.hpp"
 #include "linalg/eigen_hermitian.hpp"
@@ -24,19 +25,43 @@ CMatrix noise_projector(const ComplexSignal& signal, std::size_t num_sources,
     throw std::invalid_argument(
         "music: num_sources must be < covariance_order");
   }
-  const CMatrix r = options.forward_backward
-                        ? forward_backward_covariance(signal, m)
-                        : sample_covariance(signal, m);
-  const auto eig = linalg::eigen_hermitian(r);
+  CMatrix r = options.forward_backward
+                  ? forward_backward_covariance(signal, m)
+                  : sample_covariance(signal, m);
+  const auto eig = linalg::eigen_hermitian(std::move(r));
   // Eigenvalues ascending: the first m - num_sources eigenvectors span the
-  // noise subspace.
+  // noise subspace. Each entry sums v_k(i) conj(v_k(j)) in k order, the
+  // order that fixes its rounding (and so the roots and the figures).
   const std::size_t noise_dim = m - num_sources;
+  const CMatrix& v = eig.eigenvectors;
   CMatrix projector(m, m);
-  for (std::size_t k = 0; k < noise_dim; ++k) {
-    const CVector v = eig.eigenvectors.col(k);
-    projector += linalg::outer(v, v);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      Complex acc{};
+      for (std::size_t k = 0; k < noise_dim; ++k) {
+        acc += v(i, k) * std::conj(v(j, k));
+      }
+      projector(i, j) = acc;
+    }
   }
   return projector;
+}
+
+/// MUSIC null spectrum a(omega)^H C a(omega) with a(omega)_i = e^{j omega i},
+/// evaluated as dot(a, C * a) into caller-owned buffers.
+double null_power(const CMatrix& c, double omega, CVector& a, CVector& ca) {
+  const std::size_t m = c.rows();
+  for (std::size_t i = 0; i < m; ++i) {
+    a[i] = std::polar(1.0, omega * static_cast<double>(i));
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    Complex acc{};
+    for (std::size_t j = 0; j < m; ++j) acc += c(i, j) * a[j];
+    ca[i] = acc;
+  }
+  Complex power{};
+  for (std::size_t i = 0; i < m; ++i) power += std::conj(a[i]) * ca[i];
+  return std::real(power);
 }
 
 }  // namespace
@@ -102,19 +127,15 @@ std::vector<double> root_music_frequencies(const ComplexSignal& signal,
   };
   std::vector<Candidate> candidates;
   candidates.reserve(roots.size());
+  CVector steer(m);
+  CVector c_steer(m);
   for (const Complex& z : roots) {
     const double mag = std::abs(z);
     // Signal roots sit ON the circle (double roots at high SNR), and the
     // finite-precision split can land both of the pair slightly outside;
     // keep a generous band since ranking is by null power, not radius.
     if (mag > 1.05 || mag < 0.2) continue;
-    const double omega = std::arg(z);
-    CVector a(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      a[i] = std::polar(1.0, omega * static_cast<double>(i));
-    }
-    const double null_power = std::real(linalg::dot(a, c * a));
-    candidates.push_back({z, null_power});
+    candidates.push_back({z, null_power(c, std::arg(z), steer, c_steer)});
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {

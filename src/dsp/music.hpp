@@ -30,10 +30,11 @@ std::vector<double> music_pseudospectrum(const ComplexSignal& signal,
 
 /// root-MUSIC estimate of `num_sources` complex-exponential frequencies.
 ///
-/// Returns signed frequencies in Hz in (-fs/2, fs/2], sorted by closeness of
-/// their signal-space root to the unit circle (best first). Throws
-/// std::invalid_argument when the signal is too short for the covariance
-/// order or when num_sources >= covariance_order.
+/// Returns signed frequencies in Hz in (-fs/2, fs/2] from the roots with
+/// 0.2 <= |z| <= 1.05, sorted by their MUSIC null-spectrum power
+/// a(omega)^H En En^H a(omega), lowest (best) first, near-duplicate
+/// frequencies dropped. Throws std::invalid_argument when the signal is too
+/// short for the covariance order or when num_sources >= covariance_order.
 std::vector<double> root_music_frequencies(const ComplexSignal& signal,
                                            double sample_rate_hz,
                                            std::size_t num_sources,

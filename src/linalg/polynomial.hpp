@@ -52,6 +52,8 @@ class Polynomial {
 
 /// Options controlling the Durand-Kerner iteration.
 struct RootFindingOptions {
+  /// Sweep cap. The effective cap is max(max_iterations, 30 * degree):
+  /// high-degree polynomials always get at least 30 sweeps per root.
   std::size_t max_iterations = 400;
   double tolerance = 1e-12;  ///< max per-root displacement for convergence
 };

@@ -451,9 +451,12 @@ void ChaosProxy::run() {
       while (::recv(wake_fds_[0], drain, sizeof(drain), 0) > 0) {
       }
     }
+    // Links accepted below have no pollfd yet; they are polled from the
+    // next round on.
+    const std::size_t polled = links_.size();
     if ((fds[1].revents & POLLIN) != 0) accept_ready(after);
 
-    for (std::size_t i = 0; i < links_.size(); ++i) {
+    for (std::size_t i = 0; i < polled; ++i) {
       Link& link = links_[i];
       const pollfd& client_p = fds[2 + 2 * i];
       const pollfd& server_p = fds[2 + 2 * i + 1];

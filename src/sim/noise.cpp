@@ -4,12 +4,25 @@
 
 namespace safe::sim {
 
-GaussianNoise::GaussianNoise(double mean, double stddev, std::uint64_t seed)
-    : mean_(mean), stddev_(stddev), rng_(seed), dist_(mean, stddev) {
+namespace {
+
+/// The stddev handed to std::normal_distribution, which requires it to be
+/// positive. A zero-stddev source never draws (sample() returns the mean),
+/// so its distribution gets a placeholder 1.
+double distribution_stddev(double stddev) {
   if (stddev < 0.0) {
     throw std::invalid_argument("GaussianNoise: stddev must be >= 0");
   }
+  return stddev == 0.0 ? 1.0 : stddev;
 }
+
+}  // namespace
+
+GaussianNoise::GaussianNoise(double mean, double stddev, std::uint64_t seed)
+    : mean_(mean),
+      stddev_(stddev),
+      rng_(seed),
+      dist_(mean, distribution_stddev(stddev)) {}
 
 double GaussianNoise::sample() {
   if (stddev_ == 0.0) return mean_;

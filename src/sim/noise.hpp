@@ -14,11 +14,10 @@ class GaussianNoise {
  public:
   GaussianNoise(double mean, double stddev, std::uint64_t seed);
 
-  /// Next sample.
+  /// Next sample; exactly the mean when the source was built with zero
+  /// standard deviation (avoids perturbing noise-free tests).
   double sample();
 
-  /// Convenience: next sample, or exactly zero when the source was built
-  /// with zero standard deviation (avoids perturbing noise-free tests).
   [[nodiscard]] double mean() const { return mean_; }
   [[nodiscard]] double stddev() const { return stddev_; }
 

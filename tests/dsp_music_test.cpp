@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <random>
 #include <set>
@@ -69,6 +70,116 @@ TEST(Covariance, ExchangeConjugateIsInvolution) {
   const auto r = sample_covariance(x, 5);
   EXPECT_LT(linalg::max_abs(exchange_conjugate(exchange_conjugate(r)) - r),
             1e-14);
+}
+
+/// The snapshot triple loop the lag-product kernel replaced, kept as the
+/// oracle.
+linalg::CMatrix reference_sample_covariance(const ComplexSignal& signal,
+                                            std::size_t order) {
+  const std::size_t snapshots = signal.size() - order + 1;
+  linalg::CMatrix r(order, order);
+  for (std::size_t n = 0; n < snapshots; ++n) {
+    for (std::size_t i = 0; i < order; ++i) {
+      const Complex yi = signal[n + i];
+      for (std::size_t j = 0; j < order; ++j) {
+        r(i, j) += yi * std::conj(signal[n + j]);
+      }
+    }
+  }
+  const double scale = 1.0 / static_cast<double>(snapshots);
+  for (std::size_t i = 0; i < order; ++i) {
+    for (std::size_t j = 0; j < order; ++j) r(i, j) *= scale;
+  }
+  return r;
+}
+
+linalg::CMatrix reference_forward_backward(const ComplexSignal& signal,
+                                           std::size_t order) {
+  const linalg::CMatrix fwd = reference_sample_covariance(signal, order);
+  linalg::CMatrix avg = fwd;
+  avg += exchange_conjugate(fwd);
+  avg *= Complex{0.5, 0.0};
+  return avg;
+}
+
+bool same_bits(const linalg::CMatrix& a, const linalg::CMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(Complex)) == 0;
+}
+
+/// Both covariance forms against the oracle at every order that fits.
+void expect_covariance_matches_oracle(const ComplexSignal& x,
+                                      const char* label) {
+  for (const std::size_t order : {1u, 2u, 3u, 16u, 24u}) {
+    if (order > x.size()) continue;
+    EXPECT_TRUE(same_bits(sample_covariance(x, order),
+                          reference_sample_covariance(x, order)))
+        << label << " n=" << x.size() << " order=" << order;
+    EXPECT_TRUE(same_bits(forward_backward_covariance(x, order),
+                          reference_forward_backward(x, order)))
+        << label << " n=" << x.size() << " order=" << order;
+  }
+}
+
+TEST(CovarianceOracle, NoisyTonesMatchReferenceLoopBitForBit) {
+  for (const std::size_t n : {24u, 25u, 31u, 64u, 127u, 512u}) {
+    ComplexSignal x = make_tone(0.13, 1.0, n, 1.0, 0.4);
+    add_noise(x, 0.3, static_cast<unsigned>(n));
+    expect_covariance_matches_oracle(x, "noisy tone");
+  }
+}
+
+TEST(CovarianceOracle, RealZeroAndSignedZeroSignals) {
+  std::mt19937 rng(7);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  ComplexSignal real(97);
+  for (auto& v : real) v = Complex{dist(rng), 0.0};
+  expect_covariance_matches_oracle(real, "real-valued");
+  expect_covariance_matches_oracle(ComplexSignal(40), "all-zero");
+  // Products of signed zeros and exact cancellations decide the sign of
+  // zero sums, which the upper and lower triangles must each reproduce.
+  const double values[] = {0.0, -0.0, 1.0, -1.0, 0.5};
+  std::uniform_int_distribution<int> pick(0, 4);
+  ComplexSignal zeros(61);
+  for (auto& v : zeros) v = Complex{values[pick(rng)], values[pick(rng)]};
+  expect_covariance_matches_oracle(zeros, "signed zeros");
+  ComplexSignal only_zeros(33);
+  for (auto& v : only_zeros) {
+    v = Complex{values[pick(rng) % 2], values[pick(rng) % 2]};
+  }
+  expect_covariance_matches_oracle(only_zeros, "only signed zeros");
+}
+
+TEST(CovarianceOracle, OverflowingEntriesTakeTheLibraryProductPath) {
+  // Entries near 1e160 overflow their products to infinities, sums of
+  // opposite infinities turn NaN, and the forward-backward scaling by
+  // (0.5, 0) then has both parts NaN and goes through __muldc3.
+  std::mt19937 rng(11);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::uniform_int_distribution<int> sign(0, 1);
+  ComplexSignal big(80);
+  for (auto& v : big) {
+    v = Complex{sign(rng) != 0 ? 1e160 : -1e160,
+                sign(rng) != 0 ? 1e160 : -1e160};
+  }
+  big[7] = Complex{dist(rng), dist(rng)};
+  expect_covariance_matches_oracle(big, "near 1e160");
+  const linalg::CMatrix fb = forward_backward_covariance(big, 3);
+  bool saw_nan = false;
+  bool saw_inf = false;
+  for (std::size_t i = 0; i < 9; ++i) {
+    saw_nan = saw_nan || std::isnan(fb.data()[i].real());
+    saw_inf = saw_inf || std::isinf(fb.data()[i].real());
+  }
+  EXPECT_TRUE(saw_nan || saw_inf);
+
+  // Infinite samples make single lag products both-NaN as well.
+  ComplexSignal inf = make_tone(0.2, 1.0, 48);
+  inf[5] = Complex{INFINITY, INFINITY};
+  inf[9] = Complex{INFINITY, 0.0};
+  inf[20] = Complex{0.0, -INFINITY};
+  expect_covariance_matches_oracle(inf, "infinite samples");
 }
 
 TEST(RootMusic, SingleCleanTone) {

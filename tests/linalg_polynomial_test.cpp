@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <limits>
 #include <numbers>
 #include <random>
 #include <vector>
@@ -26,6 +28,196 @@ void expect_roots_match(const std::vector<Complex>& expected,
     EXPECT_LT(std::abs(*best - e), tol)
         << "missing root near (" << e.real() << ", " << e.imag() << ")";
     found.erase(best);
+  }
+}
+
+/// What the Durand-Kerner loop the pipelined kernel replaced did on one call.
+struct ReferenceTrace {
+  std::size_t sweeps = 0;  ///< Sweeps run, counting the converged one.
+  std::size_t nudges = 0;  ///< Collision nudges taken.
+  std::vector<double> max_steps;  ///< Largest |step| of each sweep.
+};
+
+/// The Durand-Kerner loop the pipelined kernel replaced, kept as the
+/// oracle: per root, the full product over the other roots, Horner, and
+/// std::abs (hypot) for both the collision and the convergence test.
+std::vector<Complex> reference_find_roots(
+    const Polynomial& p, ReferenceTrace& trace,
+    const RootFindingOptions& options = {}) {
+  const std::size_t n = p.degree();
+  const Polynomial q = p.monic();
+  const auto& c = q.coefficients();
+  if (n == 1) return {-c[0]};
+
+  double cauchy = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    cauchy = std::max(cauchy, std::abs(c[i]));
+  }
+  cauchy += 1.0;
+  const double c0 = std::abs(c[0]);
+  double radius = c0 > 0.0
+                      ? std::exp(std::log(c0) / static_cast<double>(n))
+                      : 0.5;
+  radius = std::clamp(radius, 1e-3, cauchy);
+
+  std::vector<Complex> z(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double angle = (2.0 * std::numbers::pi * static_cast<double>(i)) /
+                             static_cast<double>(n) +
+                         0.3979;
+    const double r = radius * (0.8 + 0.4 * (static_cast<double>(i) + 1.0) /
+                                         static_cast<double>(n));
+    z[i] = std::polar(r, angle);
+  }
+
+  const std::size_t iterations = std::max(options.max_iterations, 30 * n);
+  for (std::size_t iter = 0; iter < iterations; ++iter) {
+    ++trace.sweeps;
+    double max_step = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      Complex denom{1.0, 0.0};
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j == i) continue;
+        denom *= (z[i] - z[j]);
+      }
+      if (std::abs(denom) == 0.0) {
+        z[i] += Complex(1e-6 * (static_cast<double>(i) + 1.0), 1e-6);
+        max_step = std::numeric_limits<double>::infinity();
+        ++trace.nudges;
+        continue;
+      }
+      const Complex step = q.evaluate(z[i]) / denom;
+      z[i] -= step;
+      max_step = std::max(max_step, std::abs(step));
+    }
+    trace.max_steps.push_back(max_step);
+    if (max_step < options.tolerance) break;
+  }
+
+  const Polynomial dq = q.derivative();
+  for (auto& zi : z) {
+    for (int step = 0; step < 3; ++step) {
+      const Complex d = dq.evaluate(zi);
+      if (std::abs(d) == 0.0) break;
+      zi -= q.evaluate(zi) / d;
+    }
+  }
+  return z;
+}
+
+ReferenceTrace expect_roots_match_oracle(
+    const Polynomial& p, const RootFindingOptions& options = {}) {
+  ReferenceTrace trace;
+  const std::vector<Complex> want = reference_find_roots(p, trace, options);
+  const std::vector<Complex> got = find_roots(p, options);
+  EXPECT_EQ(got.size(), want.size());
+  if (got.size() == want.size()) {
+    EXPECT_EQ(
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(Complex)), 0)
+        << "degree " << p.degree();
+  }
+  return trace;
+}
+
+std::vector<Complex> random_coefficients(std::size_t degree, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::vector<Complex> c(degree + 1);
+  for (auto& ci : c) ci = Complex{dist(rng), dist(rng)};
+  return c;
+}
+
+TEST(FindRootsOracle, DegreesOneToFortyMatchReferenceLoopBitForBit) {
+  for (std::size_t degree = 1; degree <= 40; ++degree) {
+    const auto seed = static_cast<unsigned>(degree);
+    expect_roots_match_oracle(Polynomial(random_coefficients(degree, seed)));
+    // A conjugate-reciprocal root set, the structure root-MUSIC roots.
+    std::mt19937 rng(seed + 100);
+    std::uniform_real_distribution<double> mag(0.3, 0.95);
+    std::uniform_real_distribution<double> ang(-3.0, 3.0);
+    std::vector<Complex> roots;
+    while (roots.size() + 2 <= degree) {
+      const Complex z = std::polar(mag(rng), ang(rng));
+      roots.push_back(z);
+      roots.push_back(1.0 / std::conj(z));
+    }
+    if (roots.size() < degree) roots.push_back(std::polar(1.0, ang(rng)));
+    expect_roots_match_oracle(Polynomial::from_roots(roots));
+  }
+  // Options: a loose tolerance, a tolerance outside the squared-norm range,
+  // and a sweep cap above 30 * degree.
+  const Polynomial p(random_coefficients(12, 3));
+  expect_roots_match_oracle(p, {.max_iterations = 400, .tolerance = 1e-6});
+  expect_roots_match_oracle(p, {.max_iterations = 400, .tolerance = 1e-120});
+  expect_roots_match_oracle(p, {.max_iterations = 400, .tolerance = 0.0});
+  expect_roots_match_oracle(p, {.max_iterations = 1000, .tolerance = 1e-300});
+}
+
+TEST(FindRootsOracle, ToleranceAtASweepsLargestStep) {
+  // A tolerance equal to some sweep's largest |step|, or one ulp either
+  // side, puts the convergence decision exactly on the threshold, where
+  // |step|^2 against tol^2 could round the other way than hypot.
+  for (const std::size_t degree : {12u, 30u}) {
+    const Polynomial p(random_coefficients(degree, 77));
+    ReferenceTrace trace;
+    reference_find_roots(p, trace);
+    ASSERT_GT(trace.max_steps.size(), 3u);
+    for (const double m : trace.max_steps) {
+      for (const double tol :
+           {m, std::nextafter(m, 0.0), std::nextafter(m, 1.0)}) {
+        expect_roots_match_oracle(p, {.max_iterations = 400, .tolerance = tol});
+      }
+    }
+  }
+}
+
+TEST(FindRootsOracle, CollisionNudgePath) {
+  // z^2 + b z + 1 starts from radius 1 on the spiral find_roots builds.
+  // Choose b, to the ulp, so that root 0's first step lands exactly on z1:
+  // root 1's product is then exactly zero and it is nudged.
+  const Complex z0 = std::polar(0.8 + 0.4 * 1.0 / 2.0, 0.3979);
+  const Complex z1 =
+      std::polar(0.8 + 0.4 * 2.0 / 2.0, 2.0 * std::numbers::pi / 2.0 + 0.3979);
+  const Complex guess = ((z0 - z1) * (z0 - z1) - z0 * z0 - Complex{1.0}) / z0;
+  bool found = false;
+  for (int dr = -8; dr <= 8 && !found; ++dr) {
+    for (int di = -8; di <= 8 && !found; ++di) {
+      double br = guess.real();
+      double bi = guess.imag();
+      for (int k = 0; k < std::abs(dr); ++k) {
+        br = std::nextafter(br, dr * 1e300);
+      }
+      for (int k = 0; k < std::abs(di); ++k) {
+        bi = std::nextafter(bi, di * 1e300);
+      }
+      const Polynomial p({Complex{1.0}, Complex{br, bi}, Complex{1.0}});
+      if (z0 - p.evaluate(z0) / (Complex{1.0, 0.0} * (z0 - z1)) != z1) continue;
+      found = true;
+      EXPECT_GT(expect_roots_match_oracle(p).nudges, 0u);
+    }
+  }
+  EXPECT_TRUE(found);
+}
+
+TEST(FindRootsOracle, RepeatedRootRunsToTheSweepCap) {
+  // A double root on the unit circle, as root-MUSIC sees at high SNR: the
+  // pair never settles below the tolerance, so the loop runs 30 * n sweeps.
+  std::vector<Complex> roots{std::polar(1.0, 0.7), std::polar(1.0, 0.7)};
+  std::mt19937 rng(41);
+  std::uniform_real_distribution<double> ang(-3.0, 3.0);
+  while (roots.size() < 30) roots.push_back(std::polar(0.6, ang(rng)));
+  const ReferenceTrace trace =
+      expect_roots_match_oracle(Polynomial::from_roots(roots));
+  EXPECT_EQ(trace.sweeps, 30u * 30u);
+}
+
+TEST(FindRootsOracle, NonFiniteCoefficients) {
+  for (const double bad : {NAN, INFINITY}) {
+    for (std::size_t degree : {2u, 5u, 16u, 30u}) {
+      auto c = random_coefficients(degree, static_cast<unsigned>(degree) + 7);
+      c[degree / 2] = Complex{bad, 0.25};
+      expect_roots_match_oracle(Polynomial(c));
+    }
   }
 }
 
