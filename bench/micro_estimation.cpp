@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the estimation and DSP kernels:
 // per-update cost of RLS / LMS / Kalman, the paper's 118-step RLS holdover,
 // the per-epoch cost of root-MUSIC vs periodogram beat extraction, the FFT
-// both as a bare 4096-point transform and as the radar runs it, and the
-// three root-MUSIC kernels at the radar's order-16, 512-sample configuration.
+// both as a bare 4096-point transform and as the radar runs it, the three
+// root-MUSIC kernels at the radar's order-16, 512-sample configuration, and
+// a periodogram radar epoch split into synthesis and the whole measure().
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -155,9 +156,8 @@ BENCHMARK(BM_PeriodogramEpoch);
 // few dozen Durand-Kerner sweeps; without noise the covariance is rank one,
 // its roots pair up on the unit circle and rooting runs all 30 * 30 sweeps
 // (the capped calls, ~4% of a seed-1 figure run).
-dsp::ComplexSignal radar_segment(bool thermal_noise) {
-  const radar::RadarProcessorConfig cfg;
-  radar::RadarProcessor receiver(cfg, 1);
+radar::EchoScene one_echo_scene(const radar::RadarProcessorConfig& cfg,
+                                bool thermal_noise) {
   radar::EchoScene scene;
   scene.noise_power_w = thermal_noise ? cfg.noise_floor_w : 0.0;
   scene.echoes.push_back(radar::EchoComponent{
@@ -166,7 +166,13 @@ dsp::ComplexSignal radar_segment(bool thermal_noise) {
       .power_w = radar::received_echo_power_w(cfg.waveform, units::Meters{60.0},
                                               10.0),
   });
-  return receiver.synthesize(scene).up;
+  return scene;
+}
+
+dsp::ComplexSignal radar_segment(bool thermal_noise) {
+  const radar::RadarProcessorConfig cfg;
+  radar::RadarProcessor receiver(cfg, 1);
+  return receiver.synthesize(one_echo_scene(cfg, thermal_noise)).up;
 }
 
 constexpr std::size_t kOrder = 16;
@@ -230,6 +236,32 @@ void BM_RootMusicRadarSegment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RootMusicRadarSegment);
+
+// A periodogram-mode radar epoch as the campaign runs it, one echo at
+// thermal noise: synthesis (2 x 512 complex Gaussian draws plus one
+// std::polar per sample and echo) and the whole measure() call, synthesis
+// included, so the difference is the spectral estimation.
+void BM_RadarSynthesize(benchmark::State& state) {
+  radar::RadarProcessorConfig cfg;
+  cfg.estimator = radar::BeatEstimator::kPeriodogram;
+  radar::RadarProcessor receiver(cfg, 1);
+  const radar::EchoScene scene = one_echo_scene(cfg, true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(receiver.synthesize(scene));
+  }
+}
+BENCHMARK(BM_RadarSynthesize);
+
+void BM_RadarMeasurePeriodogram(benchmark::State& state) {
+  radar::RadarProcessorConfig cfg;
+  cfg.estimator = radar::BeatEstimator::kPeriodogram;
+  radar::RadarProcessor receiver(cfg, 1);
+  const radar::EchoScene scene = one_echo_scene(cfg, true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(receiver.measure(scene));
+  }
+}
+BENCHMARK(BM_RadarMeasurePeriodogram);
 
 }  // namespace
 

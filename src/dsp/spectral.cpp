@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <stdexcept>
 
+#include "linalg/lanes.hpp"
+
 namespace safe::dsp {
+
+namespace lanes = linalg::lanes;
 
 namespace {
 
@@ -23,15 +28,20 @@ struct SpectrumWorkspace {
   WindowKind window_kind = WindowKind::kRectangular;
   RealSignal window;
   ComplexSignal windowed;
-  ComplexSignal spectrum;
-  RealSignal power;
+  SplitSpectrum spectrum;
+  RealSignal power;  ///< Bin powers, stored only for picks after the first.
 };
 
-/// |FFT(window * signal)|^2, zero-padded to options.min_fft_size. The result
-/// lives in the calling thread's workspace until that thread's next call.
-const RealSignal& windowed_power_spectrum(const ComplexSignal& signal,
-                                          const PeriodogramOptions& options) {
+SpectrumWorkspace& workspace() {
   thread_local SpectrumWorkspace ws;
+  return ws;
+}
+
+/// FFT(window * signal), zero-padded to options.min_fft_size. The result
+/// lives in the calling thread's workspace until that thread's next call.
+const SplitSpectrum& windowed_spectrum(const ComplexSignal& signal,
+                                       const PeriodogramOptions& options) {
+  SpectrumWorkspace& ws = workspace();
   if (ws.window.size() != signal.size() || ws.window_kind != options.window) {
     ws.window = make_window(options.window, signal.size());
     ws.window_kind = options.window;
@@ -39,43 +49,88 @@ const RealSignal& windowed_power_spectrum(const ComplexSignal& signal,
   ws.windowed.assign(signal.begin(), signal.end());
   apply_window(ws.windowed, ws.window);
   fft_into(ws.windowed, options.min_fft_size, ws.spectrum);
-  ws.power.resize(ws.spectrum.size());
-  for (std::size_t i = 0; i < ws.spectrum.size(); ++i) {
-    ws.power[i] = std::norm(ws.spectrum[i]);
-  }
-  return ws.power;
+  return ws.spectrum;
 }
 
-/// Strongest bin over the mean bin of a power spectrum (0 when all zero).
-double peak_to_average(const RealSignal& power) {
-  double peak = 0.0, sum = 0.0;
-  for (const double p : power) {
-    peak = std::max(peak, p);
-    sum += p;
+/// Strongest bin over the mean bin (0 when every bin is zero) of an n-bin
+/// spectrum, from its scan. The scan's peak is the running std::max of
+/// every bin from 0.
+double peak_to_average(const PowerScan& scan, std::size_t n) {
+  if (scan.sum <= 0.0) return 0.0;
+  return scan.peak / (scan.sum / static_cast<double>(n));
+}
+
+/// The tone at bin `best` of an n-bin spectrum whose bin powers `power`
+/// returns, refined by a log-magnitude parabola through its neighbours.
+template <class Power>
+ToneEstimate tone_at(std::size_t best, double best_power, std::size_t n,
+                     const Power& power, double sample_rate_hz,
+                     const PeriodogramOptions& options) {
+  double bin = static_cast<double>(best);
+  if (options.parabolic_interpolation) {
+    const std::size_t prev = (best + n - 1) % n;
+    const std::size_t next = (best + 1) % n;
+    const double a = 0.5 * std::log(std::max(power(prev), 1e-300));
+    const double b = 0.5 * std::log(std::max(power(best), 1e-300));
+    const double c = 0.5 * std::log(std::max(power(next), 1e-300));
+    const double denom = a - 2.0 * b + c;
+    if (std::abs(denom) > 1e-30) {
+      const double delta = 0.5 * (a - c) / denom;
+      if (std::abs(delta) <= 1.0) bin += delta;
+    }
   }
-  if (sum <= 0.0) return 0.0;
-  return peak / (sum / static_cast<double>(power.size()));
+  return ToneEstimate{
+      .frequency_hz = bin_to_hz(bin, n, sample_rate_hz),
+      .power = best_power,
+  };
+}
+
+/// The strongest tone of a spectrum from its scan (none when no bin is above
+/// zero).
+std::optional<ToneEstimate> first_tone(const SplitSpectrum& spectrum,
+                                       const PowerScan& scan,
+                                       double sample_rate_hz,
+                                       const PeriodogramOptions& options) {
+  if (scan.peak_bin == spectrum.size()) return std::nullopt;
+  const auto power = [&](std::size_t i) {
+    return spectrum.re()[i] * spectrum.re()[i] +
+           spectrum.im()[i] * spectrum.im()[i];
+  };
+  return tone_at(scan.peak_bin, scan.peak, spectrum.size(), power,
+                 sample_rate_hz, options);
 }
 
 /// Greedy peak picking over the periodogram of a `signal_size`-sample signal
-/// (see estimate_tones_periodogram).
-std::vector<ToneEstimate> pick_tones(const RealSignal& power,
+/// (see estimate_tones_periodogram). The first pick comes from the scan;
+/// later ones search the stored bin powers outside the guard bands.
+std::vector<ToneEstimate> pick_tones(const SplitSpectrum& spectrum,
                                      std::size_t signal_size,
                                      double sample_rate_hz, std::size_t count,
                                      const PeriodogramOptions& options) {
-  const std::size_t n = power.size();
+  const std::size_t n = spectrum.size();
+  RealSignal& power = workspace().power;
+  if (count > 1) power.resize(n);
+  const PowerScan first =
+      scan_power(spectrum, count > 1 ? power.data() : nullptr);
+  std::vector<ToneEstimate> tones;
+  const auto tone = first_tone(spectrum, first, sample_rate_hz, options);
+  if (!tone) return tones;
+  tones.reserve(count);
+  tones.push_back(*tone);
 
   // Guard band: the padding factor blows one pre-padding bin up to
   // pad_factor bins, so suppress +-2*pad_factor around each accepted peak.
   const std::size_t pad_factor = std::max<std::size_t>(1, n / signal_size);
   const std::size_t guard = 2 * pad_factor;
-
-  std::vector<bool> masked(n, false);
-  std::vector<ToneEstimate> tones;
-  tones.reserve(count);
-
-  for (std::size_t pick = 0; pick < count; ++pick) {
-    std::size_t best = n;  // sentinel
+  std::vector<bool> masked;
+  std::size_t best = first.peak_bin;
+  for (std::size_t pick = 1; pick < count; ++pick) {
+    masked.resize(n, false);
+    for (std::size_t off = 0; off <= guard; ++off) {
+      masked[(best + off) % n] = true;
+      masked[(best + n - off) % n] = true;
+    }
+    best = n;  // sentinel
     double best_power = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       if (!masked[i] && power[i] > best_power) {
@@ -84,31 +139,9 @@ std::vector<ToneEstimate> pick_tones(const RealSignal& power,
       }
     }
     if (best == n || best_power <= 0.0) break;
-
-    double bin = static_cast<double>(best);
-    if (options.parabolic_interpolation) {
-      const std::size_t prev = (best + n - 1) % n;
-      const std::size_t next = (best + 1) % n;
-      // Log-magnitude parabola through the three bins around the peak.
-      const double a = 0.5 * std::log(std::max(power[prev], 1e-300));
-      const double b = 0.5 * std::log(std::max(power[best], 1e-300));
-      const double c = 0.5 * std::log(std::max(power[next], 1e-300));
-      const double denom = a - 2.0 * b + c;
-      if (std::abs(denom) > 1e-30) {
-        const double delta = 0.5 * (a - c) / denom;
-        if (std::abs(delta) <= 1.0) bin += delta;
-      }
-    }
-
-    tones.push_back(ToneEstimate{
-        .frequency_hz = bin_to_hz(bin, n, sample_rate_hz),
-        .power = best_power,
-    });
-
-    for (std::size_t off = 0; off <= guard; ++off) {
-      masked[(best + off) % n] = true;
-      masked[(best + n - off) % n] = true;
-    }
+    tones.push_back(tone_at(
+        best, best_power, n, [&](std::size_t i) { return power[i]; },
+        sample_rate_hz, options));
   }
   return tones;
 }
@@ -122,7 +155,7 @@ std::vector<ToneEstimate> estimate_tones_periodogram(
     throw std::invalid_argument("estimate_tones: sample rate must be > 0");
   }
   if (signal.empty() || count == 0) return {};
-  return pick_tones(windowed_power_spectrum(signal, options), signal.size(),
+  return pick_tones(windowed_spectrum(signal, options), signal.size(),
                     sample_rate_hz, count, options);
 }
 
@@ -157,10 +190,68 @@ double mean_power(const ComplexSignal& signal) {
   return acc / static_cast<double>(signal.size());
 }
 
+PowerScan scan_power(const SplitSpectrum& spectrum, double* power) {
+  using Index = std::int64_t __attribute__((vector_size(16)));
+  const std::size_t n = spectrum.size();
+  const double* re = spectrum.re();
+  const double* im = spectrum.im();
+  const auto none = static_cast<std::int64_t>(n);
+  // Four lanes take the bins in turn (bin mod 4), each keeping the first bin
+  // of its largest power above zero; two vectors of them keep two compare
+  // chains in flight.
+  lanes::V2 best[2] = {lanes::splat(0.0), lanes::splat(0.0)};
+  Index best_bin[2] = {{none, none}, {none, none}};
+  Index bin[2] = {{0, 1}, {2, 3}};
+  const Index step = {4, 4};
+  double sum = 0.0;
+  const auto visit = [&](std::size_t i, int h) {
+    const lanes::V2 r = lanes::load(re + i);
+    const lanes::V2 m = lanes::load(im + i);
+    const lanes::V2 p = r * r + m * m;
+    sum += p[0];
+    sum += p[1];
+    if (power != nullptr) lanes::store(power + i, p);
+    const Index better = p > best[h];
+    best[h] = better ? p : best[h];
+    best_bin[h] = better ? bin[h] : best_bin[h];
+    bin[h] += step;
+  };
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    visit(i, 0);
+    visit(i + 2, 1);
+  }
+  // The largest power wins, and on a tie the lowest bin: the bin one strict
+  // > scan from bin 0 keeps.
+  PowerScan result{.peak_bin = n, .peak = 0.0, .sum = 0.0};
+  for (int h = 0; h < 2; ++h) {
+    for (int lane = 0; lane < 2; ++lane) {
+      const double p = best[h][lane];
+      const auto b = static_cast<std::size_t>(best_bin[h][lane]);
+      if (p > result.peak || (p == result.peak && b < result.peak_bin)) {
+        result.peak = p;
+        result.peak_bin = b;
+      }
+    }
+  }
+  for (; i < n; ++i) {
+    const double p = re[i] * re[i] + im[i] * im[i];
+    sum += p;
+    if (power != nullptr) power[i] = p;
+    if (p > result.peak) {
+      result.peak = p;
+      result.peak_bin = i;
+    }
+  }
+  result.sum = sum;
+  return result;
+}
+
 double peak_to_average_power(const ComplexSignal& signal,
                              const PeriodogramOptions& options) {
   if (signal.empty()) return 0.0;
-  return peak_to_average(windowed_power_spectrum(signal, options));
+  const SplitSpectrum& spectrum = windowed_spectrum(signal, options);
+  return peak_to_average(scan_power(spectrum), spectrum.size());
 }
 
 PeriodogramSummary summarize_periodogram(const ComplexSignal& signal,
@@ -170,13 +261,12 @@ PeriodogramSummary summarize_periodogram(const ComplexSignal& signal,
     throw std::invalid_argument("summarize_periodogram: sample rate must be > 0");
   }
   if (signal.empty()) return {};
-  const RealSignal& power = windowed_power_spectrum(signal, options);
-  PeriodogramSummary summary;
-  summary.peak_to_average = peak_to_average(power);
-  const auto tones =
-      pick_tones(power, signal.size(), sample_rate_hz, 1, options);
-  if (!tones.empty()) summary.dominant_tone = tones.front();
-  return summary;
+  const SplitSpectrum& spectrum = windowed_spectrum(signal, options);
+  const PowerScan scan = scan_power(spectrum);
+  return PeriodogramSummary{
+      .peak_to_average = peak_to_average(scan, spectrum.size()),
+      .dominant_tone = first_tone(spectrum, scan, sample_rate_hz, options),
+  };
 }
 
 }  // namespace safe::dsp

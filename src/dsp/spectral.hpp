@@ -55,6 +55,20 @@ double mean_power(const ComplexSignal& signal);
 double peak_to_average_power(const ComplexSignal& signal,
                              const PeriodogramOptions& options = {});
 
+/// What one pass over the bin powers |X|^2 of a spectrum gives.
+struct PowerScan {
+  /// First bin of the largest power above zero (a strict > from 0, so NaN
+  /// bins are skipped); the spectrum's size when no bin is above zero.
+  std::size_t peak_bin = 0;
+  double peak = 0.0;  ///< That bin's power; 0 when there is none.
+  double sum = 0.0;   ///< Every bin's power added in bin order.
+};
+
+/// Computes each bin's power as std::norm does, the strongest bin and the
+/// in-order sum, in one pass. Writes the powers to `power`
+/// (spectrum.size() entries) unless it is null.
+PowerScan scan_power(const SplitSpectrum& spectrum, double* power = nullptr);
+
 /// What the radar receiver reads from one segment's periodogram.
 struct PeriodogramSummary {
   double peak_to_average = 0.0;

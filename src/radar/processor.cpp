@@ -14,8 +14,9 @@ namespace safe::radar {
 namespace {
 
 // Receiver-stage metrics: one epoch per measure() call (synthesize +
-// demodulate + estimate). Counts are jobs-invariant; the duration histogram
-// is the per-stage profile the fine trace detail exposes as spans.
+// demodulate + estimate). Counts are jobs-invariant; the duration histograms
+// are the per-stage profile the fine trace detail exposes as spans: the
+// epoch, and inside it the synthesis and the estimation from the segments.
 struct ProcessorMetrics {
   telemetry::MetricId epochs = telemetry::counter("radar.epochs");
   telemetry::MetricId coherent_echoes =
@@ -23,6 +24,10 @@ struct ProcessorMetrics {
   telemetry::MetricId power_alarms = telemetry::counter("radar.power_alarms");
   telemetry::MetricId measure_ns =
       telemetry::duration_histogram("radar.measure_ns");
+  telemetry::MetricId synthesize_ns =
+      telemetry::duration_histogram("radar.synthesize_ns");
+  telemetry::MetricId estimate_ns =
+      telemetry::duration_histogram("radar.estimate_ns");
 };
 
 const ProcessorMetrics& processor_metrics() {
@@ -122,7 +127,15 @@ RadarMeasurement RadarProcessor::measure(const EchoScene& scene) {
                               telemetry::TraceDetail::kFine);
   telemetry::add(metrics.epochs);
 
-  const Segments seg = synthesize(scene);
+  const Segments seg = [&] {
+    telemetry::ScopedTimer synthesis("radar.synthesize", "radar",
+                                     metrics.synthesize_ns,
+                                     telemetry::TraceDetail::kFine);
+    return synthesize(scene);
+  }();
+  telemetry::ScopedTimer estimation("radar.estimate", "radar",
+                                    metrics.estimate_ns,
+                                    telemetry::TraceDetail::kFine);
 
   // Estimate beats even when no coherent echo stands out: under jamming the
   // receiver still produces (corrupted) measurements, which is precisely the

@@ -57,6 +57,35 @@ std::uint64_t count_mismatches(
   return mismatches;
 }
 
+/// One session's trace and, when verifying, the estimate frames it got.
+struct SessionRun {
+  TraceSpec spec;
+  std::vector<MeasurementFrame> trace;
+  bool traced = false;    ///< the trace was built
+  bool complete = false;  ///< every estimate arrived
+  std::vector<std::vector<std::uint8_t>> estimate_frames;
+};
+
+/// Runs task(index) for every session index on `workers` threads, each
+/// taking the next index as it finishes one.
+template <class Task>
+void for_each_session(std::size_t sessions, std::size_t workers,
+                      const Task& task) {
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> threads;
+  threads.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) {
+    threads.emplace_back([&] {
+      for (;;) {
+        const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
+        if (index >= sessions) return;
+        task(index);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+}
+
 }  // namespace
 
 const char* to_string(SessionErrorKind kind) {
@@ -89,7 +118,6 @@ LoadReport run_load(const LoadOptions& options) {
 
   std::mutex merge_mutex;
   std::vector<std::uint64_t> all_latencies;
-  std::atomic<std::size_t> next_session{0};
   const std::size_t workers = std::min(options.connections, options.sessions);
 
   // Counts the failure under its kind; `failed` distinguishes a failed
@@ -109,162 +137,156 @@ LoadReport run_load(const LoadOptions& options) {
     }
   };
 
-  const std::uint64_t start_ns = telemetry::now_ns();
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    threads.emplace_back([&] {
-      while (true) {
-        const std::size_t index =
-            next_session.fetch_add(1, std::memory_order_relaxed);
-        if (index >= options.sessions) return;
-
-        TraceSpec spec = options.spec;
-        spec.seed = runtime::derive_seed(options.master_seed,
+  // The clock covers the stream phase only. Every session's trace is built
+  // before it starts and checked against the offline pipeline after it
+  // stops, so elapsed_ns and the throughput measure the server, not the
+  // client's radar synthesis or the replay.
+  std::vector<SessionRun> runs(options.sessions);
+  const std::uint64_t build_start_ns = telemetry::now_ns();
+  for_each_session(options.sessions, workers, [&](std::size_t index) {
+    SessionRun& run = runs[index];
+    run.spec = options.spec;
+    run.spec.seed = runtime::derive_seed(options.master_seed,
                                          runtime::SeedStream::kScenario,
                                          static_cast<std::uint64_t>(index));
-        const std::string client_id =
-            "loadgen-" + std::to_string(index);
-        std::vector<MeasurementFrame> trace;
-        try {
-          trace = make_measurement_trace(spec);
-        } catch (const std::exception& e) {
-          record_error(index, SessionErrorKind::kTraceGeneration, e.what());
-          continue;
-        }
+    try {
+      run.trace = make_measurement_trace(run.spec);
+      run.traced = true;
+    } catch (const std::exception& e) {
+      record_error(index, SessionErrorKind::kTraceGeneration, e.what());
+    }
+  });
+  report.trace_build_ns = telemetry::now_ns() - build_start_ns;
 
-        if (options.retry_attempts > 0) {
-          RetryPolicy policy = options.retry;
-          policy.max_attempts = options.retry_attempts;
-          policy.jitter_seed = runtime::derive_seed(
-              options.master_seed, runtime::SeedStream::kRetry,
-              static_cast<std::uint64_t>(index));
-          ResilientClient resilient(options.host, options.port, policy);
-          const ResilientResult result =
-              resilient.run(spec, client_id, trace, options.deadline_ns);
+  const std::uint64_t start_ns = telemetry::now_ns();
+  for_each_session(options.sessions, workers, [&](std::size_t index) {
+    SessionRun& run = runs[index];
+    if (!run.traced) return;
+    const std::string client_id = "loadgen-" + std::to_string(index);
 
-          std::uint64_t mismatches = 0;
-          if (options.verify && result.complete) {
-            mismatches = count_mismatches(spec, trace, result.estimate_frames);
-          }
-          {
-            std::lock_guard<std::mutex> guard(merge_mutex);
-            report.frames_sent += trace.size();
-            report.estimates_received += result.estimates.size();
-            report.challenges_received += result.challenges.size();
-            report.verify_mismatched_frames += mismatches;
-            if (options.verify && result.complete && mismatches == 0) {
-              ++report.sessions_verified;
-            }
-            if (result.complete) ++report.sessions_completed;
-            report.reconnects += result.reconnects;
-            report.resumes += result.resumes;
-            report.restarts += result.restarts;
-            report.overload_backoffs += result.overload_backoffs;
-            report.duplicates_discarded += result.duplicates_discarded;
-            report.replayed_frames += result.replayed_frames;
-            all_latencies.insert(all_latencies.end(),
-                                 result.latencies_ns.begin(),
-                                 result.latencies_ns.end());
-          }
-          if (!result.complete) {
-            record_error(index, classify(result.failure),
-                         std::string(to_string(result.failure)) +
-                             (result.failure_detail.empty()
-                                  ? ""
-                                  : ": " + result.failure_detail));
-          } else if (mismatches != 0) {
-            record_error(index, SessionErrorKind::kVerifyMismatch,
-                         std::to_string(mismatches) +
-                             " estimate frames differ from offline reference",
-                         /*failed=*/false);
-          }
-          continue;
-        }
+    if (options.retry_attempts > 0) {
+      RetryPolicy policy = options.retry;
+      policy.max_attempts = options.retry_attempts;
+      policy.jitter_seed = runtime::derive_seed(
+          options.master_seed, runtime::SeedStream::kRetry,
+          static_cast<std::uint64_t>(index));
+      ResilientClient resilient(options.host, options.port, policy);
+      ResilientResult result =
+          resilient.run(run.spec, client_id, run.trace, options.deadline_ns);
+      {
+        std::lock_guard<std::mutex> guard(merge_mutex);
+        report.frames_sent += run.trace.size();
+        report.estimates_received += result.estimates.size();
+        report.challenges_received += result.challenges.size();
+        if (result.complete) ++report.sessions_completed;
+        report.reconnects += result.reconnects;
+        report.resumes += result.resumes;
+        report.restarts += result.restarts;
+        report.overload_backoffs += result.overload_backoffs;
+        report.duplicates_discarded += result.duplicates_discarded;
+        report.replayed_frames += result.replayed_frames;
+        all_latencies.insert(all_latencies.end(), result.latencies_ns.begin(),
+                             result.latencies_ns.end());
+      }
+      run.complete = result.complete;
+      if (options.verify) {
+        run.estimate_frames = std::move(result.estimate_frames);
+      }
+      if (!result.complete) {
+        record_error(index, classify(result.failure),
+                     std::string(to_string(result.failure)) +
+                         (result.failure_detail.empty()
+                              ? ""
+                              : ": " + result.failure_detail));
+      }
+      return;
+    }
 
-        SessionClient client;
-        try {
-          client.connect(options.host, options.port);
-        } catch (const std::exception& e) {
-          record_error(index, SessionErrorKind::kConnectRefused, e.what());
-          continue;
+    SessionClient client;
+    try {
+      client.connect(options.host, options.port);
+    } catch (const std::exception& e) {
+      record_error(index, SessionErrorKind::kConnectRefused, e.what());
+      return;
+    }
+    const SessionClient::OpenReply open =
+        client.open_session(hello_from(run.spec, client_id),
+                            options.deadline_ns);
+    if (!open.ok) {
+      SessionErrorKind kind = SessionErrorKind::kHandshakeRejected;
+      std::string why;
+      if (open.has_error) {
+        why = open.error.message;
+      } else if (!open.transport_error.empty()) {
+        kind = SessionErrorKind::kTransport;
+        why = open.transport_error;
+      } else {
+        if (open.status.code == StatusCode::kOverloaded) {
+          kind = SessionErrorKind::kOverloaded;
         }
-        const SessionClient::OpenReply open =
-            client.open_session(hello_from(spec, client_id),
-                                options.deadline_ns);
-        if (!open.ok) {
-          SessionErrorKind kind = SessionErrorKind::kHandshakeRejected;
-          std::string why;
-          if (open.has_error) {
-            why = open.error.message;
-          } else if (!open.transport_error.empty()) {
-            kind = SessionErrorKind::kTransport;
-            why = open.transport_error;
-          } else {
-            if (open.status.code == StatusCode::kOverloaded) {
-              kind = SessionErrorKind::kOverloaded;
-            }
-            why = std::string(to_string(open.status.code)) + ": " +
-                  open.status.message;
-          }
-          record_error(index, kind, "handshake failed: " + why);
-          continue;
-        }
+        why = std::string(to_string(open.status.code)) + ": " +
+              open.status.message;
+      }
+      record_error(index, kind, "handshake failed: " + why);
+      return;
+    }
 
-        SessionClient::StreamResult stream =
-            client.stream(trace, options.deadline_ns);
-        std::uint64_t mismatches = 0;
-        std::size_t verified = 0;
-        if (options.verify && stream.complete) {
-          mismatches = count_mismatches(spec, trace, stream.estimate_frames);
-          if (mismatches == 0) verified = 1;
-        }
+    SessionClient::StreamResult stream =
+        client.stream(run.trace, options.deadline_ns);
+    {
+      std::lock_guard<std::mutex> guard(merge_mutex);
+      report.frames_sent += run.trace.size();
+      report.estimates_received += stream.estimates.size();
+      report.challenges_received += stream.challenges.size();
+      all_latencies.insert(all_latencies.end(), stream.latencies_ns.begin(),
+                           stream.latencies_ns.end());
+      if (stream.complete) ++report.sessions_completed;
+    }
+    run.complete = stream.complete;
+    if (options.verify) run.estimate_frames = std::move(stream.estimate_frames);
+    if (stream.complete) return;
+    SessionErrorKind kind = SessionErrorKind::kIncompleteStream;
+    std::string why = stream.transport_error;
+    if (!why.empty()) {
+      kind = why.find("timed out") != std::string::npos
+                 ? SessionErrorKind::kDeadlineExceeded
+                 : SessionErrorKind::kTransport;
+    } else if (stream.error.has_value()) {
+      kind = SessionErrorKind::kServerError;
+      why = "server ERROR: " + stream.error->message;
+    } else if (stream.status.has_value()) {
+      kind = stream.status->code == StatusCode::kOverloaded
+                 ? SessionErrorKind::kOverloaded
+                 : SessionErrorKind::kServerStatus;
+      why = std::string("server STATUS ") + to_string(stream.status->code) +
+            ": " + stream.status->message;
+    }
+    if (why.empty()) why = "incomplete stream";
+    record_error(index, kind, why);
+  });
+  report.elapsed_ns = telemetry::now_ns() - start_ns;
 
-        {
-          std::lock_guard<std::mutex> guard(merge_mutex);
-          report.frames_sent += trace.size();
-          report.estimates_received += stream.estimates.size();
-          report.challenges_received += stream.challenges.size();
-          report.verify_mismatched_frames += mismatches;
-          report.sessions_verified += verified;
-          all_latencies.insert(all_latencies.end(),
-                               stream.latencies_ns.begin(),
-                               stream.latencies_ns.end());
-          if (stream.complete) ++report.sessions_completed;
-        }
-        if (stream.complete) {
-          if (mismatches != 0) {
-            record_error(index, SessionErrorKind::kVerifyMismatch,
-                         std::to_string(mismatches) +
-                             " estimate frames differ from offline reference",
-                         /*failed=*/false);
-          }
-        } else {
-          SessionErrorKind kind = SessionErrorKind::kIncompleteStream;
-          std::string why = stream.transport_error;
-          if (!why.empty()) {
-            kind = why.find("timed out") != std::string::npos
-                       ? SessionErrorKind::kDeadlineExceeded
-                       : SessionErrorKind::kTransport;
-          } else if (stream.error.has_value()) {
-            kind = SessionErrorKind::kServerError;
-            why = "server ERROR: " + stream.error->message;
-          } else if (stream.status.has_value()) {
-            kind = stream.status->code == StatusCode::kOverloaded
-                       ? SessionErrorKind::kOverloaded
-                       : SessionErrorKind::kServerStatus;
-            why = std::string("server STATUS ") +
-                  to_string(stream.status->code) + ": " +
-                  stream.status->message;
-          }
-          if (why.empty()) why = "incomplete stream";
-          record_error(index, kind, why);
-        }
+  if (options.verify) {
+    const std::uint64_t verify_start_ns = telemetry::now_ns();
+    for_each_session(options.sessions, workers, [&](std::size_t index) {
+      const SessionRun& run = runs[index];
+      if (!run.complete) return;
+      const std::uint64_t mismatches =
+          count_mismatches(run.spec, run.trace, run.estimate_frames);
+      {
+        std::lock_guard<std::mutex> guard(merge_mutex);
+        report.verify_mismatched_frames += mismatches;
+        if (mismatches == 0) ++report.sessions_verified;
+      }
+      if (mismatches != 0) {
+        record_error(index, SessionErrorKind::kVerifyMismatch,
+                     std::to_string(mismatches) +
+                         " estimate frames differ from offline reference",
+                     /*failed=*/false);
       }
     });
+    report.verify_ns = telemetry::now_ns() - verify_start_ns;
   }
-  for (std::thread& thread : threads) thread.join();
-  report.elapsed_ns = telemetry::now_ns() - start_ns;
 
   std::sort(all_latencies.begin(), all_latencies.end());
   report.latency_p50_ns = percentile(all_latencies, 0.50);
@@ -306,6 +328,8 @@ std::string to_json(const LoadReport& report) {
   out << ",\"sessions_verified\":" << report.sessions_verified;
   out << ",\"verify_mismatched_frames\":" << report.verify_mismatched_frames;
   out << ",\"elapsed_ns\":" << report.elapsed_ns;
+  out << ",\"trace_build_ns\":" << report.trace_build_ns;
+  out << ",\"verify_ns\":" << report.verify_ns;
   out << ",\"throughput_frames_per_s\":" << report.throughput_frames_per_s;
   out << ",\"latency_p50_ns\":" << report.latency_p50_ns;
   out << ",\"latency_p95_ns\":" << report.latency_p95_ns;

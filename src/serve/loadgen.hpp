@@ -5,7 +5,9 @@
 // throughput plus p50/p95/p99 frame latency. With verify enabled it also
 // byte-compares every received ESTIMATE frame against the offline
 // run_offline() reference — the serving parity check used by tests, the CI
-// smoke job, and the throughput ablation.
+// smoke job, and the throughput ablation. Throughput is timed over the
+// stream phase alone: every trace is built before the clock starts and
+// verified after it stops, and those phases are reported separately.
 //
 // With retry_attempts > 0 each session runs through a ResilientClient
 // instead of a bare SessionClient: disconnects and overload sheds are
@@ -79,7 +81,13 @@ struct LoadReport {
   std::uint64_t challenges_received = 0;
   std::size_t sessions_verified = 0;  ///< byte-identical to offline reference
   std::uint64_t verify_mismatched_frames = 0;
+  /// Wall time of the stream phase: connect to last estimate, all sessions.
   std::uint64_t elapsed_ns = 0;
+  /// Wall time spent building every session's trace, before elapsed_ns.
+  std::uint64_t trace_build_ns = 0;
+  /// Wall time of the offline verification, after elapsed_ns (0 without it).
+  std::uint64_t verify_ns = 0;
+  /// estimates_received per second of elapsed_ns.
   double throughput_frames_per_s = 0.0;
   std::uint64_t latency_p50_ns = 0;
   std::uint64_t latency_p95_ns = 0;

@@ -132,7 +132,11 @@ void StreamServer::CompletionChannel::wake() noexcept {
 StreamServer::StreamServer(ServerOptions options, runtime::ThreadPool& pool)
     : options_(std::move(options)),
       pool_(pool),
-      sessions_(options_.session, options_.master_seed) {}
+      sessions_(options_.session, options_.master_seed) {
+  // Registered up front so a clean run exports the count as 0 instead of
+  // leaving it out.
+  (void)decode_errors_metric();
+}
 
 StreamServer::~StreamServer() {
   for (auto& [id, conn] : connections_) {

@@ -20,10 +20,30 @@ namespace {
 
 // --- runtime switches ------------------------------------------------------
 
-std::atomic<bool> g_metrics_enabled{false};
-std::atomic<bool> g_tracing_enabled{false};
-std::atomic<std::uint8_t> g_trace_detail{
-    static_cast<std::uint8_t>(TraceDetail::kCoarse)};
+// All three switches share one word, so a call site that asks about both
+// subsystems (a span) still costs one relaxed load.
+constexpr std::uint8_t kMetricsOn = 1U;
+constexpr std::uint8_t kTracingOn = 2U;
+constexpr std::uint8_t kFineDetail = 4U;
+std::atomic<std::uint8_t> g_switches{0};
+
+std::uint8_t switches() noexcept {
+  return g_switches.load(std::memory_order_relaxed);
+}
+
+bool traces_at(std::uint8_t s, TraceDetail detail) noexcept {
+  return (s & kTracingOn) != 0 &&
+         (detail == TraceDetail::kCoarse || (s & kFineDetail) != 0);
+}
+
+void set_switch(std::uint8_t bit, bool on) noexcept {
+  if (on) {
+    g_switches.fetch_or(bit, std::memory_order_relaxed);
+  } else {
+    g_switches.fetch_and(static_cast<std::uint8_t>(~bit),
+                         std::memory_order_relaxed);
+  }
+}
 
 // --- registry capacities ---------------------------------------------------
 //
@@ -253,30 +273,21 @@ const char* stability_name(Stability stability) {
 
 // --- runtime switches ------------------------------------------------------
 
-bool metrics_enabled() noexcept {
-  return g_metrics_enabled.load(std::memory_order_relaxed);
-}
+bool metrics_enabled() noexcept { return (switches() & kMetricsOn) != 0; }
 
-bool tracing_enabled() noexcept {
-  return g_tracing_enabled.load(std::memory_order_relaxed);
-}
+bool tracing_enabled() noexcept { return (switches() & kTracingOn) != 0; }
 
 TraceDetail trace_detail() noexcept {
-  return static_cast<TraceDetail>(
-      g_trace_detail.load(std::memory_order_relaxed));
+  return (switches() & kFineDetail) != 0 ? TraceDetail::kFine
+                                         : TraceDetail::kCoarse;
 }
 
-void set_metrics_enabled(bool on) noexcept {
-  g_metrics_enabled.store(on, std::memory_order_relaxed);
-}
+void set_metrics_enabled(bool on) noexcept { set_switch(kMetricsOn, on); }
 
-void set_tracing_enabled(bool on) noexcept {
-  g_tracing_enabled.store(on, std::memory_order_relaxed);
-}
+void set_tracing_enabled(bool on) noexcept { set_switch(kTracingOn, on); }
 
 void set_trace_detail(TraceDetail detail) noexcept {
-  g_trace_detail.store(static_cast<std::uint8_t>(detail),
-                       std::memory_order_relaxed);
+  set_switch(kFineDetail, detail == TraceDetail::kFine);
 }
 
 // --- clock -----------------------------------------------------------------
@@ -400,7 +411,7 @@ std::uint64_t counter_value(MetricId id) {
 }
 
 void set_thread_name(std::string name) {
-  if (t_shard == nullptr && !metrics_enabled() && !tracing_enabled()) {
+  if (t_shard == nullptr && (switches() & (kMetricsOn | kTracingOn)) == 0) {
     t_pending_thread_name = std::move(name);
     return;
   }
@@ -434,7 +445,7 @@ std::string TraceArgs::take() {
 
 void instant_event(const char* name, const char* category,
                    std::string args_json, TraceDetail detail) {
-  if (!tracing_enabled() || detail > trace_detail()) return;
+  if (!traces_at(switches(), detail)) return;
   TraceEvent event;
   event.name = name;
   event.category = category;
@@ -447,8 +458,9 @@ void instant_event(const char* name, const char* category,
 ScopedTimer::ScopedTimer(const char* name, const char* category, MetricId hist,
                          TraceDetail detail) noexcept
     : name_(name), category_(category), hist_(hist) {
-  timing_ = hist_.valid() && metrics_enabled();
-  tracing_ = tracing_enabled() && detail <= trace_detail();
+  const std::uint8_t s = switches();
+  timing_ = hist_.valid() && (s & kMetricsOn) != 0;
+  tracing_ = traces_at(s, detail);
   if (timing_ || tracing_) start_ns_ = now_ns();
 }
 

@@ -5,9 +5,12 @@
 #include <cmath>
 #include <cstring>
 #include <latch>
+#include <limits>
 #include <numbers>
 #include <random>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dsp/fft.hpp"
@@ -185,6 +188,111 @@ TEST(FftPlan, ConcurrentFirstUseOfUncachedSizes) {
   for (std::size_t t = 0; t < kThreads; ++t) {
     EXPECT_EQ(mismatches[t], 0) << "thread " << t;
   }
+}
+
+// --- split-plane kernel: non-finite samples ---------------------------------
+
+/// Bits equal, or both NaN: NaN payloads are not pinned.
+bool same_value(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+::testing::AssertionResult same_values(const ComplexSignal& actual,
+                                       const ComplexSignal& expected) {
+  if (actual.size() != expected.size()) {
+    return ::testing::AssertionFailure() << "size " << actual.size()
+                                         << " != " << expected.size();
+  }
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    if (!same_value(actual[i].real(), expected[i].real()) ||
+        !same_value(actual[i].imag(), expected[i].imag())) {
+      return ::testing::AssertionFailure()
+             << "bin " << i << ": " << actual[i] << " != " << expected[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Checks the forward, inverse and zero-padded transforms of x against the
+/// reference loop.
+void expect_transforms_match_reference(const ComplexSignal& x,
+                                       const std::string& what) {
+  ComplexSignal expected = x;
+  ComplexSignal actual = x;
+  reference_fft_inplace(expected, /*inverse=*/false);
+  fft_inplace(actual);
+  EXPECT_TRUE(same_values(actual, expected)) << "forward, " << what;
+
+  expected = x;
+  actual = x;
+  reference_fft_inplace(expected, /*inverse=*/true);
+  ifft_inplace(actual);
+  EXPECT_TRUE(same_values(actual, expected)) << "inverse, " << what;
+
+  for (const std::size_t min_size : {0U, 64U, 4096U}) {
+    EXPECT_TRUE(same_values(fft(x, min_size), reference_fft(x, min_size)))
+        << "padded to " << min_size << ", " << what;
+    SplitSpectrum planes;
+    fft_into(x, min_size, planes);
+    ComplexSignal joined(planes.size());
+    for (std::size_t i = 0; i < planes.size(); ++i) {
+      joined[i] = Complex{planes.re()[i], planes.im()[i]};
+    }
+    EXPECT_TRUE(same_values(joined, reference_fft(x, min_size)))
+        << "split planes padded to " << min_size << ", " << what;
+  }
+}
+
+TEST(SplitFft, InfiniteAndNanSamplesMatchReferenceLoop) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  unsigned seed = 40;
+  for (const std::size_t n : {1U, 2U, 4U, 8U, 64U, 512U}) {
+    for (const Complex bad : {Complex{kInf, 0.0}, Complex{-kInf, kInf},
+                              Complex{0.0, -kInf}, Complex{nan, 0.0},
+                              Complex{1.0, nan}, Complex{kInf, nan}}) {
+      for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+        ComplexSignal x = random_signal(n, ++seed);
+        x[at] = bad;
+        expect_transforms_match_reference(
+            x, "n = " + std::to_string(n) + ", bad sample at " +
+                   std::to_string(at));
+      }
+    }
+    // Every sample infinite: finite twiddles meet inf * 0 everywhere.
+    ComplexSignal all_inf(n, Complex{kInf, -kInf});
+    expect_transforms_match_reference(all_inf,
+                                      "all infinite, n = " + std::to_string(n));
+  }
+}
+
+TEST(SplitFft, OverflowingSumsTakeTheLibraryProductPath) {
+  // Finite samples near the top of the range: the first sums overflow to
+  // infinity, and a later product of an infinite value with a twiddle that
+  // has a zero part, (inf, inf) * (1, +0), comes out (NaN, NaN) inline.
+  // std::complex hands that product to __muldc3, which returns (inf, inf),
+  // so outputs hold infinities where the inline product leaves NaN.
+  const Complex huge{1.0e308, 1.0e308};
+  const Complex product = Complex{std::numeric_limits<double>::infinity(),
+                                  std::numeric_limits<double>::infinity()} *
+                          Complex{1.0, 0.0};
+  ASSERT_TRUE(std::isinf(product.real()) && std::isinf(product.imag()));
+
+  for (const std::size_t n : {4U, 8U, 16U, 512U}) {
+    expect_transforms_match_reference(
+        ComplexSignal(n, huge), "constant 1e308, n = " + std::to_string(n));
+    ComplexSignal x = random_signal(n, static_cast<unsigned>(n) + 5);
+    for (auto& xi : x) xi *= 0.9e308;
+    expect_transforms_match_reference(x, "random * 0.9e308, n = " +
+                                             std::to_string(n));
+  }
+  // Bin 0 sums every sample; inline products alone would leave it NaN.
+  ComplexSignal reference = ComplexSignal(8, huge);
+  reference_fft_inplace(reference, /*inverse=*/false);
+  EXPECT_TRUE(std::isinf(reference[0].real()) &&
+              std::isinf(reference[0].imag()))
+      << reference[0];
 }
 
 TEST(Fft, NextPow2) {
@@ -449,6 +557,262 @@ TEST(Periodogram, SummaryOfEmptyOrZeroSignal) {
   EXPECT_FALSE(zero.dominant_tone.has_value());
   EXPECT_THROW(summarize_periodogram(ComplexSignal(4), 0.0),
                std::invalid_argument);
+}
+
+// --- one-pass spectrum scan -------------------------------------------------
+
+/// The statistics the scan replaced, each composed separately from a power
+/// vector: std::norm per bin, the running std::max and in-order sum behind
+/// the peak-to-average ratio, and the strict > argmax from 0.
+struct ComposedStatistics {
+  RealSignal power;
+  double running_max = 0.0;
+  double sum = 0.0;
+  std::size_t argmax = 0;
+  double argmax_power = 0.0;
+};
+
+ComposedStatistics compose(const SplitSpectrum& spectrum) {
+  ComposedStatistics c;
+  const std::size_t n = spectrum.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    c.power.push_back(std::norm(Complex{spectrum.re()[i], spectrum.im()[i]}));
+  }
+  for (const double p : c.power) {
+    c.running_max = std::max(c.running_max, p);
+    c.sum += p;
+  }
+  c.argmax = n;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (c.power[i] > c.argmax_power) {
+      c.argmax_power = c.power[i];
+      c.argmax = i;
+    }
+  }
+  return c;
+}
+
+SplitSpectrum split_spectrum(const std::vector<double>& re,
+                             const std::vector<double>& im) {
+  SplitSpectrum s;
+  s.resize(re.size());
+  std::copy(re.begin(), re.end(), s.re());
+  std::copy(im.begin(), im.end(), s.im());
+  return s;
+}
+
+void expect_scan_matches_composed(const SplitSpectrum& spectrum,
+                                  const std::string& what) {
+  const ComposedStatistics c = compose(spectrum);
+  RealSignal power(spectrum.size(), -1.0);
+  const PowerScan scan = scan_power(spectrum, power.data());
+  EXPECT_EQ(scan.peak_bin, c.argmax) << what;
+  EXPECT_TRUE(same_value(scan.peak, c.argmax_power)) << what;
+  EXPECT_TRUE(same_value(scan.peak, c.running_max)) << what;
+  EXPECT_TRUE(same_value(scan.sum, c.sum)) << what;
+  EXPECT_TRUE(same_value(scan_power(spectrum).sum, c.sum)) << what;
+  for (std::size_t i = 0; i < power.size(); ++i) {
+    EXPECT_TRUE(same_value(power[i], c.power[i])) << what << ", bin " << i;
+  }
+}
+
+TEST(PowerScan, TiedStrongestBinsKeepTheFirst) {
+  // Every pair of tied bins, in every lane position of the scan.
+  for (const std::size_t n : {2U, 3U, 4U, 8U, 16U}) {
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = a + 1; b < n; ++b) {
+        std::vector<double> re(n, 0.5), im(n, -0.25);
+        re[a] = 3.0;
+        re[b] = -3.0;
+        im[a] = im[b] = 4.0;
+        expect_scan_matches_composed(
+            split_spectrum(re, im),
+            "n = " + std::to_string(n) + ", tie at " + std::to_string(a) +
+                " and " + std::to_string(b));
+        EXPECT_EQ(scan_power(split_spectrum(re, im)).peak_bin, a);
+      }
+    }
+  }
+  // A flat spectrum: bin 0 wins.
+  std::vector<double> re(4096, 1.0), im(4096, 0.0);
+  EXPECT_EQ(scan_power(split_spectrum(re, im)).peak_bin, 0U);
+}
+
+TEST(PowerScan, NanBinsAreSkippedButPoisonTheSum) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t n : {1U, 2U, 5U, 8U, 64U}) {
+    for (std::size_t at = 0; at < n; ++at) {
+      std::vector<double> re(n), im(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        re[i] = static_cast<double>((i * 7) % 5);
+        im[i] = -static_cast<double>((i * 3) % 4);
+      }
+      re[at] = nan;
+      expect_scan_matches_composed(split_spectrum(re, im),
+                                   "n = " + std::to_string(n) + ", NaN at " +
+                                       std::to_string(at));
+      im[(at + 1) % n] = std::numeric_limits<double>::infinity();
+      expect_scan_matches_composed(split_spectrum(re, im),
+                                   "n = " + std::to_string(n) + ", NaN at " +
+                                       std::to_string(at) + " and inf after");
+    }
+    std::vector<double> all_nan(n, nan), zeros(n, 0.0);
+    expect_scan_matches_composed(split_spectrum(all_nan, zeros),
+                                 "all NaN, n = " + std::to_string(n));
+  }
+}
+
+TEST(PowerScan, ZeroAndSingleBinSpectra) {
+  for (const std::size_t n : {1U, 2U, 4U, 4096U}) {
+    std::vector<double> re(n, 0.0), im(n, -0.0);
+    const SplitSpectrum zero = split_spectrum(re, im);
+    expect_scan_matches_composed(zero, "zero, n = " + std::to_string(n));
+    EXPECT_EQ(scan_power(zero).peak_bin, n);
+    EXPECT_EQ(scan_power(zero).sum, 0.0);
+  }
+  expect_scan_matches_composed(split_spectrum({-2.5}, {1e-3}), "one bin");
+  expect_scan_matches_composed(split_spectrum({1e200}, {1e200}),
+                               "one overflowing bin");
+  EXPECT_EQ(scan_power(split_spectrum({-2.5}, {1e-3})).peak_bin, 0U);
+}
+
+TEST(PowerScan, RandomSpectraMatchComposedStatistics) {
+  std::mt19937 rng(12);
+  std::normal_distribution<double> dist(0.0, 1.0);
+  for (const std::size_t n : {1U, 2U, 3U, 4U, 6U, 7U, 32U, 33U, 4096U}) {
+    std::vector<double> re(n), im(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      re[i] = dist(rng);
+      im[i] = dist(rng);
+    }
+    expect_scan_matches_composed(split_spectrum(re, im),
+                                 "random, n = " + std::to_string(n));
+  }
+}
+
+// --- periodogram functions against their composed reference -----------------
+
+/// The greedy peak picker the one-pass scan replaced: a masked strict >
+/// argmax per pick over a power vector.
+std::vector<ToneEstimate> reference_pick_tones(
+    const RealSignal& power, std::size_t signal_size, double fs,
+    std::size_t count, const PeriodogramOptions& options) {
+  const std::size_t n = power.size();
+  const std::size_t pad_factor = std::max<std::size_t>(1, n / signal_size);
+  const std::size_t guard = 2 * pad_factor;
+  std::vector<bool> masked(n, false);
+  std::vector<ToneEstimate> tones;
+  for (std::size_t pick = 0; pick < count; ++pick) {
+    std::size_t best = n;
+    double best_power = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!masked[i] && power[i] > best_power) {
+        best_power = power[i];
+        best = i;
+      }
+    }
+    if (best == n || best_power <= 0.0) break;
+    double bin = static_cast<double>(best);
+    if (options.parabolic_interpolation) {
+      const double a =
+          0.5 * std::log(std::max(power[(best + n - 1) % n], 1e-300));
+      const double b = 0.5 * std::log(std::max(power[best], 1e-300));
+      const double c =
+          0.5 * std::log(std::max(power[(best + 1) % n], 1e-300));
+      const double denom = a - 2.0 * b + c;
+      if (std::abs(denom) > 1e-30) {
+        const double delta = 0.5 * (a - c) / denom;
+        if (std::abs(delta) <= 1.0) bin += delta;
+      }
+    }
+    double f = bin / static_cast<double>(n);
+    if (f > 0.5) f -= 1.0;
+    tones.push_back(ToneEstimate{.frequency_hz = f * fs, .power = best_power});
+    for (std::size_t off = 0; off <= guard; ++off) {
+      masked[(best + off) % n] = true;
+      masked[(best + n - off) % n] = true;
+    }
+  }
+  return tones;
+}
+
+void expect_periodogram_matches_reference(const ComplexSignal& x,
+                                          const PeriodogramOptions& options,
+                                          const std::string& what) {
+  const double fs = 1.0e6;
+  ComplexSignal windowed = x;
+  apply_window(windowed, make_window(options.window, x.size()));
+  RealSignal power;
+  for (const Complex& bin : reference_fft(windowed, options.min_fft_size)) {
+    power.push_back(std::norm(bin));
+  }
+  double peak = 0.0, sum = 0.0;
+  for (const double p : power) {
+    peak = std::max(peak, p);
+    sum += p;
+  }
+  const double papr =
+      sum <= 0.0 ? 0.0 : peak / (sum / static_cast<double>(power.size()));
+
+  EXPECT_TRUE(same_value(peak_to_average_power(x, options), papr)) << what;
+  const PeriodogramSummary summary = summarize_periodogram(x, fs, options);
+  EXPECT_TRUE(same_value(summary.peak_to_average, papr)) << what;
+  for (const std::size_t count : {1U, 3U}) {
+    const auto expected =
+        reference_pick_tones(power, x.size(), fs, count, options);
+    const auto actual = estimate_tones_periodogram(x, fs, count, options);
+    ASSERT_EQ(actual.size(), expected.size()) << what << ", count " << count;
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+      EXPECT_TRUE(same_value(actual[i].frequency_hz, expected[i].frequency_hz))
+          << what << ", count " << count << ", pick " << i;
+      EXPECT_TRUE(same_value(actual[i].power, expected[i].power))
+          << what << ", count " << count << ", pick " << i;
+    }
+    if (count == 1) {
+      ASSERT_EQ(summary.dominant_tone.has_value(), !expected.empty()) << what;
+      if (!expected.empty()) {
+        EXPECT_TRUE(same_value(summary.dominant_tone->frequency_hz,
+                               expected[0].frequency_hz))
+            << what;
+        EXPECT_TRUE(same_value(summary.dominant_tone->power, expected[0].power))
+            << what;
+      }
+    }
+  }
+}
+
+TEST(Periodogram, EveryStatisticMatchesTheComposedReference) {
+  const PeriodogramOptions hann{};
+  const PeriodogramOptions rect_unpadded{.window = WindowKind::kRectangular,
+                                         .min_fft_size = 0};
+  const PeriodogramOptions coarse{.window = WindowKind::kBlackman,
+                                  .min_fft_size = 0,
+                                  .parabolic_interpolation = false};
+  for (const auto& [options, name] :
+       {std::pair{hann, "hann/4096"}, std::pair{rect_unpadded, "rect"},
+        std::pair{coarse, "blackman, no interpolation"}}) {
+    const std::string label(name);
+    // Two tones in noise, so count 3 picks past the first guard band.
+    ComplexSignal two = make_tone(61'000.0, 1.0e6, 512);
+    const ComplexSignal second = make_tone(-230'000.0, 1.0e6, 512, 0.6);
+    for (std::size_t i = 0; i < two.size(); ++i) two[i] += second[i];
+    add_noise(two, 0.3, 8);
+    expect_periodogram_matches_reference(two, options, label + ", two tones");
+    expect_periodogram_matches_reference(ComplexSignal(64), options,
+                                         label + ", zeros");
+    expect_periodogram_matches_reference(ComplexSignal{{0.7, -0.2}}, options,
+                                         label + ", one sample");
+    // An impulse: with a rectangular window and no padding every bin ties.
+    ComplexSignal impulse(256);
+    impulse[0] = Complex{1.0, 0.0};
+    expect_periodogram_matches_reference(impulse, options, label + ", impulse");
+    ComplexSignal with_nan = two;
+    with_nan[100] = Complex{std::numeric_limits<double>::quiet_NaN(), 0.0};
+    expect_periodogram_matches_reference(with_nan, options, label + ", NaN");
+    ComplexSignal with_inf = two;
+    with_inf[7] = Complex{0.0, std::numeric_limits<double>::infinity()};
+    expect_periodogram_matches_reference(with_inf, options, label + ", inf");
+  }
 }
 
 class PeriodogramSweep : public ::testing::TestWithParam<double> {};

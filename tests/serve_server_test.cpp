@@ -3,8 +3,11 @@
 // slow-consumer disconnects, idle eviction, and graceful drain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
 #include "serve/trace_source.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
@@ -95,6 +99,61 @@ TEST(ServeServer, ConcurrentSessionsAllVerify) {
   EXPECT_EQ(report.sessions_verified, 8u);
   EXPECT_EQ(report.verify_mismatched_frames, 0u);
   EXPECT_EQ(report.estimates_received, report.frames_sent);
+}
+
+/// The number a JSON field holds in `json` (digits up to the next delimiter).
+std::string json_number(const std::string& json, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = json.find(tag);
+  if (at == std::string::npos) return {};
+  const std::size_t begin = at + tag.size();
+  return json.substr(begin, json.find_first_of(",}", begin) - begin);
+}
+
+TEST(ServeServer, LoadReportTimesOnlyTheStreamPhase) {
+  ServerHarness harness;
+  LoadOptions load;
+  load.port = harness.port();
+  load.connections = 2;
+  load.sessions = 3;
+  load.spec = quick_spec();
+  load.master_seed = 5;
+  load.verify = true;
+  const LoadReport report = run_load(load);
+  ASSERT_TRUE(report.ok());
+  // Trace synthesis and the offline replay are timed apart from the stream.
+  EXPECT_GT(report.trace_build_ns, 0u);
+  EXPECT_GT(report.verify_ns, 0u);
+  EXPECT_EQ(report.throughput_frames_per_s,
+            static_cast<double>(report.estimates_received) * 1e9 /
+                static_cast<double>(report.elapsed_ns));
+
+  const std::string json = to_json(report);
+  EXPECT_EQ(json_number(json, "trace_build_ns"),
+            std::to_string(report.trace_build_ns));
+  EXPECT_EQ(json_number(json, "verify_ns"), std::to_string(report.verify_ns));
+  // to_json prints the throughput to 6 significant digits.
+  char expected[32];
+  std::snprintf(expected, sizeof expected, "%g",
+                static_cast<double>(report.estimates_received) * 1e9 /
+                    static_cast<double>(report.elapsed_ns));
+  EXPECT_EQ(json_number(json, "throughput_frames_per_s"), expected);
+
+  load.verify = false;
+  const LoadReport unverified = run_load(load);
+  ASSERT_TRUE(unverified.ok());
+  EXPECT_GT(unverified.trace_build_ns, 0u);
+  EXPECT_EQ(unverified.verify_ns, 0u);
+  EXPECT_EQ(unverified.sessions_verified, 0u);
+}
+
+TEST(ServeServer, DecodeErrorCountIsExportedBeforeAnyError) {
+  ServerHarness harness;
+  const telemetry::MetricsSnapshot snapshot = telemetry::collect_metrics();
+  const auto it = std::find_if(
+      snapshot.metrics.begin(), snapshot.metrics.end(),
+      [](const auto& m) { return m.name == "serve.decode_errors"; });
+  ASSERT_NE(it, snapshot.metrics.end());
 }
 
 TEST(ServeServer, GarbageBytesGetErrorFrameAndClose) {

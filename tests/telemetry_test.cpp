@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <latch>
 #include <limits>
 #include <sstream>
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "radar/processor.hpp"
 #include "runtime/campaign.hpp"
 #include "runtime/sink.hpp"
 #include "runtime/thread_pool.hpp"
@@ -400,6 +402,86 @@ TEST_F(TelemetryTest, FineEventsSuppressedAtCoarseDetail) {
   tm::write_chrome_trace(out);
   EXPECT_EQ(out.str().find("test.fine"), std::string::npos);
   EXPECT_NE(out.str().find("test.coarse"), std::string::npos);
+}
+
+TEST_F(TelemetryTest, SwitchesAreIndependent) {
+  tm::set_metrics_enabled(false);
+  tm::set_trace_detail(tm::TraceDetail::kFine);
+  tm::set_tracing_enabled(true);
+  EXPECT_FALSE(tm::metrics_enabled());
+  EXPECT_TRUE(tm::tracing_enabled());
+  EXPECT_EQ(tm::trace_detail(), tm::TraceDetail::kFine);
+  tm::set_tracing_enabled(false);
+  tm::set_metrics_enabled(true);
+  EXPECT_TRUE(tm::metrics_enabled());
+  EXPECT_FALSE(tm::tracing_enabled());
+  EXPECT_EQ(tm::trace_detail(), tm::TraceDetail::kFine);
+  tm::set_trace_detail(tm::TraceDetail::kCoarse);
+  EXPECT_EQ(tm::trace_detail(), tm::TraceDetail::kCoarse);
+  EXPECT_TRUE(tm::metrics_enabled());
+}
+
+radar::RadarMeasurement one_radar_epoch() {
+  radar::RadarProcessorConfig cfg;
+  cfg.estimator = radar::BeatEstimator::kPeriodogram;
+  radar::RadarProcessor receiver(cfg, 3);
+  radar::EchoScene scene;
+  scene.noise_power_w = cfg.noise_floor_w;
+  scene.echoes.push_back(radar::EchoComponent{
+      .distance_m = units::Meters{50.0},
+      .range_rate_mps = units::MetersPerSecond{-2.0},
+      .power_w = 1e-10,
+  });
+  return receiver.measure(scene);
+}
+
+bool same_bits(const radar::RadarMeasurement& a,
+               const radar::RadarMeasurement& b) {
+  return std::memcmp(&a.estimate, &b.estimate, sizeof a.estimate) == 0 &&
+         std::memcmp(&a.beats, &b.beats, sizeof a.beats) == 0 &&
+         std::memcmp(&a.rx_power_w, &b.rx_power_w, sizeof(double)) == 0 &&
+         std::memcmp(&a.peak_to_average, &b.peak_to_average,
+                     sizeof(double)) == 0 &&
+         a.coherent_echo == b.coherent_echo && a.power_alarm == b.power_alarm;
+}
+
+std::uint64_t histogram_count(const tm::MetricsSnapshot& snap,
+                              const std::string& name) {
+  for (const tm::MetricSnapshot& m : snap.metrics) {
+    if (m.name == name) return m.hist.count;
+  }
+  return 0;
+}
+
+TEST_F(TelemetryTest, RadarStagesAreFineSpansInsideTheEpoch) {
+  tm::set_metrics_enabled(false);
+  const radar::RadarMeasurement untraced = one_radar_epoch();
+
+  tm::set_metrics_enabled(true);
+  tm::set_tracing_enabled(true);
+  tm::set_trace_detail(tm::TraceDetail::kCoarse);
+  EXPECT_TRUE(same_bits(one_radar_epoch(), untraced));
+  std::ostringstream coarse;
+  tm::write_chrome_trace(coarse);
+  EXPECT_EQ(coarse.str().find("radar.synthesize"), std::string::npos);
+
+  tm::reset_for_testing();
+  tm::set_trace_detail(tm::TraceDetail::kFine);
+  EXPECT_TRUE(same_bits(one_radar_epoch(), untraced));
+  std::ostringstream fine;
+  tm::write_chrome_trace(fine);
+  const std::string trace = fine.str();
+  ASSERT_TRUE(JsonValidator(trace).valid());
+  for (const char* span :
+       {"radar.measure", "radar.synthesize", "radar.estimate"}) {
+    EXPECT_NE(trace.find(std::string("\"name\":\"") + span + "\""),
+              std::string::npos)
+        << span;
+  }
+  const tm::MetricsSnapshot snap = tm::collect_metrics();
+  EXPECT_EQ(histogram_count(snap, "radar.measure_ns"), 1U);
+  EXPECT_EQ(histogram_count(snap, "radar.synthesize_ns"), 1U);
+  EXPECT_EQ(histogram_count(snap, "radar.estimate_ns"), 1U);
 }
 
 // --- campaign integration --------------------------------------------------
