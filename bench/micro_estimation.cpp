@@ -2,8 +2,9 @@
 // per-update cost of RLS / LMS / Kalman, the paper's 118-step RLS holdover,
 // the per-epoch cost of root-MUSIC vs periodogram beat extraction, the FFT
 // both as a bare 4096-point transform and as the radar runs it, the three
-// root-MUSIC kernels at the radar's order-16, 512-sample configuration, and
-// a periodogram radar epoch split into synthesis and the whole measure().
+// root-MUSIC kernels at the radar's order-16, 512-sample configuration, a
+// periodogram radar epoch split into synthesis and the whole measure(), and
+// the epoch's Gaussian noise draws.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "linalg/polynomial.hpp"
 #include "radar/link_budget.hpp"
 #include "radar/processor.hpp"
+#include "sim/noise.hpp"
 
 namespace {
 
@@ -262,6 +264,46 @@ void BM_RadarMeasurePeriodogram(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RadarMeasurePeriodogram);
+
+// The 4 x 512 standard normals behind one radar epoch's noise: drawn by the
+// std::mt19937_64 + std::normal_distribution pair the library used to call
+// (kept as the reference), by GaussianNoise::sample() one at a time, and by
+// one GaussianNoise::fill() call. All three produce the same values.
+constexpr std::size_t kEpochNormals = 2048;
+
+void BM_StdNormal2048(benchmark::State& state) {
+  std::mt19937_64 engine(static_cast<std::uint64_t>(state.range(0)));
+  std::normal_distribution<double> normal(0.0, 1.0);
+  std::vector<double> out(kEpochNormals);
+  for (auto _ : state) {
+    for (double& v : out) v = normal(engine);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_StdNormal2048)->Arg(1);
+
+void BM_GaussianSample2048(benchmark::State& state) {
+  sim::GaussianNoise noise(0.0, 1.0, static_cast<std::uint64_t>(state.range(0)));
+  std::vector<double> out(kEpochNormals);
+  for (auto _ : state) {
+    for (double& v : out) v = noise.sample();
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_GaussianSample2048)->Arg(1);
+
+void BM_GaussianFill2048(benchmark::State& state) {
+  sim::GaussianNoise noise(0.0, 1.0, static_cast<std::uint64_t>(state.range(0)));
+  std::vector<double> out(kEpochNormals);
+  for (auto _ : state) {
+    noise.fill(out.data(), out.size());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_GaussianFill2048)->Arg(1);
 
 }  // namespace
 

@@ -31,7 +31,7 @@ struct ScenarioOptions {
   units::Seconds attack_start_s{182.0};
   units::Seconds attack_end_s{300.0};
   bool defense_enabled = true;
-  /// A periodogram epoch costs about 1/5 of a root-MUSIC epoch (radar
+  /// A periodogram epoch costs about 1/7 of a root-MUSIC epoch (radar
   /// receiver, 512-sample segments, model order 16) with nearly identical
   /// closed-loop behaviour; tests use it, benches reproduce the paper with
   /// root-MUSIC.

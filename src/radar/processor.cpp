@@ -63,13 +63,20 @@ RadarProcessor::Segments RadarProcessor::synthesize(const EchoScene& scene) {
   const std::size_t n = config_.samples_per_segment;
   Segments seg{ComplexSignal(n), ComplexSignal(n)};
 
-  // Incoherent noise: complex AWGN with total power scene.noise_power_w.
+  // Incoherent noise: complex AWGN with total power scene.noise_power_w,
+  // drawn per sample as up real, up imaginary, down real, down imaginary.
   const double sigma_per_axis = std::sqrt(std::max(scene.noise_power_w, 0.0) / 2.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    seg.up[i] = Complex{sigma_per_axis * noise_.sample(),
-                        sigma_per_axis * noise_.sample()};
-    seg.down[i] = Complex{sigma_per_axis * noise_.sample(),
-                          sigma_per_axis * noise_.sample()};
+  constexpr std::size_t kBlock = 64;  // samples per draw (2 KB of stack)
+  double draws[4 * kBlock];
+  for (std::size_t start = 0; start < n; start += kBlock) {
+    const std::size_t count = std::min(kBlock, n - start);
+    noise_.fill(draws, 4 * count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const double* d = draws + 4 * i;
+      seg.up[start + i] = Complex{sigma_per_axis * d[0], sigma_per_axis * d[1]};
+      seg.down[start + i] =
+          Complex{sigma_per_axis * d[2], sigma_per_axis * d[3]};
+    }
   }
 
   // Coherent echoes: one complex tone per component in each segment.

@@ -312,7 +312,7 @@ std::string campaign_spec_help() {
       "  platoon = none | \"n=8,attacked=3\" | \"n=4,detector=chi2\"   grid\n"
       "                        (platoon mini-language; none = the pair scene)\n"
       "  defense = on | off | on|off   fixed or grid; raw data when off\n"
-      "  estimator = music | fft   beat estimator (fft epoch ~5x faster)\n"
+      "  estimator = music | fft   beat estimator (fft epoch ~7x faster)\n"
       "  hardened = true       use core::hardened_pipeline_options()\n"
       "  max_holdover = K      holdover budget; implies hardened = true\n";
 }

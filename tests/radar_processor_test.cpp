@@ -1,8 +1,11 @@
 // End-to-end tests of the radar signal path: scene -> baseband -> estimate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numbers>
+#include <random>
 #include <vector>
 
 #include "dsp/spectral.hpp"
@@ -182,6 +185,85 @@ TEST(RadarProcessor, DeterministicGivenSeed) {
 }
 
 bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// RadarProcessor::synthesize as written on <random>: one
+// std::normal_distribution draw from std::mt19937_64 per value, in sample
+// order, then two phase draws and a std::polar tone per echo. The receiver's
+// own engine and bulk draws must reproduce it bit for bit.
+RadarProcessor::Segments reference_synthesize(
+    const RadarProcessorConfig& cfg, std::mt19937_64& engine,
+    std::normal_distribution<double>& normal, const EchoScene& scene) {
+  using dsp::Complex;
+  const std::size_t n = cfg.samples_per_segment;
+  RadarProcessor::Segments seg{dsp::ComplexSignal(n), dsp::ComplexSignal(n)};
+  const double sigma_per_axis =
+      std::sqrt(std::max(scene.noise_power_w, 0.0) / 2.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    seg.up[i] = Complex{sigma_per_axis * normal(engine),
+                        sigma_per_axis * normal(engine)};
+    seg.down[i] = Complex{sigma_per_axis * normal(engine),
+                          sigma_per_axis * normal(engine)};
+  }
+  for (const EchoComponent& echo : scene.echoes) {
+    const BeatFrequencies beats = beat_frequencies(
+        cfg.waveform, echo.distance_m, echo.range_rate_mps);
+    const double amplitude = std::sqrt(std::max(echo.power_w, 0.0));
+    const double phase_up =
+        2.0 * std::numbers::pi * 0.5 * (1.0 + std::tanh(normal(engine)));
+    const double phase_down =
+        2.0 * std::numbers::pi * 0.5 * (1.0 + std::tanh(normal(engine)));
+    for (std::size_t i = 0; i < n; ++i) {
+      const double t = static_cast<double>(i) / cfg.sample_rate_hz.value();
+      seg.up[i] += std::polar(
+          amplitude,
+          2.0 * std::numbers::pi * beats.up_hz.value() * t + phase_up);
+      seg.down[i] += std::polar(
+          amplitude,
+          2.0 * std::numbers::pi * beats.down_hz.value() * t + phase_down);
+    }
+  }
+  return seg;
+}
+
+bool same_bits(const dsp::ComplexSignal& a, const dsp::ComplexSignal& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(dsp::Complex)) == 0;
+}
+
+TEST(RadarProcessor, SynthesizeMatchesStdRandomReference) {
+  // Epochs with zero, one and two echoes, noiseless and jammed ones, in
+  // sequence on one receiver, at the default 512 samples and at a segment
+  // length that leaves a partial draw block.
+  for (const std::size_t samples : {std::size_t{512}, std::size_t{100}}) {
+    SCOPED_TRACE(samples);
+    RadarProcessorConfig cfg = test_config(BeatEstimator::kPeriodogram);
+    cfg.samples_per_segment = samples;
+    const std::uint64_t seed = 2024;
+    RadarProcessor radar(cfg, seed);
+    std::mt19937_64 engine(seed);
+    std::normal_distribution<double> normal(0.0, 1.0);
+
+    EchoScene quiet;
+    quiet.noise_power_w = cfg.noise_floor_w;
+    EchoScene two = target_scene(40.0, -2.0, cfg);
+    two.echoes.push_back(target_scene(90.0, 5.0, cfg).echoes.front());
+    EchoScene jammed = target_scene(100.0, -1.0, cfg);
+    jammed.noise_power_w += received_jammer_power_w(
+        cfg.waveform, JammerParameters{}, Meters{100.0});
+    const std::vector<EchoScene> scenes = {
+        quiet, target_scene(60.0, 1.0, cfg), two, EchoScene{}, jammed,
+        two,   quiet};
+
+    for (std::size_t i = 0; i < scenes.size(); ++i) {
+      SCOPED_TRACE(i);
+      const RadarProcessor::Segments got = radar.synthesize(scenes[i]);
+      const RadarProcessor::Segments want =
+          reference_synthesize(cfg, engine, normal, scenes[i]);
+      EXPECT_TRUE(same_bits(got.up, want.up));
+      EXPECT_TRUE(same_bits(got.down, want.down));
+    }
+  }
+}
 
 TEST(RadarProcessor, PeriodogramMeasureEqualsSeparatelyComposedEstimates) {
   // measure() reads the up segment's coherence statistic and beat from one

@@ -21,8 +21,11 @@ the classic sources of run-to-run drift:
                     (e.g. `std::mt19937 rng;`). The default seed is fixed
                     but invisible at the call site; every engine must be
                     constructed from a derived seed so the provenance is
-                    explicit.
-  unordered-iter    A range-for directly over a std::unordered_map/set
+                    explicit. The library's own engine
+                    (sim::MersenneTwister64) has no default constructor,
+                    so the type enforces this rule for it;
+                    tests/compile_fail/unseeded_engine.cpp proves it.
+  unordered-iter   A range-for directly over a std::unordered_map/set
                     declared in the same file. Iteration order is
                     unspecified and libc++/libstdc++ differ, so any output
                     produced this way is not portable-deterministic.
