@@ -39,6 +39,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,6 +50,7 @@
 #include "platoon/platoon.hpp"
 #include "runtime/campaign.hpp"
 #include "runtime/sink.hpp"
+#include "spec/spec.hpp"
 #include "telemetry/telemetry.hpp"
 #include "vehicle/leader_profile.hpp"
 
@@ -122,19 +124,28 @@ bool write_telemetry_outputs(const std::string& metrics_path,
   return true;
 }
 
+/// A count flag's value. Only unsigned decimal digits are taken, so `-3`
+/// cannot wrap to 2^64 - 3.
+std::uint64_t count_arg(const std::string& flag, const std::string& value) {
+  const std::optional<std::uint64_t> count = safe::spec::to_uint(value);
+  if (!count) {
+    std::cerr << flag << " expects a non-negative integer, got `" << value
+              << "`\n";
+    std::exit(2);
+  }
+  return *count;
+}
+
 std::vector<std::uint64_t> parse_seed_list(const std::string& value) {
   std::vector<std::uint64_t> seeds;
-  std::size_t begin = 0;
-  while (begin <= value.size()) {
-    const std::size_t comma = value.find(',', begin);
-    const std::string token =
-        value.substr(begin, comma == std::string::npos ? std::string::npos
-                                                       : comma - begin);
-    if (!token.empty()) seeds.push_back(std::stoull(token));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
+  for (const std::string& token :
+       safe::spec::split(value, ",").value_or(std::vector<std::string>{})) {
+    if (!token.empty()) seeds.push_back(count_arg("--seed", token));
   }
-  if (seeds.empty()) throw std::invalid_argument("empty --seed list");
+  if (seeds.empty()) {
+    std::cerr << "--seed expects a comma-separated list of seeds\n";
+    std::exit(2);
+  }
   return seeds;
 }
 
@@ -201,8 +212,8 @@ int main(int argc, char** argv) {
       } else if (v == "delay") {
         options.attack = core::AttackKind::kDelayInjection;
       } else {
-        const attack::SpecCheck check = attack::check_attack_spec(v);
-        if (check.status != attack::SpecStatus::kOk) {
+        const spec::Check check = attack::check_attack_spec(v);
+        if (!check.ok()) {
           std::cerr << check.message << "\n"
                     << attack::attack_spec_help() << "\n";
           return 2;
@@ -228,9 +239,9 @@ int main(int argc, char** argv) {
       seeds = parse_seed_list(next());
       options.seed = seeds.front();
     } else if (arg == "--trials") {
-      trials = std::stoull(next());
+      trials = static_cast<std::size_t>(count_arg(arg, next()));
     } else if (arg == "--jobs") {
-      jobs = std::stoull(next());
+      jobs = static_cast<std::size_t>(count_arg(arg, next()));
     } else if (arg == "--horizon") {
       options.horizon_steps = std::stoll(next());
     } else if (arg == "--csv") {
@@ -260,7 +271,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--hardened") {
       hardened = true;
     } else if (arg == "--max-holdover") {
-      max_holdover = std::stoull(next());
+      max_holdover = static_cast<std::size_t>(count_arg(arg, next()));
       hardened = true;
     } else if (arg == "--metrics-out") {
       metrics_path = next();
@@ -281,8 +292,8 @@ int main(int argc, char** argv) {
   if (hardened) options.pipeline = core::hardened_pipeline_options(max_holdover);
   // After the hardened profile so --detector composes with --hardened.
   if (!detector_spec.empty()) {
-    const detect::SpecCheck check = detect::check_detector_spec(detector_spec);
-    if (check.status != detect::SpecStatus::kOk) {
+    const spec::Check check = detect::check_detector_spec(detector_spec);
+    if (!check.ok()) {
       std::cerr << check.message << "\n" << detect::detector_spec_help()
                 << "\n";
       return 2;
@@ -290,9 +301,8 @@ int main(int argc, char** argv) {
     options.pipeline.detector_spec = detector_spec;
   }
   if (!options.platoon_spec.empty()) {
-    const platoon::SpecCheck check =
-        platoon::check_platoon_spec(options.platoon_spec);
-    if (!check.ok) {
+    const spec::Check check = platoon::check_platoon_spec(options.platoon_spec);
+    if (!check.ok()) {
       std::cerr << check.message << "\n" << platoon::platoon_spec_help()
                 << "\n";
       return 2;

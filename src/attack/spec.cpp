@@ -1,9 +1,5 @@
 #include "attack/spec.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <map>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -15,342 +11,125 @@ namespace safe::attack {
 
 namespace {
 
-/// A grammar-level parse: attack kind plus raw key/value pairs. Building
-/// this never consults the kind registry, which is what lets the checker
-/// distinguish "malformed" from "well-formed but unknown kind".
-struct ParsedSpec {
-  std::string kind;
-  std::map<std::string, std::string> params;
-};
-
 /// Used by the internal builder to report instead of throwing.
 struct BuildResult {
-  SpecCheck check;
+  spec::Check check;
   std::shared_ptr<AttackModel> attack;
 };
 
-SpecCheck malformed(std::string message) {
-  return SpecCheck{SpecStatus::kMalformed, std::move(message)};
+/// The result of a build_* function: the check, plus the attack when it
+/// passed and one is wanted.
+template <typename Attack, typename Config>
+BuildResult built(const spec::Params& params, bool want_attack,
+                  const Config& config) {
+  BuildResult result{params.finish(), nullptr};
+  if (result.check.ok() && want_attack) {
+    result.attack = std::make_shared<Attack>(config);
+  }
+  return result;
 }
 
-SpecCheck unknown_kind(const std::string& name) {
-  return SpecCheck{SpecStatus::kUnknownKind,
-                   "attack spec: unknown kind `" + name +
-                       "` (none, dos, delay, spoof, chirp, entrain)"};
+void take_positive(spec::Params& params, const std::string& key,
+                   double& out) {
+  params.number(key, out);
+  params.require(out > 0.0, "`" + key + "` must be > 0");
 }
 
-bool valid_name(const std::string& name) {
-  if (name.empty()) return false;
-  for (const char c : name) {
-    if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '_') {
-      return false;
-    }
-  }
-  return true;
+void take_non_negative(spec::Params& params, const std::string& key,
+                       double& out) {
+  params.number(key, out);
+  params.require(out >= 0.0, "`" + key + "` must be >= 0");
 }
 
-/// Grammar parse only. Returns kOk/kMalformed; never kUnknownKind.
-SpecCheck parse_grammar(const std::string& spec, ParsedSpec& out) {
-  const auto colon = spec.find(':');
-  out.kind = spec.substr(0, colon);
-  if (!valid_name(out.kind)) {
-    return malformed("attack spec: bad kind name in `" + spec + "`");
-  }
-  if (colon == std::string::npos) return {};
-
-  const std::string body = spec.substr(colon + 1);
-  std::stringstream ss(body);
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    if (token.empty()) continue;
-    const auto eq = token.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-      return malformed("attack spec: bad token `" + token + "` in `" + spec +
-                       "`");
-    }
-    const std::string key = token.substr(0, eq);
-    if (!valid_name(key)) {
-      return malformed("attack spec: bad key `" + key + "` in `" + spec +
-                       "`");
-    }
-    if (!out.params.emplace(key, token.substr(eq + 1)).second) {
-      return malformed("attack spec: duplicate key `" + key + "` in `" +
-                       spec + "`");
-    }
-  }
-  return {};
-}
-
-/// Typed parameter extraction over the raw map; each take_* consumes its
-/// key so leftovers can be rejected as unknown.
-class Params {
- public:
-  explicit Params(std::map<std::string, std::string> params)
-      : params_(std::move(params)) {}
-
-  /// Finite-number extraction; std::stod would happily parse "inf"/"nan",
-  /// which every attack constructor rejects, so the checker rejects them
-  /// here to stay in lockstep with the builders.
-  bool take_number(const std::string& key, double& out, SpecCheck& check) {
-    const auto it = params_.find(key);
-    if (it == params_.end()) return true;
-    try {
-      std::size_t consumed = 0;
-      const double v = std::stod(it->second, &consumed);
-      if (consumed != it->second.size() || !std::isfinite(v)) {
-        throw std::invalid_argument("junk");
-      }
-      out = v;
-    } catch (const std::exception&) {
-      check = malformed("attack spec: bad value for `" + key + "`: `" +
-                        it->second + "`");
-      return false;
-    }
-    params_.erase(it);
-    return true;
-  }
-
-  bool take_count(const std::string& key, std::size_t& out,
-                  SpecCheck& check) {
-    std::string raw;
-    if (!take_raw(key, raw)) return true;  // key absent: keep the default
-    try {
-      std::size_t consumed = 0;
-      const unsigned long long v = std::stoull(raw, &consumed);
-      // stoull accepts a leading '-' by wrapping; reject it explicitly.
-      if (consumed != raw.size() || v == 0 || raw.front() == '-') {
-        throw std::invalid_argument("not a positive integer");
-      }
-      out = static_cast<std::size_t>(v);
-    } catch (const std::exception&) {
-      check = malformed("attack spec: `" + key +
-                        "` must be a positive integer, got `" + raw + "`");
-      return false;
-    }
-    return true;
-  }
-
-  /// Non-negative integer with an inclusive upper bound (replay delays).
-  bool take_bounded_int(const std::string& key, std::uint64_t max,
-                        std::int64_t& out, SpecCheck& check) {
-    std::string raw;
-    if (!take_raw(key, raw)) return true;
-    try {
-      std::size_t consumed = 0;
-      const unsigned long long v = std::stoull(raw, &consumed);
-      if (consumed != raw.size() || raw.front() == '-' || v > max) {
-        throw std::invalid_argument("out of range");
-      }
-      out = static_cast<std::int64_t>(v);
-    } catch (const std::exception&) {
-      check = malformed("attack spec: `" + key + "` must be an integer in [0, " +
-                        std::to_string(max) + "], got `" + raw + "`");
-      return false;
-    }
-    return true;
-  }
-
-  bool take_switch(const std::string& key, bool& out, SpecCheck& check) {
-    std::string raw;
-    if (!take_raw(key, raw)) return true;
-    if (raw == "on") {
-      out = true;
-    } else if (raw == "off") {
-      out = false;
-    } else {
-      check = malformed("attack spec: `" + key + "` must be on or off, got `" +
-                        raw + "`");
-      return false;
-    }
-    return true;
-  }
-
-  bool take_raw(const std::string& key, std::string& out) {
-    const auto it = params_.find(key);
-    if (it == params_.end()) return false;
-    out = it->second;
-    params_.erase(it);
-    return true;
-  }
-
-  bool reject_leftovers(const std::string& kind, SpecCheck& check) const {
-    if (params_.empty()) return true;
-    check = malformed("attack spec: unknown key `" + params_.begin()->first +
-                      "` for `" + kind + "`");
-    return false;
-  }
-
- private:
-  std::map<std::string, std::string> params_;
-};
-
-bool take_positive(Params& params, const std::string& key, double& out,
-                   SpecCheck& check) {
-  if (!params.take_number(key, out, check)) return false;
-  if (!(out > 0.0)) {
-    check = malformed("attack spec: `" + key + "` must be > 0");
-    return false;
-  }
-  return true;
-}
-
-bool take_non_negative(Params& params, const std::string& key, double& out,
-                       SpecCheck& check) {
-  if (!params.take_number(key, out, check)) return false;
-  if (out < 0.0) {
-    check = malformed("attack spec: `" + key + "` must be >= 0");
-    return false;
-  }
-  return true;
-}
-
-BuildResult build_dos(Params params,
-                      const radar::JammerParameters& jammer_defaults,
-                      bool want_attack) {
-  BuildResult result;
-  radar::JammerParameters jammer = jammer_defaults;
-  double power = jammer.peak_power_w;
+BuildResult build_dos(spec::Params& params,
+                      radar::JammerParameters jammer, bool want_attack) {
   double gain = jammer.antenna_gain_dbi.value();
   double bw = jammer.bandwidth_hz.value();
-  if (!take_positive(params, "power", power, result.check) ||
-      !params.take_number("gain", gain, result.check) ||
-      !take_positive(params, "bw", bw, result.check) ||
-      !params.reject_leftovers("dos", result.check)) {
-    return result;
-  }
-  jammer.peak_power_w = power;
+  take_positive(params, "power", jammer.peak_power_w);
+  params.number("gain", gain);
+  take_positive(params, "bw", bw);
   jammer.antenna_gain_dbi = units::Decibels{gain};
   jammer.bandwidth_hz = units::Hertz{bw};
-  if (want_attack) result.attack = std::make_shared<DosJammerAttack>(jammer);
-  return result;
+  return built<DosJammerAttack>(params, want_attack, jammer);
 }
 
-BuildResult build_delay(Params params, bool want_attack) {
-  BuildResult result;
+BuildResult build_delay(spec::Params& params, bool want_attack) {
   DelayInjectionConfig config;
   double delay_ns = config.extra_delay_s.value() * 1.0e9;
-  if (!take_positive(params, "delay_ns", delay_ns, result.check) ||
-      !take_positive(params, "advantage", config.power_advantage,
-                     result.check) ||
-      !params.take_switch("evade", config.evades_challenges, result.check) ||
-      !params.reject_leftovers("delay", result.check)) {
-    return result;
-  }
+  take_positive(params, "delay_ns", delay_ns);
+  take_positive(params, "advantage", config.power_advantage);
+  params.flag("evade", config.evades_challenges);
   config.extra_delay_s = units::Seconds{delay_ns * 1.0e-9};
-  if (want_attack) {
-    result.attack = std::make_shared<DelayInjectionAttack>(config);
-  }
-  return result;
+  return built<DelayInjectionAttack>(params, want_attack, config);
 }
 
-BuildResult build_spoof(Params params, bool want_attack) {
-  BuildResult result;
+BuildResult build_spoof(spec::Params& params, bool want_attack) {
   PhaseCoherentSpoofConfig config;
   double dr = config.range_offset_m.value();
   double df = config.doppler_shift_hz.value();
-  if (!params.take_number("dr", dr, result.check) ||
-      !params.take_number("df", df, result.check) ||
-      !take_positive(params, "coherence", config.coherence, result.check) ||
-      !take_positive(params, "gain", config.power_advantage, result.check) ||
-      !params.reject_leftovers("spoof", result.check)) {
-    return result;
-  }
-  if (config.coherence > 1.0) {
-    result.check = malformed("attack spec: `coherence` must be in (0, 1]");
-    return result;
-  }
+  params.number("dr", dr);
+  params.number("df", df);
+  take_positive(params, "coherence", config.coherence);
+  params.require(config.coherence <= 1.0, "`coherence` must be in (0, 1]");
+  take_positive(params, "gain", config.power_advantage);
   config.range_offset_m = units::Meters{dr};
   config.doppler_shift_hz = units::Hertz{df};
-  if (want_attack) {
-    result.attack = std::make_shared<PhaseCoherentSpoofAttack>(config);
-  }
-  return result;
+  return built<PhaseCoherentSpoofAttack>(params, want_attack, config);
 }
 
-BuildResult build_chirp(Params params, bool want_attack) {
-  BuildResult result;
+BuildResult build_chirp(spec::Params& params, bool want_attack) {
   ChirpModificationConfig config;
   double offset = config.ghost_offset_m.value();
-  if (!take_positive(params, "slope", config.slope_ratio, result.check) ||
-      !params.take_number("offset", offset, result.check) ||
-      !take_positive(params, "gain", config.power_advantage, result.check) ||
-      !params.reject_leftovers("chirp", result.check)) {
-    return result;
-  }
+  take_positive(params, "slope", config.slope_ratio);
+  params.number("offset", offset);
+  take_positive(params, "gain", config.power_advantage);
   config.ghost_offset_m = units::Meters{offset};
-  if (want_attack) {
-    result.attack = std::make_shared<ChirpModificationAttack>(config);
-  }
-  return result;
+  return built<ChirpModificationAttack>(params, want_attack, config);
 }
 
-BuildResult build_entrain(Params params, std::uint64_t seed,
+BuildResult build_entrain(spec::Params& params, std::uint64_t seed,
                           bool want_attack) {
-  BuildResult result;
   ChirpEntrainmentConfig config;
   config.seed = seed;
   double jitter = config.timing_jitter_m.value();
   double ferr = config.freq_error_hz.value();
   double dr = config.range_offset_m.value();
-  if (!params.take_count("acquire", config.acquire_slots, result.check) ||
-      !take_non_negative(params, "jitter", jitter, result.check) ||
-      !params.take_number("ferr", ferr, result.check) ||
-      !params.take_number("dr", dr, result.check) ||
-      !take_positive(params, "gain", config.power_advantage, result.check) ||
-      !params.take_bounded_int("replay", 64, config.replay_delay_slots,
-                               result.check) ||
-      !take_non_negative(params, "leak", config.leak_noise_factor,
-                         result.check) ||
-      !params.reject_leftovers("entrain", result.check)) {
-    return result;
-  }
+  params.integer("acquire", config.acquire_slots, 1);
+  take_non_negative(params, "jitter", jitter);
+  params.number("ferr", ferr);
+  params.number("dr", dr);
+  take_positive(params, "gain", config.power_advantage);
+  params.integer("replay", config.replay_delay_slots, 0, 64);
+  take_non_negative(params, "leak", config.leak_noise_factor);
   config.timing_jitter_m = units::Meters{jitter};
   config.freq_error_hz = units::Hertz{ferr};
   config.range_offset_m = units::Meters{dr};
-  if (want_attack) {
-    result.attack = std::make_shared<ChirpEntrainmentAttack>(config);
-  }
-  return result;
+  return built<ChirpEntrainmentAttack>(params, want_attack, config);
 }
 
-BuildResult build(const std::string& spec,
+BuildResult build(const std::string& text,
                   const radar::JammerParameters& jammer_defaults,
                   std::uint64_t seed, bool want_attack) {
-  BuildResult result;
-  if (spec.empty() || spec == "none") return result;  // no attack
+  if (!attack_spec_enabled(text)) return {};  // no attack
 
-  ParsedSpec parsed;
-  result.check = parse_grammar(spec, parsed);
-  if (result.check.status != SpecStatus::kOk) return result;
-
-  Params params(std::move(parsed.params));
-  if (parsed.kind == "none") {
-    // "none" with parameters is a spec error, not a quiet no-op.
-    if (!params.reject_leftovers("none", result.check)) return result;
-    return result;
-  }
-  if (parsed.kind == "dos") {
-    return build_dos(std::move(params), jammer_defaults, want_attack);
-  }
-  if (parsed.kind == "delay") {
-    return build_delay(std::move(params), want_attack);
-  }
-  if (parsed.kind == "spoof") {
-    return build_spoof(std::move(params), want_attack);
-  }
-  if (parsed.kind == "chirp") {
-    return build_chirp(std::move(params), want_attack);
-  }
-  if (parsed.kind == "entrain") {
-    return build_entrain(std::move(params), seed, want_attack);
-  }
-  result.check = unknown_kind(parsed.kind);
-  return result;
+  spec::Params params = spec::Params::named("attack spec", text);
+  const std::string& kind = params.name();
+  // "none" with parameters is a spec error, not a quiet no-op.
+  if (!params.ok() || kind == "none") return {params.finish(), nullptr};
+  if (kind == "dos") return build_dos(params, jammer_defaults, want_attack);
+  if (kind == "delay") return build_delay(params, want_attack);
+  if (kind == "spoof") return build_spoof(params, want_attack);
+  if (kind == "chirp") return build_chirp(params, want_attack);
+  if (kind == "entrain") return build_entrain(params, seed, want_attack);
+  return {{spec::Status::kUnknown,
+           "attack spec: unknown kind `" + kind +
+               "` (none, dos, delay, spoof, chirp, entrain)"},
+          nullptr};
 }
 
 }  // namespace
 
-SpecCheck check_attack_spec(const std::string& spec) {
+spec::Check check_attack_spec(const std::string& spec) {
   return build(spec, radar::JammerParameters{}, 0, /*want_attack=*/false)
       .check;
 }
@@ -359,9 +138,7 @@ std::shared_ptr<AttackModel> make_attack(
     const std::string& spec, const radar::JammerParameters& jammer_defaults,
     std::uint64_t seed) {
   BuildResult result = build(spec, jammer_defaults, seed, /*want_attack=*/true);
-  if (result.check.status != SpecStatus::kOk) {
-    throw std::invalid_argument(result.check.message);
-  }
+  if (!result.check.ok()) throw std::invalid_argument(result.check.message);
   return std::move(result.attack);
 }
 

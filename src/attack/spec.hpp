@@ -1,8 +1,7 @@
 // The `--attack <spec>` mini-language (DESIGN.md §17).
 //
-// Grammar (same family as the fault/detector/platoon specs):
-//   attack_spec := <kind> [":" key "=" value ("," key "=" value)*]
-//   kind        := none | dos | delay | spoof | chirp | entrain
+// Grammar: the spec kernel's `name[:k=v,...]` form (spec/spec.hpp), with
+//   kind := none | dos | delay | spoof | chirp | entrain
 //
 // Examples:
 //   "dos"                                 paper Section 6.2 jammer
@@ -14,9 +13,10 @@
 //
 // An empty spec (or "none") selects no attack. Parsing throws
 // std::invalid_argument only; check_attack_spec() offers the non-throwing
-// form and distinguishes a grammar error from a well-formed spec naming an
-// unknown kind. Both share one implementation, so the checker and the
-// builder always agree (the fuzz harness cross-checks them).
+// form and reports a well-formed spec naming an unknown kind as
+// spec::Status::kUnknown. Both share one implementation, so
+// check_attack_spec() and make_attack() always agree (the fuzz harness
+// cross-checks them).
 #pragma once
 
 #include <cstdint>
@@ -25,22 +25,12 @@
 
 #include "attack/attack.hpp"
 #include "radar/link_budget.hpp"
+#include "spec/spec.hpp"
 
 namespace safe::attack {
 
-enum class SpecStatus {
-  kOk = 0,
-  kMalformed,    ///< grammar error, bad value, or unknown key
-  kUnknownKind,  ///< well-formed, but the attack kind is not registered
-};
-
-struct SpecCheck {
-  SpecStatus status = SpecStatus::kOk;
-  std::string message;  ///< empty on kOk
-};
-
 /// Validates a spec without building anything (and without throwing).
-[[nodiscard]] SpecCheck check_attack_spec(const std::string& spec);
+[[nodiscard]] spec::Check check_attack_spec(const std::string& spec);
 
 /// Builds the attack a spec names, or nullptr for ""/"none". A bare "dos"
 /// inherits `jammer_defaults` (the scenario's jammer link budget), so the

@@ -1,8 +1,7 @@
 // The `--detector <spec>` mini-language (DESIGN.md §15).
 //
-// Grammar (same family as the fault/chaos/campaign specs):
-//   detector_spec := <backend> [":" key "=" value ("," key "=" value)*]
-//   backend      := cra | chi2 | ar | fusion
+// Grammar: the spec kernel's `name[:k=v,...]` form (spec/spec.hpp), with
+//   backend := cra | chi2 | ar | fusion
 //
 // Examples:
 //   "cra"                                  paper Algorithm 2 (the default)
@@ -13,30 +12,20 @@
 //
 // An empty spec selects the CRA backend, reproducing the paper exactly.
 // Parsing throws std::invalid_argument only; check_detector_spec() offers
-// the non-throwing form and distinguishes a grammar error from a
-// well-formed spec naming an unknown backend (the serving layer maps the
-// latter to ErrorCode::kUnknownDetector instead of silently running CRA).
+// the non-throwing form and reports a well-formed spec naming an unknown
+// backend as spec::Status::kUnknown (the serving layer maps that to
+// ErrorCode::kUnknownDetector instead of silently running CRA).
 #pragma once
 
 #include <string>
 
 #include "detect/backend.hpp"
+#include "spec/spec.hpp"
 
 namespace safe::detect {
 
-enum class SpecStatus {
-  kOk = 0,
-  kMalformed,       ///< grammar error, bad value, or unknown key
-  kUnknownBackend,  ///< well-formed, but the backend name is not registered
-};
-
-struct SpecCheck {
-  SpecStatus status = SpecStatus::kOk;
-  std::string message;  ///< empty on kOk
-};
-
 /// Validates a spec without building anything (and without throwing).
-[[nodiscard]] SpecCheck check_detector_spec(const std::string& spec);
+[[nodiscard]] spec::Check check_detector_spec(const std::string& spec);
 
 /// Builds the backend a spec names. The CRA backend (empty spec or "cra"
 /// without a clear= override) uses `cra_defaults`, so callers that harden

@@ -1,8 +1,8 @@
 #include "fault/schedule.hpp"
 
-#include <map>
-#include <sstream>
 #include <stdexcept>
+
+#include "spec/spec.hpp"
 
 namespace safe::fault {
 
@@ -49,102 +49,64 @@ std::string FaultSchedule::name() const {
 
 namespace {
 
-using KeyValues = std::map<std::string, double>;
-
-/// Parses "key=val,key=val" into a map; throws on malformed tokens.
-KeyValues parse_key_values(const std::string& body, const std::string& spec) {
-  KeyValues kv;
-  std::stringstream ss(body);
-  std::string token;
-  while (std::getline(ss, token, ',')) {
-    if (token.empty()) continue;
-    const auto eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw std::invalid_argument("fault spec: bad token '" + token +
-                                  "' in '" + spec + "'");
-    }
-    const std::string key = token.substr(0, eq);
-    try {
-      kv[key] = std::stod(token.substr(eq + 1));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("fault spec: bad value in '" + token + "'");
-    }
-  }
-  return kv;
-}
-
-double take(KeyValues& kv, const std::string& key, double fallback) {
-  const auto it = kv.find(key);
-  if (it == kv.end()) return fallback;
-  const double v = it->second;
-  kv.erase(it);
-  return v;
-}
-
-FaultWindow take_window(KeyValues& kv) {
-  FaultWindow w;
-  w.start = static_cast<std::int64_t>(take(kv, "start", 0.0));
-  w.length = static_cast<std::int64_t>(take(kv, "len", 0.0));
-  w.period = static_cast<std::int64_t>(take(kv, "period", 0.0));
-  return w;
-}
-
-FaultInjectorPtr build_injector(const std::string& kind, KeyValues kv,
-                                const std::string& spec) {
-  const FaultWindow window = take_window(kv);
+FaultInjectorPtr build_injector(const std::string& clause) {
+  spec::Params params = spec::Params::named("fault spec", clause);
+  FaultWindow window;
+  params.integer("start", window.start);
+  params.integer("len", window.length);
+  params.integer("period", window.period);
+  const std::string& kind = params.name();
   FaultInjectorPtr injector;
   if (kind == "dropout") {
-    injector = std::make_shared<DropoutBurstFault>(window,
-                                                   take(kv, "prob", 1.0));
+    double prob = 1.0;
+    params.number("prob", prob);
+    params.require(prob >= 0.0 && prob <= 1.0, "`prob` must be in [0, 1]");
+    injector = std::make_shared<DropoutBurstFault>(window, prob);
   } else if (kind == "stuck") {
     injector = std::make_shared<StuckAtFault>(window);
-  } else if (kind == "nan") {
-    injector = std::make_shared<NonFiniteFault>(window, /*use_inf=*/false);
-  } else if (kind == "inf") {
-    injector = std::make_shared<NonFiniteFault>(window, /*use_inf=*/true);
+  } else if (kind == "nan" || kind == "inf") {
+    injector = std::make_shared<NonFiniteFault>(window, kind == "inf");
   } else if (kind == "bias") {
+    double slope = 0.5;
+    double vslope = 0.0;
+    params.number("slope", slope);
+    params.number("vslope", vslope);
     injector = std::make_shared<BiasRampFault>(
-        window, units::Meters{take(kv, "slope", 0.5)},
-        units::MetersPerSecond{take(kv, "vslope", 0.0)});
+        window, units::Meters{slope}, units::MetersPerSecond{vslope});
   } else if (kind == "quantize") {
+    double step = 4.0;
+    double max = 120.0;
+    double vmax = 30.0;
+    params.number("step", step);
+    params.number("max", max);
+    params.number("vmax", vmax);
     injector = std::make_shared<QuantizeSaturateFault>(
-        window, units::Meters{take(kv, "step", 4.0)},
-        units::Meters{take(kv, "max", 120.0)},
-        units::MetersPerSecond{take(kv, "vmax", 30.0)});
+        window, units::Meters{step}, units::Meters{max},
+        units::MetersPerSecond{vmax});
   } else if (kind == "flap") {
     injector = std::make_shared<ChallengeFlappingFault>(window);
   } else if (kind == "skip") {
     injector = std::make_shared<ClockSkipFault>(window);
   } else {
-    throw std::invalid_argument("fault spec: unknown injector '" + kind +
-                                "' in '" + spec + "'");
+    params.fail("unknown injector `" + kind + "` in `" + clause + "`");
   }
-  if (!kv.empty()) {
-    throw std::invalid_argument("fault spec: unknown key '" +
-                                kv.begin()->first + "' for '" + kind + "'");
-  }
+  const spec::Check check = params.finish();
+  if (!check.ok()) throw std::invalid_argument(check.message);
   return injector;
 }
 
 }  // namespace
 
-FaultSchedule parse_fault_spec(const std::string& spec, std::uint64_t seed) {
+FaultSchedule parse_fault_spec(const std::string& text, std::uint64_t seed) {
   FaultSchedule schedule(seed);
-  if (spec.empty() || spec == "none") return schedule;
-
-  std::string normalized = spec;
-  for (char& c : normalized) {
-    if (c == '+') c = ';';
+  if (text.empty() || text == "none") return schedule;
+  const auto clauses = spec::split(text, ";+");
+  if (!clauses) {
+    throw std::invalid_argument("fault spec: unterminated quote in `" + text +
+                                "`");
   }
-  std::stringstream ss(normalized);
-  std::string clause;
-  while (std::getline(ss, clause, ';')) {
-    if (clause.empty()) continue;
-    const auto colon = clause.find(':');
-    const std::string kind = clause.substr(0, colon);
-    const std::string body =
-        colon == std::string::npos ? std::string{} : clause.substr(colon + 1);
-    schedule.add(build_injector(kind, parse_key_values(body, spec), spec));
+  for (const std::string& clause : *clauses) {
+    if (!clause.empty()) schedule.add(build_injector(clause));
   }
   return schedule;
 }
@@ -152,8 +114,8 @@ FaultSchedule parse_fault_spec(const std::string& spec, std::uint64_t seed) {
 std::string fault_spec_help() {
   return "fault spec: <kind>:<k=v,...>[;<kind>:...] with kinds "
          "dropout(start,len,period,prob) stuck(start,len,period) "
-         "nan|inf(start,len,period) bias(start,len,slope,vslope) "
-         "quantize(start,len,step,max,vmax) flap(start,len) "
+         "nan|inf(start,len,period) bias(start,len,period,slope,vslope) "
+         "quantize(start,len,period,step,max,vmax) flap(start,len,period) "
          "skip(start,len,period); len=0 means unbounded";
 }
 

@@ -5,12 +5,13 @@
 // Schedules are value types: a simulation copies the configured schedule so
 // repeated runs start from identical state.
 //
-// Spec grammar (examples):
+// Spec grammar: injectors in the spec kernel's `name[:k=v,...]` form
+// (spec/spec.hpp), separated by ';' (or '+') and applied in order. Every
+// kind takes the window keys start, len and period (integer steps):
 //   "dropout:start=60,len=10"
 //   "nan:start=100,len=1,period=25"
 //   "bias:start=50,slope=0.4;flap:start=150"
 //   "dropout:start=40,len=0,prob=0.2"       (len=0 -> unbounded window)
-// Multiple injectors are separated by ';' (or '+') and apply in order.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,6 @@
 #include "platoon/spec.hpp"
 
-#include <cctype>
-#include <map>
 #include <stdexcept>
-#include <utility>
-#include <vector>
 
 #include "attack/spec.hpp"
 #include "detect/spec.hpp"
@@ -19,293 +15,104 @@ namespace {
 /// cost a campaign spec can demand.
 constexpr std::size_t kMaxSize = 64;
 
-SpecCheck malformed(std::string message) {
-  return SpecCheck{false, std::move(message)};
+/// A sub-spec key: `none` inherits (""), anything else must pass `check`.
+void take_sub_spec(spec::Params& params, const std::string& key,
+                   std::string& out,
+                   spec::Check (*check)(const std::string&)) {
+  std::string value;
+  if (!params.take(key, value)) return;
+  out = value == "none" ? std::string{} : value;
+  const spec::Check sub = check(out);
+  if (!sub.ok()) params.fail(sub.message);
 }
 
-bool valid_name(const std::string& name) {
-  if (name.empty()) return false;
-  for (const char c : name) {
-    if (std::isalnum(static_cast<unsigned char>(c)) == 0 && c != '_') {
-      return false;
-    }
-  }
-  return true;
-}
-
-std::string unquote(const std::string& s) {
-  if (s.size() >= 2 && s.front() == '"' && s.back() == '"') {
-    return s.substr(1, s.size() - 2);
-  }
-  return s;
-}
-
-/// Grammar parse: comma-separated key=value pairs, commas inside double
-/// quotes protected (detector/fault sub-specs carry their own commas).
-SpecCheck parse_grammar(const std::string& spec,
-                        std::map<std::string, std::string>& out) {
-  std::vector<std::string> tokens;
-  std::string current;
-  bool in_quotes = false;
-  for (const char c : spec) {
-    if (c == '"') in_quotes = !in_quotes;
-    if (!in_quotes && c == ',') {
-      tokens.push_back(current);
-      current.clear();
-      continue;
-    }
-    current += c;
-  }
-  if (in_quotes) {
-    return malformed("platoon spec: unterminated quote in `" + spec + "`");
-  }
-  tokens.push_back(current);
-
-  for (const std::string& token : tokens) {
-    if (token.empty()) continue;
-    const auto eq = token.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-      return malformed("platoon spec: bad token `" + token + "` in `" + spec +
-                       "`");
-    }
-    const std::string key = token.substr(0, eq);
-    if (!valid_name(key)) {
-      return malformed("platoon spec: bad key `" + key + "` in `" + spec +
-                       "`");
-    }
-    if (!out.emplace(key, unquote(token.substr(eq + 1))).second) {
-      return malformed("platoon spec: duplicate key `" + key + "` in `" +
-                       spec + "`");
-    }
+spec::Check check_fault_sub_spec(const std::string& text) {
+  try {
+    (void)fault::parse_fault_spec(text);
+  } catch (const std::invalid_argument& e) {
+    return {spec::Status::kMalformed, e.what()};
   }
   return {};
 }
 
-/// Typed parameter extraction over the raw map; each take_* consumes its
-/// key so leftovers can be rejected as unknown.
-class Params {
- public:
-  explicit Params(std::map<std::string, std::string> params)
-      : params_(std::move(params)) {}
-
-  bool take_number(const std::string& key, double& out, SpecCheck& check) {
-    const auto it = params_.find(key);
-    if (it == params_.end()) return true;
-    try {
-      std::size_t consumed = 0;
-      out = std::stod(it->second, &consumed);
-      if (consumed != it->second.size()) throw std::invalid_argument("junk");
-    } catch (const std::exception&) {
-      check = malformed("platoon spec: bad value for `" + key + "`: `" +
-                        it->second + "`");
-      return false;
-    }
-    params_.erase(it);
-    return true;
-  }
-
-  bool take_count(const std::string& key, std::size_t& out,
-                  SpecCheck& check) {
-    std::string raw;
-    if (!take_raw(key, raw)) return true;  // key absent: keep the default
-    try {
-      std::size_t consumed = 0;
-      const unsigned long long v = std::stoull(raw, &consumed);
-      // stoull accepts a leading '-' by wrapping; reject it explicitly.
-      if (consumed != raw.size() || v == 0 || raw.front() == '-') {
-        throw std::invalid_argument("not a positive integer");
-      }
-      out = static_cast<std::size_t>(v);
-    } catch (const std::exception&) {
-      check = malformed("platoon spec: `" + key +
-                        "` must be a positive integer, got `" + raw + "`");
-      return false;
-    }
-    return true;
-  }
-
-  bool take_bool(const std::string& key, bool& out, SpecCheck& check) {
-    std::string raw;
-    if (!take_raw(key, raw)) return true;
-    if (raw == "on" || raw == "true" || raw == "1") {
-      out = true;
-    } else if (raw == "off" || raw == "false" || raw == "0") {
-      out = false;
-    } else {
-      check = malformed("platoon spec: `" + key +
-                        "` must be on/off, got `" + raw + "`");
-      return false;
-    }
-    return true;
-  }
-
-  bool take_raw(const std::string& key, std::string& out) {
-    const auto it = params_.find(key);
-    if (it == params_.end()) return false;
-    out = it->second;
-    params_.erase(it);
-    return true;
-  }
-
-  [[nodiscard]] bool has(const std::string& key) const {
-    return params_.count(key) > 0;
-  }
-
-  bool reject_leftovers(SpecCheck& check) const {
-    if (params_.empty()) return true;
-    check = malformed("platoon spec: unknown key `" +
-                      params_.begin()->first + "`");
-    return false;
-  }
-
- private:
-  std::map<std::string, std::string> params_;
-};
-
 /// One implementation behind the checker and the builder: a classification
 /// that diverged from the parser would let malformed specs into campaigns
 /// (or reject valid ones at the CLI), so both entry points share this.
-SpecCheck parse_into(const std::string& spec, PlatoonOptions& out) {
-  SpecCheck check;
-  std::map<std::string, std::string> raw;
-  check = parse_grammar(spec, raw);
-  if (!check.ok) return check;
-  Params params(std::move(raw));
-
+spec::Check parse_into(const std::string& text, PlatoonOptions& out) {
+  spec::Params params = spec::Params::pairs("platoon spec", text);
   const bool cutin_requested = params.has("cutin_into");
-  const bool cutin_start_set = params.has("cutin_start");
-  const bool cutin_len_set = params.has("cutin_len");
-  const bool cutin_frac_set = params.has("cutin_frac");
+  const bool cutin_timed = params.has("cutin_start") && params.has("cutin_len");
+  const bool cutin_keys = params.has("cutin_start") ||
+                          params.has("cutin_len") || params.has("cutin_frac");
 
-  if (!params.take_count("n", out.size, check) ||
-      !params.take_count("attacked", out.attacked, check) ||
-      !params.take_bool("multi_target", out.multi_target, check)) {
-    return check;
-  }
+  params.integer("n", out.size, 2, kMaxSize);
+  params.integer("attacked", out.attacked, 1);
+  params.require(out.attacked < out.size,
+                 "`attacked` must name a follower (1 <= attacked <= n-1)");
+  params.flag("multi_target", out.multi_target);
 
   std::string controller;
-  if (params.take_raw("controller", controller)) {
+  if (params.take("controller", controller)) {
     if (controller == "acc") {
       out.controller = core::FollowerController::kAccHierarchy;
     } else if (controller == "idm") {
       out.controller = core::FollowerController::kIdm;
     } else {
-      return malformed("platoon spec: unknown controller `" + controller +
-                       "` (acc or idm)");
+      params.fail("unknown controller `" + controller + "` (acc or idm)");
     }
   }
-
-  std::string detector;
-  if (params.take_raw("detector", detector)) {
-    const std::string normalized = detector == "none" ? "" : detector;
-    const detect::SpecCheck sub = detect::check_detector_spec(normalized);
-    if (sub.status != detect::SpecStatus::kOk) {
-      return malformed("platoon spec: " + sub.message);
-    }
-    out.detector_spec = normalized;
-  }
-
-  std::string attack_spec;
-  if (params.take_raw("attack", attack_spec)) {
-    const std::string normalized = attack_spec == "none" ? "" : attack_spec;
-    if (!normalized.empty()) {
-      const attack::SpecCheck sub = attack::check_attack_spec(normalized);
-      if (sub.status != attack::SpecStatus::kOk) {
-        return malformed("platoon spec: " + sub.message);
-      }
-    }
-    out.attack_spec = normalized;
-  }
-
-  std::string fault;
-  if (params.take_raw("fault", fault)) {
-    const std::string normalized = fault == "none" ? "" : fault;
-    try {
-      (void)fault::parse_fault_spec(normalized);
-    } catch (const std::invalid_argument& e) {
-      return malformed("platoon spec: " + std::string(e.what()));
-    }
-    out.fault_spec = normalized;
-  }
+  take_sub_spec(params, "detector", out.detector_spec,
+                detect::check_detector_spec);
+  take_sub_spec(params, "attack", out.attack_spec, attack::check_attack_spec);
+  take_sub_spec(params, "fault", out.fault_spec, check_fault_sub_spec);
 
   double gap = out.initial_gap_m.value();
-  if (!params.take_number("gap", gap, check)) return check;
-  if (!(gap > 0.0) || gap > 1.0e4) {
-    return malformed("platoon spec: `gap` must be in (0, 10000] meters");
-  }
+  params.number("gap", gap);
+  params.require(gap > 0.0 && gap <= 1.0e4,
+                 "`gap` must be in (0, 10000] meters");
   out.initial_gap_m = units::Meters{gap};
-
-  if (!params.take_number("rcs_scale", out.second_target_rcs_scale, check)) {
-    return check;
-  }
-  if (!(out.second_target_rcs_scale > 0.0) ||
-      out.second_target_rcs_scale > 1.0) {
-    return malformed("platoon spec: `rcs_scale` must be in (0, 1]");
-  }
+  params.number("rcs_scale", out.second_target_rcs_scale);
+  params.require(out.second_target_rcs_scale > 0.0 &&
+                     out.second_target_rcs_scale <= 1.0,
+                 "`rcs_scale` must be in (0, 1]");
 
   double cutin_start = 0.0;
   double cutin_len = 0.0;
   double cutin_frac = out.cutin.gap_fraction;
-  if (!params.take_count("cutin_into", out.cutin.into, check) ||
-      !params.take_number("cutin_start", cutin_start, check) ||
-      !params.take_number("cutin_len", cutin_len, check) ||
-      !params.take_number("cutin_frac", cutin_frac, check) ||
-      !params.reject_leftovers(check)) {
-    return check;
-  }
-
-  if (out.size < 2 || out.size > kMaxSize) {
-    return malformed("platoon spec: `n` must be in [2, " +
-                     std::to_string(kMaxSize) + "]");
-  }
-  if (out.attacked >= out.size) {
-    return malformed(
-        "platoon spec: `attacked` must name a follower (1 <= attacked <= "
-        "n-1)");
-  }
-
-  if ((cutin_start_set || cutin_len_set || cutin_frac_set) &&
-      !cutin_requested) {
-    return malformed("platoon spec: cutin_* keys require `cutin_into`");
-  }
+  params.integer("cutin_into", out.cutin.into, 1);
+  params.number("cutin_start", cutin_start);
+  params.number("cutin_len", cutin_len);
+  params.number("cutin_frac", cutin_frac);
+  params.require(cutin_requested || !cutin_keys,
+                 "cutin_* keys require `cutin_into`");
   if (cutin_requested) {
-    if (out.cutin.into >= out.size) {
-      return malformed(
-          "platoon spec: `cutin_into` must name a follower (1 <= index <= "
-          "n-1)");
-    }
-    if (!cutin_start_set || !cutin_len_set) {
-      return malformed(
-          "platoon spec: `cutin_into` requires `cutin_start` and "
-          "`cutin_len`");
-    }
-    if (!(cutin_start >= 0.0)) {
-      return malformed("platoon spec: `cutin_start` must be >= 0");
-    }
-    if (!(cutin_len > 0.0)) {
-      return malformed("platoon spec: `cutin_len` must be > 0");
-    }
-    if (!(cutin_frac > 0.0) || cutin_frac >= 1.0) {
-      return malformed("platoon spec: `cutin_frac` must be in (0, 1)");
-    }
+    params.require(
+        out.cutin.into < out.size,
+        "`cutin_into` must name a follower (1 <= index <= n-1)");
+    params.require(cutin_timed,
+                   "`cutin_into` requires `cutin_start` and `cutin_len`");
+    params.require(cutin_start >= 0.0, "`cutin_start` must be >= 0");
+    params.require(cutin_len > 0.0, "`cutin_len` must be > 0");
+    params.require(cutin_frac > 0.0 && cutin_frac < 1.0,
+                   "`cutin_frac` must be in (0, 1)");
     out.cutin.start_s = units::Seconds{cutin_start};
     out.cutin.duration_s = units::Seconds{cutin_len};
     out.cutin.gap_fraction = cutin_frac;
   }
-  return check;
+  return params.finish();
 }
 
 }  // namespace
 
-SpecCheck check_platoon_spec(const std::string& spec) {
+spec::Check check_platoon_spec(const std::string& spec) {
   PlatoonOptions ignored;
   return parse_into(spec, ignored);
 }
 
 PlatoonOptions parse_platoon_spec(const std::string& spec) {
   PlatoonOptions options;
-  const SpecCheck check = parse_into(spec, options);
-  if (!check.ok) throw std::invalid_argument(check.message);
+  const spec::Check check = parse_into(spec, options);
+  if (!check.ok()) throw std::invalid_argument(check.message);
   return options;
 }
 

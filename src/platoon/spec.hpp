@@ -1,7 +1,6 @@
 // The `--platoon <spec>` mini-language (DESIGN.md §16).
 //
-// Grammar (same family as the fault/detector/campaign specs):
-//   platoon_spec := key "=" value ("," key "=" value)*
+// Grammar: the spec kernel's bare `k=v,...` form (spec/spec.hpp).
 //
 // Keys:
 //   n            vehicles including the leader (2..64; default 2)
@@ -41,6 +40,7 @@
 #include <string>
 
 #include "core/car_following.hpp"
+#include "spec/spec.hpp"
 #include "units/units.hpp"
 
 namespace safe::platoon {
@@ -77,13 +77,8 @@ struct PlatoonOptions {
   CutInEvent cutin{};
 };
 
-struct SpecCheck {
-  bool ok = true;
-  std::string message;  ///< empty when ok
-};
-
 /// Validates a spec without building anything (and without throwing).
-[[nodiscard]] SpecCheck check_platoon_spec(const std::string& spec);
+[[nodiscard]] spec::Check check_platoon_spec(const std::string& spec);
 
 /// Parses a spec into options. Throws std::invalid_argument on any spec
 /// check_platoon_spec() would reject.

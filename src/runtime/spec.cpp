@@ -1,96 +1,73 @@
 #include "runtime/spec.hpp"
 
-#include <cctype>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
 #include "attack/spec.hpp"
 #include "detect/spec.hpp"
 #include "platoon/spec.hpp"
+#include "spec/spec.hpp"
 
 namespace safe::runtime {
 
 namespace {
 
-std::string trim(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b])) != 0) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])) != 0) --e;
-  return s.substr(b, e - b);
+[[noreturn]] void fail(const std::string& entry, const std::string& why) {
+  throw std::invalid_argument("campaign spec: `" + entry + "`: " + why);
 }
 
-/// Splits on any of `seps` outside double quotes; drops comments (# to end
-/// of segment) and empty segments. Quotes survive into the tokens and are
-/// stripped by unquote().
-std::vector<std::string> split_outside_quotes(const std::string& text,
-                                              const std::string& seps) {
-  std::vector<std::string> out;
-  std::string current;
+/// `text` without its `#` comments (to end of line, outside double quotes).
+std::string strip_comments(const std::string& text) {
+  std::string out;
   bool in_quotes = false;
   bool in_comment = false;
   for (const char c : text) {
-    if (in_comment) {
-      if (c == '\n') in_comment = false;
-      if (c != '\n') continue;
-    }
+    if (in_comment && c != '\n') continue;
+    in_comment = false;
     if (c == '"') in_quotes = !in_quotes;
     if (!in_quotes && c == '#') {
       in_comment = true;
       continue;
     }
-    if (!in_quotes && seps.find(c) != std::string::npos) {
-      if (!trim(current).empty()) out.push_back(trim(current));
-      current.clear();
-      continue;
-    }
-    current += c;
+    out += c;
   }
-  if (!trim(current).empty()) out.push_back(trim(current));
   return out;
 }
 
-std::string unquote(const std::string& s) {
-  if (s.size() >= 2 && s.front() == '"' && s.back() == '"') {
-    return s.substr(1, s.size() - 2);
+/// The trimmed, non-empty pieces of `text` between `seps` outside quotes.
+std::vector<std::string> pieces(const std::string& entry,
+                                const std::string& text, const char* seps) {
+  const auto tokens = spec::split(text, seps);
+  if (!tokens) fail(entry, "unterminated quote");
+  std::vector<std::string> out;
+  for (const std::string& token : *tokens) {
+    std::string piece = spec::trim(token);
+    if (!piece.empty()) out.push_back(std::move(piece));
   }
-  return s;
-}
-
-[[noreturn]] void fail(const std::string& entry, const std::string& why) {
-  throw std::invalid_argument("campaign spec: `" + entry + "`: " + why);
+  return out;
 }
 
 double parse_number(const std::string& entry, const std::string& token) {
-  try {
-    std::size_t consumed = 0;
-    const double v = std::stod(token, &consumed);
-    if (consumed != token.size()) fail(entry, "trailing junk after number");
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(entry, "expected a number, got `" + token + "`");
-  } catch (const std::out_of_range&) {
-    fail(entry, "number out of range: `" + token + "`");
-  }
+  const auto value = spec::to_double(token);
+  if (!value) fail(entry, "expected a finite number, got `" + token + "`");
+  return *value;
 }
 
-std::uint64_t parse_count(const std::string& entry, const std::string& token) {
-  try {
-    std::size_t consumed = 0;
-    const std::uint64_t v = std::stoull(token, &consumed);
-    if (consumed != token.size()) fail(entry, "trailing junk after integer");
-    return v;
-  } catch (const std::invalid_argument&) {
-    fail(entry, "expected an integer, got `" + token + "`");
-  } catch (const std::out_of_range&) {
-    fail(entry, "integer out of range: `" + token + "`");
+std::uint64_t parse_count(const std::string& entry, const std::string& token,
+                          std::uint64_t max) {
+  const auto value = spec::to_uint(token, max);
+  if (!value) {
+    fail(entry, "expected an integer in [0, " + std::to_string(max) +
+                    "], got `" + token + "`");
   }
+  return *value;
 }
 
 bool parse_bool(const std::string& entry, const std::string& token) {
-  if (token == "true" || token == "on" || token == "1") return true;
-  if (token == "false" || token == "off" || token == "0") return false;
-  fail(entry, "expected true/false/on/off, got `" + token + "`");
+  const auto value = spec::to_bool(token);
+  if (!value) fail(entry, "expected true/false/on/off, got `" + token + "`");
+  return *value;
 }
 
 /// `uniform(a,b)` / `loguniform(a,b)`, or std::nullopt when the token is
@@ -99,7 +76,7 @@ std::optional<Distribution> try_parse_distribution(const std::string& entry,
                                                    const std::string& token) {
   const auto open = token.find('(');
   if (open == std::string::npos || token.back() != ')') return std::nullopt;
-  const std::string name = trim(token.substr(0, open));
+  const std::string name = spec::trim(token.substr(0, open));
   if (name != "uniform" && name != "loguniform") {
     fail(entry, "unknown distribution `" + name +
                     "` (expected uniform or loguniform)");
@@ -110,8 +87,8 @@ std::optional<Distribution> try_parse_distribution(const std::string& entry,
   if (comma == std::string::npos) {
     fail(entry, "distribution needs two arguments: " + name + "(lo, hi)");
   }
-  const double lo = parse_number(entry, trim(args.substr(0, comma)));
-  const double hi = parse_number(entry, trim(args.substr(comma + 1)));
+  const double lo = parse_number(entry, spec::trim(args.substr(0, comma)));
+  const double hi = parse_number(entry, spec::trim(args.substr(comma + 1)));
   try {
     return name == "uniform" ? Distribution::uniform(lo, hi)
                              : Distribution::log_uniform(lo, hi);
@@ -142,26 +119,27 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
   bool hardened = false;
   std::size_t max_holdover = 15;
 
-  for (const std::string& entry : split_outside_quotes(text, "\n;")) {
+  const std::string body = strip_comments(text);
+  for (const std::string& entry : pieces(body, body, "\n;")) {
     const auto eq = entry.find('=');
     if (eq == std::string::npos) fail(entry, "expected key = value");
-    const std::string key = trim(entry.substr(0, eq));
-    const std::string value = trim(entry.substr(eq + 1));
-    if (value.empty()) fail(entry, "empty value");
+    const std::string key = spec::trim(entry.substr(0, eq));
     const std::vector<std::string> tokens =
-        split_outside_quotes(value, "|");
-    const std::string first = unquote(tokens.front());
+        pieces(entry, entry.substr(eq + 1), "|");
+    if (tokens.empty()) fail(entry, "empty value");
+    const std::string first = spec::unquote(tokens.front());
 
     if (key == "trials") {
-      spec.trials = static_cast<std::size_t>(parse_count(entry, first));
+      spec.trials =
+          static_cast<std::size_t>(parse_count(entry, first, SIZE_MAX));
     } else if (key == "seed") {
-      spec.seed = parse_count(entry, first);
+      spec.seed = parse_count(entry, first, UINT64_MAX);
     } else if (key == "horizon") {
       spec.base.horizon_steps =
-          static_cast<std::int64_t>(parse_count(entry, first));
+          static_cast<std::int64_t>(parse_count(entry, first, INT64_MAX));
     } else if (key == "leader") {
       for (const auto& t : tokens) {
-        spec.leaders.push_back(parse_leader(entry, unquote(t)));
+        spec.leaders.push_back(parse_leader(entry, spec::unquote(t)));
       }
     } else if (key == "attack") {
       // Bare legacy names keep the enum axis (and its exact cell mapping);
@@ -169,14 +147,14 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
       // axis so one `attack =` entry stays one axis.
       bool all_legacy = true;
       for (const auto& t : tokens) {
-        const std::string a = unquote(t);
+        const std::string a = spec::unquote(t);
         if (a != "none" && a != "dos" && a != "delay") {
           all_legacy = false;
           break;
         }
       }
       for (const auto& t : tokens) {
-        const std::string a = unquote(t);
+        const std::string a = spec::unquote(t);
         if (all_legacy) {
           spec.attacks.push_back(parse_attack(entry, a));
           continue;
@@ -185,11 +163,8 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
         // Same parse-time validation as `detector`: reject a bad attack
         // spec once here instead of erroring every trial on its cell.
         if (!normalized.empty()) {
-          const attack::SpecCheck check =
-              attack::check_attack_spec(normalized);
-          if (check.status != attack::SpecStatus::kOk) {
-            fail(entry, check.message);
-          }
+          const spec::Check check = attack::check_attack_spec(normalized);
+          if (!check.ok()) fail(entry, check.message);
         }
         spec.attack_specs.push_back(normalized);
       }
@@ -199,7 +174,7 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
       } else if (tokens.size() > 1) {
         for (const auto& t : tokens) {
           spec.attack_onsets_s.push_back(
-              units::Seconds{parse_number(entry, unquote(t))});
+              units::Seconds{parse_number(entry, spec::unquote(t))});
         }
       } else {
         spec.base.attack_start_s = units::Seconds{parse_number(entry, first)};
@@ -218,46 +193,42 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
         spec.jammer_power_w = *dist;
       } else if (tokens.size() > 1) {
         for (const auto& t : tokens) {
-          spec.jammer_powers_w.push_back(parse_number(entry, unquote(t)));
+          spec.jammer_powers_w.push_back(parse_number(entry, spec::unquote(t)));
         }
       } else {
         spec.base.jammer.peak_power_w = parse_number(entry, first);
       }
     } else if (key == "fault") {
       for (const auto& t : tokens) {
-        const std::string f = unquote(t);
+        const std::string f = spec::unquote(t);
         spec.fault_specs.push_back(f == "none" ? std::string{} : f);
       }
     } else if (key == "detector") {
       for (const auto& t : tokens) {
-        const std::string d = unquote(t);
+        const std::string d = spec::unquote(t);
         const std::string normalized = d == "none" ? std::string{} : d;
         // Fail at parse time (with the detect module's message) instead of
         // erroring every trial that lands on the bad cell.
-        const detect::SpecCheck check =
-            detect::check_detector_spec(normalized);
-        if (check.status != detect::SpecStatus::kOk) {
-          fail(entry, check.message);
-        }
+        const spec::Check check = detect::check_detector_spec(normalized);
+        if (!check.ok()) fail(entry, check.message);
         spec.detector_specs.push_back(normalized);
       }
     } else if (key == "platoon") {
       for (const auto& t : tokens) {
-        const std::string p = unquote(t);
+        const std::string p = spec::unquote(t);
         const std::string normalized = p == "none" ? std::string{} : p;
         // Same parse-time validation as `detector`: reject a bad platoon
         // spec once here instead of erroring every trial on its cell.
         if (!normalized.empty()) {
-          const platoon::SpecCheck check =
-              platoon::check_platoon_spec(normalized);
-          if (!check.ok) fail(entry, check.message);
+          const spec::Check check = platoon::check_platoon_spec(normalized);
+          if (!check.ok()) fail(entry, check.message);
         }
         spec.platoon_specs.push_back(normalized);
       }
     } else if (key == "defense") {
       if (tokens.size() > 1) {
         for (const auto& t : tokens) {
-          spec.defenses.push_back(parse_bool(entry, unquote(t)));
+          spec.defenses.push_back(parse_bool(entry, spec::unquote(t)));
         }
       } else {
         spec.base.defense_enabled = parse_bool(entry, first);
@@ -273,7 +244,8 @@ CampaignSpec parse_campaign_spec(const std::string& text) {
     } else if (key == "hardened") {
       hardened = parse_bool(entry, first);
     } else if (key == "max_holdover") {
-      max_holdover = static_cast<std::size_t>(parse_count(entry, first));
+      max_holdover =
+          static_cast<std::size_t>(parse_count(entry, first, SIZE_MAX));
       hardened = true;
     } else {
       fail(entry, "unknown key `" + key + "` (run `--spec help`)");

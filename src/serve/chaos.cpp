@@ -10,9 +10,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "serve/net_util.hpp"
+#include "spec/spec.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace safe::serve {
@@ -25,41 +27,11 @@ constexpr std::size_t kMaxBufferedBytes = 256 * 1024;
 
 constexpr std::size_t kReadChunk = 16 * 1024;
 
-[[noreturn]] void bad_token(const std::string& directive,
-                            const std::string& token) {
-  throw std::invalid_argument("chaos spec: bad token '" + token +
-                              "' in directive '" + directive + "'");
-}
-
-std::uint64_t parse_u64(const std::string& directive,
-                        const std::string& token, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const unsigned long long v = std::stoull(value, &pos);
-    if (pos != value.size()) bad_token(directive, token);
-    return static_cast<std::uint64_t>(v);
-  } catch (const std::invalid_argument&) {
-    bad_token(directive, token);
-  } catch (const std::out_of_range&) {
-    bad_token(directive, token);
-  }
-}
-
-double parse_prob(const std::string& directive, const std::string& token,
-                  const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(value, &pos);
-    if (pos != value.size() || v < 0.0 || v > 1.0) {
-      bad_token(directive, token);
-    }
-    return v;
-  } catch (const std::invalid_argument&) {
-    bad_token(directive, token);
-  } catch (const std::out_of_range&) {
-    bad_token(directive, token);
-  }
-}
+/// Nanoseconds per `ms`/`jitter` unit, and the largest such value whose
+/// nanosecond product still fits in a u64.
+constexpr std::uint64_t kNsPerMs = 1'000'000ULL;
+constexpr std::uint64_t kMaxMs =
+    std::numeric_limits<std::uint64_t>::max() / kNsPerMs;
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -68,100 +40,55 @@ void set_nonblocking(int fd) {
 
 }  // namespace
 
-ChaosSpec parse_chaos_spec(const std::string& spec) {
+ChaosSpec parse_chaos_spec(const std::string& text) {
   ChaosSpec out;
-  if (spec.empty() || spec == "none") return out;
-
-  std::size_t begin = 0;
-  while (begin <= spec.size()) {
-    std::size_t end = spec.find_first_of(";+", begin);
-    if (end == std::string::npos) end = spec.size();
-    const std::string directive = spec.substr(begin, end - begin);
-    begin = end + 1;
+  if (text.empty() || text == "none") return out;
+  const auto directives = spec::split(text, ";+");
+  if (!directives) {
+    throw std::invalid_argument("chaos spec: unterminated quote in `" + text +
+                                "`");
+  }
+  for (const std::string& directive : *directives) {
     if (directive.empty()) continue;
-
-    const std::size_t colon = directive.find(':');
-    const std::string name = directive.substr(0, colon);
-    std::vector<std::pair<std::string, std::string>> kv;
-    if (colon != std::string::npos) {
-      std::size_t p = colon + 1;
-      while (p <= directive.size()) {
-        std::size_t q = directive.find(',', p);
-        if (q == std::string::npos) q = directive.size();
-        const std::string token = directive.substr(p, q - p);
-        p = q + 1;
-        if (token.empty()) continue;
-        const std::size_t eq = token.find('=');
-        if (eq == std::string::npos || eq == 0) bad_token(directive, token);
-        kv.emplace_back(token.substr(0, eq), token.substr(eq + 1));
-      }
-    }
-
-    const auto only = [&](std::initializer_list<const char*> allowed) {
-      // A directive without arguments is always a mistake — accepting it
-      // would let a typo'd spec silently degrade to passthrough.
-      if (kv.empty()) bad_token(directive, "(no arguments)");
-      for (const auto& [key, value] : kv) {
-        bool ok = false;
-        for (const char* a : allowed) ok = ok || key == a;
-        if (!ok) bad_token(directive, key + "=" + value);
-      }
-    };
-
+    spec::Params params = spec::Params::named("chaos spec", directive);
+    const std::string& name = params.name();
+    // A directive without arguments is always a mistake — accepting it
+    // would let a typo'd spec silently degrade to passthrough.
+    params.require(!params.empty(),
+                   "directive `" + directive + "` has no arguments");
     if (name == "latency") {
-      only({"ms", "jitter"});
-      for (const auto& [key, value] : kv) {
-        const std::uint64_t ms = parse_u64(directive, key + "=" + value, value);
-        if (key == "ms") out.latency_ns = ms * 1'000'000ULL;
-        if (key == "jitter") out.jitter_ns = ms * 1'000'000ULL;
-      }
+      std::uint64_t ms = out.latency_ns / kNsPerMs;
+      std::uint64_t jitter = out.jitter_ns / kNsPerMs;
+      params.integer("ms", ms, 0, kMaxMs);
+      params.integer("jitter", jitter, 0, kMaxMs);
+      out.latency_ns = ms * kNsPerMs;
+      out.jitter_ns = jitter * kNsPerMs;
     } else if (name == "throttle") {
-      only({"bps"});
-      for (const auto& [key, value] : kv) {
-        out.throttle_bytes_per_sec =
-            parse_u64(directive, key + "=" + value, value);
-      }
-      if (out.throttle_bytes_per_sec == 0) bad_token(directive, "bps=0");
+      params.integer("bps", out.throttle_bytes_per_sec, 1);
     } else if (name == "split") {
-      only({"min", "max"});
-      for (const auto& [key, value] : kv) {
-        const std::uint64_t v = parse_u64(directive, key + "=" + value, value);
-        if (key == "min") out.split_min = static_cast<std::size_t>(v);
-        if (key == "max") out.split_max = static_cast<std::size_t>(v);
-      }
+      params.integer("min", out.split_min);
+      params.integer("max", out.split_max);
       const bool max_given = out.split_max != 0;
       if (out.split_min == 0) out.split_min = 1;
-      if (!max_given) {
-        out.split_max = out.split_min;  // exact chunk size
-      } else if (out.split_max < out.split_min) {
-        bad_token(directive, "max < min");
-      }
+      if (!max_given) out.split_max = out.split_min;  // exact chunk size
+      params.require(out.split_max >= out.split_min,
+                     "`max` < `min` in `" + directive + "`");
     } else if (name == "corrupt") {
-      only({"prob"});
-      for (const auto& [key, value] : kv) {
-        out.corrupt_prob = parse_prob(directive, key + "=" + value, value);
-      }
+      params.number("prob", out.corrupt_prob);
+      params.require(out.corrupt_prob >= 0.0 && out.corrupt_prob <= 1.0,
+                     "`prob` must be in [0, 1]");
     } else if (name == "disconnect") {
-      only({"prob", "after"});
-      for (const auto& [key, value] : kv) {
-        if (key == "prob") {
-          out.disconnect_prob = parse_prob(directive, key + "=" + value, value);
-        } else {
-          out.disconnect_after_bytes =
-              parse_u64(directive, key + "=" + value, value);
-        }
-      }
+      params.number("prob", out.disconnect_prob);
+      params.require(out.disconnect_prob >= 0.0 && out.disconnect_prob <= 1.0,
+                     "`prob` must be in [0, 1]");
+      params.integer("after", out.disconnect_after_bytes);
     } else if (name == "halfclose") {
-      only({"after"});
-      for (const auto& [key, value] : kv) {
-        out.half_close_after_bytes =
-            parse_u64(directive, key + "=" + value, value);
-      }
-      if (out.half_close_after_bytes == 0) bad_token(directive, "after=0");
+      params.integer("after", out.half_close_after_bytes, 1);
     } else {
-      throw std::invalid_argument("chaos spec: unknown directive '" + name +
-                                  "'");
+      params.fail("unknown directive `" + name + "`");
     }
+    const spec::Check check = params.finish();
+    if (!check.ok()) throw std::invalid_argument(check.message);
   }
   return out;
 }

@@ -8,7 +8,8 @@
 // from (seed, SeedStream::kChaos, connection index), so a soak run with a
 // given seed exercises the same fault sequence every time.
 //
-// Spec grammar mirrors the fault mini-language (fault/schedule.hpp):
+// Spec grammar: directives in the spec kernel's `name[:k=v,...]` form
+// (spec/spec.hpp):
 //   "latency:ms=5,jitter=3"            base delay + uniform jitter per chunk
 //   "throttle:bps=65536"               token-bucket bandwidth cap
 //   "split:min=1,max=7"                re-split forwarded writes to [min,max]

@@ -16,8 +16,8 @@ namespace safe::attack {
 namespace {
 
 TEST(AttackSpec, EmptyAndNoneSelectNoAttack) {
-  EXPECT_EQ(check_attack_spec("").status, SpecStatus::kOk);
-  EXPECT_EQ(check_attack_spec("none").status, SpecStatus::kOk);
+  EXPECT_EQ(check_attack_spec("").status, spec::Status::kOk);
+  EXPECT_EQ(check_attack_spec("none").status, spec::Status::kOk);
   EXPECT_EQ(make_attack(""), nullptr);
   EXPECT_EQ(make_attack("none"), nullptr);
   EXPECT_FALSE(attack_spec_enabled(""));
@@ -34,27 +34,28 @@ TEST(AttackSpec, BuildsEveryKind) {
 }
 
 TEST(AttackSpec, UnknownKindIsDistinguishedFromMalformed) {
-  const SpecCheck unknown = check_attack_spec("quantum");
-  EXPECT_EQ(unknown.status, SpecStatus::kUnknownKind);
+  const spec::Check unknown = check_attack_spec("quantum");
+  EXPECT_EQ(unknown.status, spec::Status::kUnknown);
   EXPECT_NE(unknown.message.find("quantum"), std::string::npos);
   // A parameterized unknown kind is still grammar-valid.
-  EXPECT_EQ(check_attack_spec("quantum:q=1").status, SpecStatus::kUnknownKind);
+  EXPECT_EQ(check_attack_spec("quantum:q=1").status, spec::Status::kUnknown);
   // Grammar errors rank as malformed even if the kind is unknown.
-  EXPECT_EQ(check_attack_spec("quantum:q=").status, SpecStatus::kMalformed);
+  EXPECT_EQ(check_attack_spec("quantum:q=").status, spec::Status::kMalformed);
 }
 
 TEST(AttackSpec, RejectsGrammarErrors) {
   for (const char* spec : {":", "dos:power", "dos:=1", "dos:power=",
                            "dos:power=1,power=2", "d os", "dos:po wer=1"}) {
-    EXPECT_EQ(check_attack_spec(spec).status, SpecStatus::kMalformed)
+    EXPECT_EQ(check_attack_spec(spec).status, spec::Status::kMalformed)
         << spec;
   }
 }
 
 TEST(AttackSpec, RejectsUnknownKeysPerKind) {
-  EXPECT_EQ(check_attack_spec("dos:slope=2").status, SpecStatus::kMalformed);
-  EXPECT_EQ(check_attack_spec("spoof:power=1").status, SpecStatus::kMalformed);
-  EXPECT_EQ(check_attack_spec("none:power=1").status, SpecStatus::kMalformed);
+  EXPECT_EQ(check_attack_spec("dos:slope=2").status, spec::Status::kMalformed);
+  EXPECT_EQ(check_attack_spec("spoof:power=1").status,
+            spec::Status::kMalformed);
+  EXPECT_EQ(check_attack_spec("none:power=1").status, spec::Status::kMalformed);
 }
 
 TEST(AttackSpec, RejectsBadValues) {
@@ -64,7 +65,7 @@ TEST(AttackSpec, RejectsBadValues) {
         "spoof:coherence=1.5", "chirp:slope=0", "entrain:acquire=0",
         "entrain:acquire=-3", "entrain:jitter=-1", "entrain:replay=-1",
         "entrain:replay=65", "entrain:replay=1.5", "entrain:leak=-2"}) {
-    EXPECT_EQ(check_attack_spec(spec).status, SpecStatus::kMalformed) << spec;
+    EXPECT_EQ(check_attack_spec(spec).status, spec::Status::kMalformed) << spec;
   }
 }
 
@@ -72,8 +73,9 @@ TEST(AttackSpec, AcceptsHeaderExamples) {
   for (const char* spec :
        {"dos", "dos:power=0.5", "delay:delay_ns=80,advantage=8",
         "spoof:coherence=0.9,df=200", "chirp:slope=1.00000000002,offset=12",
-        "entrain:acquire=3,replay=0,leak=15"}) {
-    EXPECT_EQ(check_attack_spec(spec).status, SpecStatus::kOk) << spec;
+        "entrain:acquire=3,replay=0,leak=15", "delay:evade=true",
+        "dos:power=\"0.5\""}) {
+    EXPECT_EQ(check_attack_spec(spec).status, spec::Status::kOk) << spec;
   }
 }
 
@@ -90,8 +92,8 @@ TEST(AttackSpec, CheckerAndBuilderAgree) {
       "entrain:replay=100", "warp", "warp:speed=9",
   };
   for (const std::string& spec : specs) {
-    const SpecCheck check = check_attack_spec(spec);
-    if (check.status == SpecStatus::kOk) {
+    const spec::Check check = check_attack_spec(spec);
+    if (check.status == spec::Status::kOk) {
       EXPECT_NO_THROW((void)make_attack(spec)) << spec;
     } else {
       EXPECT_FALSE(check.message.empty()) << spec;

@@ -19,36 +19,36 @@ namespace {
 // --- spec mini-language ----------------------------------------------------
 
 TEST(DetectorSpec, EmptyAndBareNamesAreOk) {
-  EXPECT_EQ(check_detector_spec("").status, SpecStatus::kOk);
-  EXPECT_EQ(check_detector_spec("cra").status, SpecStatus::kOk);
-  EXPECT_EQ(check_detector_spec("chi2").status, SpecStatus::kOk);
-  EXPECT_EQ(check_detector_spec("ar").status, SpecStatus::kOk);
+  EXPECT_EQ(check_detector_spec("").status, spec::Status::kOk);
+  EXPECT_EQ(check_detector_spec("cra").status, spec::Status::kOk);
+  EXPECT_EQ(check_detector_spec("chi2").status, spec::Status::kOk);
+  EXPECT_EQ(check_detector_spec("ar").status, spec::Status::kOk);
 }
 
 TEST(DetectorSpec, ParameterizedSpecsAreOk) {
-  EXPECT_EQ(check_detector_spec("cra:clear=2").status, SpecStatus::kOk);
+  EXPECT_EQ(check_detector_spec("cra:clear=2").status, spec::Status::kOk);
   EXPECT_EQ(check_detector_spec("chi2:threshold=9.21,window=16").status,
-            SpecStatus::kOk);
+            spec::Status::kOk);
   EXPECT_EQ(check_detector_spec("ar:order=6,consecutive=2").status,
-            SpecStatus::kOk);
+            spec::Status::kOk);
   EXPECT_EQ(
       check_detector_spec("fusion:members=cra+chi2,quorum=1").status,
-      SpecStatus::kOk);
+      spec::Status::kOk);
   EXPECT_EQ(check_detector_spec("fusion:members=cra+chi2+ar").status,
-            SpecStatus::kOk);
+            spec::Status::kOk);
 }
 
 TEST(DetectorSpec, UnknownBackendIsDistinctFromMalformed) {
-  const SpecCheck unknown = check_detector_spec("lstm");
-  EXPECT_EQ(unknown.status, SpecStatus::kUnknownBackend);
+  const spec::Check unknown = check_detector_spec("lstm");
+  EXPECT_EQ(unknown.status, spec::Status::kUnknown);
   EXPECT_NE(unknown.message.find("lstm"), std::string::npos);
 
-  // A fusion member that names no backend is also kUnknownBackend.
+  // A fusion member that names no backend is also kUnknown.
   EXPECT_EQ(check_detector_spec("fusion:members=cra+lstm").status,
-            SpecStatus::kUnknownBackend);
+            spec::Status::kUnknown);
 
   EXPECT_EQ(check_detector_spec("chi2:threshold=").status,
-            SpecStatus::kMalformed);
+            spec::Status::kMalformed);
 }
 
 TEST(DetectorSpec, MalformedSpecsAreRejected) {
@@ -59,6 +59,8 @@ TEST(DetectorSpec, MalformedSpecsAreRejected) {
       "chi2:bogus=1",                      // unknown key
       "chi2:threshold=abc",                // not a number
       "chi2:threshold=-1",                 // must be > 0
+      "chi2:threshold=inf",                // must be finite
+      "ar:threshold=inf",                  //
       "chi2:window=0",                     // counts are positive
       "chi2:window=-3",                    // negative count
       "chi2:forgetting=1.5",               // not in (0, 1)
@@ -71,7 +73,7 @@ TEST(DetectorSpec, MalformedSpecsAreRejected) {
       "bad name:x=1",                      // invalid backend name
   };
   for (const char* spec : bad) {
-    EXPECT_EQ(check_detector_spec(spec).status, SpecStatus::kMalformed)
+    EXPECT_EQ(check_detector_spec(spec).status, spec::Status::kMalformed)
         << spec;
     EXPECT_THROW(static_cast<void>(make_detector(spec)),
                  std::invalid_argument)

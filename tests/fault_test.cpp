@@ -214,6 +214,14 @@ TEST(SpecParser, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_fault_spec("dropout:start=abc"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("dropout:bogus=1"), std::invalid_argument);
   EXPECT_THROW(parse_fault_spec("bias:prob=0.5"), std::invalid_argument);
+  // Window keys are integers in [0, INT64_MAX], every value is consumed
+  // whole, keys are unique, and `prob` is a probability.
+  for (const char* spec :
+       {"dropout:start=99999999999999999999", "dropout:start=nan",
+        "dropout:len=1e19", "dropout:start=60abc", "dropout:start=1,start=2",
+        "dropout:prob=2.0"}) {
+    EXPECT_THROW(parse_fault_spec(spec), std::invalid_argument) << spec;
+  }
 }
 
 TEST(SpecParser, IdenticalSchedulesProduceIdenticalStreams) {

@@ -1,7 +1,7 @@
 // Fuzz harness for the attack-spec mini-language parser.
 //
 // Contract under test: check_attack_spec() never throws and classifies
-// every input as kOk / kMalformed / kUnknownKind with a diagnostic on the
+// every input as kOk / kMalformed / kUnknown with a diagnostic on the
 // rejections; make_attack() throws std::invalid_argument exactly on the
 // non-kOk inputs (never any other exception type) and otherwise returns a
 // model (nullptr only for the ""/"none" no-attack specs). The harness
@@ -18,11 +18,11 @@
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size) {
   const std::string spec(reinterpret_cast<const char*>(data), size);
-  const safe::attack::SpecCheck check = safe::attack::check_attack_spec(spec);
+  const safe::spec::Check check = safe::attack::check_attack_spec(spec);
   try {
     const std::shared_ptr<safe::attack::AttackModel> attack =
         safe::attack::make_attack(spec);
-    if (check.status != safe::attack::SpecStatus::kOk) {
+    if (!check.ok()) {
       __builtin_trap();  // builder accepted what the checker rejected
     }
     if (!check.message.empty()) {
@@ -33,7 +33,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       __builtin_trap();
     }
   } catch (const std::invalid_argument&) {
-    if (check.status == safe::attack::SpecStatus::kOk) {
+    if (check.ok()) {
       __builtin_trap();  // checker accepted what the builder rejected
     }
     if (check.message.empty()) {

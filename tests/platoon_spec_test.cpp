@@ -87,13 +87,15 @@ TEST(PlatoonSpec, RejectsMalformedSpecs) {
       "n=4,cutin_into=9,cutin_start=1,cutin_len=1",  // into out of range
       "n=4,cutin_into=2,cutin_start=-1,cutin_len=1",
       "n=4,cutin_into=2,cutin_start=1,cutin_len=0",
+      "n=4,cutin_into=2,cutin_start=inf,cutin_len=1",  // must be finite
+      "n=4,cutin_into=2,cutin_start=1,cutin_len=inf",
       "n=4,cutin_into=2,cutin_start=1,cutin_len=1,cutin_frac=1",
       "n=\"2",                    // unterminated quote
   };
   for (const char* spec : kBad) {
     EXPECT_THROW((void)parse_platoon_spec(spec), std::invalid_argument)
         << "accepted: " << spec;
-    EXPECT_FALSE(check_platoon_spec(spec).ok) << "checker accepted: " << spec;
+    EXPECT_FALSE(check_platoon_spec(spec).ok()) << "checker accepted: " << spec;
     EXPECT_FALSE(check_platoon_spec(spec).message.empty()) << spec;
   }
 }
@@ -114,14 +116,14 @@ TEST(PlatoonSpec, CheckerAndBuilderAgree) {
       " n=4",
   };
   for (const char* spec : kSpecs) {
-    const SpecCheck check = check_platoon_spec(spec);
+    const spec::Check check = check_platoon_spec(spec);
     bool threw = false;
     try {
       (void)parse_platoon_spec(spec);
     } catch (const std::invalid_argument&) {
       threw = true;
     }
-    EXPECT_EQ(check.ok, !threw) << "disagree on: " << spec;
+    EXPECT_EQ(check.ok(), !threw) << "disagree on: " << spec;
   }
 }
 

@@ -195,6 +195,11 @@ TEST(SpecParser, RejectsMalformedInput) {
   EXPECT_THROW(parse_campaign_spec("attack = evil"), std::invalid_argument);
   EXPECT_THROW(parse_campaign_spec("onset = uniform(240, 60)"),
                std::invalid_argument);
+  // Integers take no sign (no wrap to 2^64 - k); numbers must be finite.
+  for (const char* text :
+       {"trials = -3", "horizon = -3", "seed = -1", "onset = nan"}) {
+    EXPECT_THROW(parse_campaign_spec(text), std::invalid_argument) << text;
+  }
 }
 
 // --- expansion & sinks -----------------------------------------------------

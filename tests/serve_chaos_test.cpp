@@ -121,6 +121,11 @@ TEST(ChaosSpecParse, MalformedSpecsThrow) {
       "halfclose:after=0", // zero threshold is meaningless
       "warp:factor=9",     // unknown directive
       "latency:ms=1,bogus=2",  // unknown key
+      "latency:ms=-1",         // a sign would wrap to 2^64 - 1
+      "split:min=-1",          //
+      "halfclose:after=-1",    //
+      "latency:ms=18446744073710",  // ms * 10^6 overflows a u64
+      "latency:ms=1,ms=2",     // duplicate key
   };
   for (const char* spec : bad) {
     SCOPED_TRACE(spec);

@@ -43,6 +43,7 @@
 #include "runtime/campaign.hpp"
 #include "runtime/sink.hpp"
 #include "runtime/spec.hpp"
+#include "spec/spec.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -131,6 +132,18 @@ class ProgressReporter {
   std::thread thread_;
 };
 
+/// A count flag's value. Only unsigned decimal digits are taken, so `-3`
+/// cannot wrap to 2^64 - 3.
+std::uint64_t count_arg(const std::string& flag, const std::string& value) {
+  const std::optional<std::uint64_t> count = safe::spec::to_uint(value);
+  if (!count) {
+    std::cerr << flag << " expects a non-negative integer, got `" << value
+              << "`\n";
+    std::exit(2);
+  }
+  return *count;
+}
+
 /// A `--spec` value is a file when it names one; otherwise it is parsed as
 /// an inline spec string.
 std::string load_spec_text(const std::string& arg) {
@@ -175,11 +188,11 @@ int run(int argc, char** argv) {
       }
       spec_text = load_spec_text(value);
     } else if (arg == "--trials") {
-      trials_override = std::stoull(next());
+      trials_override = static_cast<std::size_t>(count_arg(arg, next()));
     } else if (arg == "--seed") {
-      seed_override = std::stoull(next());
+      seed_override = count_arg(arg, next());
     } else if (arg == "--jobs") {
-      jobs = std::stoull(next());
+      jobs = static_cast<std::size_t>(count_arg(arg, next()));
     } else if (arg == "--detector") {
       detector_arg = next();
       if (detector_arg == "help") {

@@ -34,7 +34,7 @@ the classic sources of run-to-run drift:
                     order cannot reach output.
 
 Scope: src/attack, src/core, src/dsp, src/estimation, src/cra, src/detect,
-src/fault, src/sim, src/platoon and src/runtime in full, plus the
+src/fault, src/sim, src/platoon, src/runtime and src/spec in full, plus the
 serve-layer files on the byte-parity path
 (session, trace_source, wire). The rest of src/serve (event loop, chaos
 proxy, load generator) is scheduling-dependent by design and exempt.
@@ -62,6 +62,7 @@ DET_DIRS = (
     "src/sim",
     "src/platoon",
     "src/runtime",
+    "src/spec",
 )
 
 #: serve-layer files whose output is under the byte-parity contract.
