@@ -18,12 +18,14 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
 #include "runtime/campaign.hpp"
 #include "runtime/sink.hpp"
+#include "spec/spec.hpp"
 #include "units/units.hpp"
 
 namespace {
@@ -137,7 +139,12 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = static_cast<std::size_t>(std::stoull(argv[++i]));
+      try {
+        jobs = static_cast<std::size_t>(spec::flag_uint("--jobs", argv[++i]));
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+      }
     }
   }
   const std::size_t n_detectors = std::size(kDetectors);

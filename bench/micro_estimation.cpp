@@ -4,7 +4,8 @@
 // both as a bare 4096-point transform and as the radar runs it, the three
 // root-MUSIC kernels at the radar's order-16, 512-sample configuration, a
 // periodogram radar epoch split into synthesis and the whole measure(), and
-// the epoch's Gaussian noise draws.
+// the epoch's Gaussian noise draws. The rows of the periodogram path run at
+// both lane widths (/lanes:2 SSE2, /lanes:4 AVX2; skipped without AVX2).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -21,6 +22,7 @@
 #include "estimation/rls.hpp"
 #include "estimation/rls_predictor.hpp"
 #include "linalg/eigen_hermitian.hpp"
+#include "linalg/lanes.hpp"
 #include "linalg/polynomial.hpp"
 #include "radar/link_budget.hpp"
 #include "radar/processor.hpp"
@@ -115,6 +117,16 @@ void BM_Periodogram512(benchmark::State& state) {
 }
 BENCHMARK(BM_Periodogram512);
 
+/// True when this CPU runs the split-plane kernels at state.range(0) lanes;
+/// otherwise marks the row skipped.
+bool lanes_available(benchmark::State& state) {
+  if (state.range(0) == 4 && !linalg::lanes::avx2_supported()) {
+    state.SkipWithError("four lanes need AVX2");
+    return false;
+  }
+  return true;
+}
+
 void BM_Fft4096(benchmark::State& state) {
   const auto x = bench_tone(4096);
   for (auto _ : state) {
@@ -126,6 +138,9 @@ BENCHMARK(BM_Fft4096);
 // The transform the radar receiver runs: one 512-sample Hann-windowed
 // segment zero-padded to 4096 points.
 void BM_Fft512HannPaddedTo4096(benchmark::State& state) {
+  if (!lanes_available(state)) return;
+  const linalg::lanes::detail::ScopedWidth lanes(
+      static_cast<std::size_t>(state.range(0)));
   auto x = bench_tone(512);
   dsp::apply_window(x, dsp::make_window(dsp::WindowKind::kHann, x.size()));
   dsp::ComplexSignal spectrum;
@@ -135,12 +150,15 @@ void BM_Fft512HannPaddedTo4096(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_Fft512HannPaddedTo4096);
+BENCHMARK(BM_Fft512HannPaddedTo4096)->ArgName("lanes")->Arg(2)->Arg(4);
 
 // The spectral work of one periodogram-mode radar epoch: the up segment's
 // coherence statistic and beat from one shared spectrum, then the down
 // segment's beat (two 4096-point FFTs).
 void BM_PeriodogramEpoch(benchmark::State& state) {
+  if (!lanes_available(state)) return;
+  const linalg::lanes::detail::ScopedWidth lanes(
+      static_cast<std::size_t>(state.range(0)));
   const auto up = bench_tone(512);
   auto down = bench_tone(512);
   std::reverse(down.begin(), down.end());
@@ -149,7 +167,7 @@ void BM_PeriodogramEpoch(benchmark::State& state) {
     benchmark::DoNotOptimize(dsp::estimate_dominant_tone(down, 1.0e6));
   }
 }
-BENCHMARK(BM_PeriodogramEpoch);
+BENCHMARK(BM_PeriodogramEpoch)->ArgName("lanes")->Arg(2)->Arg(4);
 
 // The root-MUSIC kernels as the radar receiver runs them: one up segment
 // from RadarProcessor::synthesize (default configuration: 512 samples,
@@ -255,6 +273,9 @@ void BM_RadarSynthesize(benchmark::State& state) {
 BENCHMARK(BM_RadarSynthesize);
 
 void BM_RadarMeasurePeriodogram(benchmark::State& state) {
+  if (!lanes_available(state)) return;
+  const linalg::lanes::detail::ScopedWidth lanes(
+      static_cast<std::size_t>(state.range(0)));
   radar::RadarProcessorConfig cfg;
   cfg.estimator = radar::BeatEstimator::kPeriodogram;
   radar::RadarProcessor receiver(cfg, 1);
@@ -263,7 +284,7 @@ void BM_RadarMeasurePeriodogram(benchmark::State& state) {
     benchmark::DoNotOptimize(receiver.measure(scene));
   }
 }
-BENCHMARK(BM_RadarMeasurePeriodogram);
+BENCHMARK(BM_RadarMeasurePeriodogram)->ArgName("lanes")->Arg(2)->Arg(4);
 
 // The 4 x 512 standard normals behind one radar epoch's noise: drawn by the
 // std::mt19937_64 + std::normal_distribution pair the library used to call

@@ -34,12 +34,14 @@
 // perfectly (k = 0) — the coherence check goes blind, only the rx-power
 // check can still fire (here its transmitter leaks 15x the noise floor):
 //   scenario_cli --attack "entrain:acquire=3,replay=0,leak=15" --onset 180
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
-#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -124,16 +126,27 @@ bool write_telemetry_outputs(const std::string& metrics_path,
   return true;
 }
 
-/// A count flag's value. Only unsigned decimal digits are taken, so `-3`
-/// cannot wrap to 2^64 - 3.
-std::uint64_t count_arg(const std::string& flag, const std::string& value) {
-  const std::optional<std::uint64_t> count = safe::spec::to_uint(value);
-  if (!count) {
-    std::cerr << flag << " expects a non-negative integer, got `" << value
-              << "`\n";
+/// A count flag's value, at most `max`. Only unsigned decimal digits are
+/// taken, so `-3` cannot wrap to 2^64 - 3; a bad value exits 2.
+std::uint64_t count_arg(
+    const std::string& flag, const std::string& value,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  try {
+    return safe::spec::flag_uint(flag, value, max);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
     std::exit(2);
   }
-  return *count;
+}
+
+/// A finite number flag's value; a bad value exits 2.
+double number_arg(const std::string& flag, const std::string& value) {
+  try {
+    return safe::spec::flag_double(flag, value);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(2);
+  }
 }
 
 std::vector<std::uint64_t> parse_seed_list(const std::string& value) {
@@ -221,9 +234,9 @@ int main(int argc, char** argv) {
         options.attack_spec = v;
       }
     } else if (arg == "--onset") {
-      options.attack_start_s = safe::units::Seconds{std::stod(next())};
+      options.attack_start_s = safe::units::Seconds{number_arg(arg, next())};
     } else if (arg == "--end") {
-      options.attack_end_s = safe::units::Seconds{std::stod(next())};
+      options.attack_end_s = safe::units::Seconds{number_arg(arg, next())};
     } else if (arg == "--no-defense") {
       options.defense_enabled = false;
     } else if (arg == "--estimator") {
@@ -243,7 +256,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--jobs") {
       jobs = static_cast<std::size_t>(count_arg(arg, next()));
     } else if (arg == "--horizon") {
-      options.horizon_steps = std::stoll(next());
+      options.horizon_steps = static_cast<std::int64_t>(count_arg(
+          arg, next(), std::numeric_limits<std::int64_t>::max()));
     } else if (arg == "--csv") {
       csv_path = next();
     } else if (arg == "--fault") {

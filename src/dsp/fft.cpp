@@ -25,8 +25,18 @@ std::size_t next_pow2(std::size_t n) {
 bool is_pow2(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
 
 void SplitSpectrum::resize(std::size_t n) {
+  // One cache line of slack in a plain allocation rather than an aligned
+  // allocation: planes are freed with their worker thread, and under glibc
+  // aligned blocks freed that way were not reused by the next worker, so
+  // peak RSS crept up over a long campaign.
+  constexpr std::size_t kLine = 64;
   size_ = n;
-  storage_.resize(2 * n);
+  storage_.resize(2 * n + kLine / sizeof(double));
+  void* start = storage_.data();
+  std::size_t space = storage_.size() * sizeof(double);
+  std::align(kLine, 2 * n * sizeof(double), start, space);
+  offset_ = static_cast<std::size_t>(static_cast<double*>(start) -
+                                     storage_.data());
 }
 
 namespace {
@@ -40,10 +50,13 @@ namespace {
 /// bits as before and every output stays bit-identical. (A table of
 /// std::polar(1, -2 pi k / len) would be more accurate but would move every
 /// result.) A stage's twiddles do not depend on n. Index 0 is unused, which
-/// starts every stage on an even index, a whole vector.
+/// starts the stage with `half` butterflies per block at index `half`: a
+/// whole vector of either width, and on a cache line from 8 twiddles up.
 struct FftPlan {
-  explicit FftPlan(std::size_t n)
-      : bit_reversed(n), twiddle_re(n), twiddle_im(n) {
+  explicit FftPlan(std::size_t n) : bit_reversed(n) {
+    twiddles.resize(n);
+    double* twiddle_re = twiddles.re();
+    double* twiddle_im = twiddles.im();
     for (std::size_t i = 1, j = 0; i < n; ++i) {
       std::size_t bit = n >> 1U;
       for (; j & bit; bit >>= 1U) j ^= bit;
@@ -67,13 +80,12 @@ struct FftPlan {
   /// conj() would make it -0 and change the sign of zero results.
   [[nodiscard]] Complex twiddle(std::size_t half, std::size_t k,
                                 bool inverse) const {
-    const double im = twiddle_im[half + k];
-    return {twiddle_re[half + k], inverse && k > 0 ? -im : im};
+    const double im = twiddles.im()[half + k];
+    return {twiddles.re()[half + k], inverse && k > 0 ? -im : im};
   }
 
   std::vector<std::size_t> bit_reversed;
-  RealSignal twiddle_re;  ///< n entries; stage len at [len / 2, len).
-  RealSignal twiddle_im;
+  SplitSpectrum twiddles;  ///< n entries; stage len at [len / 2, len).
 };
 
 /// Process-wide plans, one per power of two, built on first use and never
@@ -153,22 +165,68 @@ void complex_fft_into(const ComplexSignal& x, std::size_t r,
   complex_butterflies(data, n, 2 * r, plan, /*inverse=*/false);
 }
 
-// --- split-plane butterflies ------------------------------------------------
+// --- split-plane kernels ----------------------------------------------------
+//
+// Each kernel is an always_inline template over the lane count L, written
+// once and instantiated at the end of this section twice: at two lanes in
+// the dispatching functions, and at four in [[gnu::target("avx2")]] entry
+// points (linalg/lanes.hpp).
 
-/// complex_butterflies on split planes, two butterflies per vector. Each one
-/// forms v = hi * w inline, (hr wr - hi wi, hr wi + hi wr), then u + v and
-/// u - v: the operations std::complex runs, in its order, except that a
-/// product whose two parts come out NaN does not go on to __muldc3. Such a
-/// product leaves a NaN in the output, so callers check it (maybe_nan).
-template <bool kInverse>
-void split_butterflies(double* re, double* im, std::size_t n,
-                       std::size_t first_len, const FftPlan& plan) {
+/// Bins per block that split_butterflies runs its early stages on: 8 KB of
+/// planes, which stay in L1 from one stage to the next.
+constexpr std::size_t kL1Bins = 512;
+
+/// One radix-2 stage over the planes re/im[0, n), `half` butterflies per
+/// block, L at a time (two when half < L). Each butterfly forms v = hi * w
+/// inline, (hr wr - hi wi, hr wi + hi wr), then u + v and u - v: the
+/// operations std::complex runs, in its order, except that a product whose
+/// two parts come out NaN does not go on to __muldc3. Such a product leaves
+/// a NaN in the output, so callers check it (maybe_nan).
+template <std::size_t L, bool kInverse>
+[[gnu::always_inline]] inline void butterfly_stage(double* re, double* im,
+                                                   std::size_t n,
+                                                   std::size_t half,
+                                                   const FftPlan& plan) {
+  if constexpr (L > 2) {
+    if (half < L) {
+      butterfly_stage<2, kInverse>(re, im, n, half, plan);
+      return;
+    }
+  }
+  const double* wr = plan.twiddles.re() + half;
+  const double* wi = plan.twiddles.im() + half;
+  for (std::size_t i = 0; i < n; i += 2 * half) {
+    double* lo_re = re + i;
+    double* lo_im = im + i;
+    double* hi_re = lo_re + half;
+    double* hi_im = lo_im + half;
+    for (std::size_t k = 0; k < half; k += L) {
+      lanes::SplitN<L> w = lanes::load<L>(wr + k, wi + k);
+      if constexpr (kInverse) {
+        w.im = -w.im;
+        if (k == 0) w.im[0] = wi[0];  // FftPlan::twiddle: k = 0 keeps +0.
+      }
+      const lanes::SplitN<L> u = lanes::load<L>(lo_re + k, lo_im + k);
+      const lanes::SplitN<L> v =
+          lanes::mul(lanes::load<L>(hi_re + k, hi_im + k), w);
+      lanes::store(lo_re + k, lo_im + k, u + v);
+      lanes::store(hi_re + k, hi_im + k, u - v);
+    }
+  }
+}
+
+/// complex_butterflies on split planes.
+template <std::size_t L, bool kInverse>
+[[gnu::always_inline]] inline void split_butterflies(double* re, double* im,
+                                                     std::size_t n,
+                                                     std::size_t first_len,
+                                                     const FftPlan& plan) {
   std::size_t len = first_len;
   if (len == 2 && n >= 2) {
     // One twiddle, (1, +0), in either direction: a pair of neighbours, which
     // no vector holds apart.
-    const double wr = plan.twiddle_re[1];
-    const double wi = plan.twiddle_im[1];
+    const double wr = plan.twiddles.re()[1];
+    const double wi = plan.twiddles.im()[1];
     for (std::size_t i = 0; i < n; i += 2) {
       const double ur = re[i];
       const double ui = im[i];
@@ -181,32 +239,19 @@ void split_butterflies(double* re, double* im, std::size_t n,
     }
     len = 4;
   }
-  for (; len <= n; len <<= 1U) {
-    const std::size_t half = len / 2;
-    const double* wr = plan.twiddle_re.data() + half;
-    const double* wi = plan.twiddle_im.data() + half;
-    for (std::size_t i = 0; i < n; i += len) {
-      double* lo_re = re + i;
-      double* lo_im = im + i;
-      double* hi_re = lo_re + half;
-      double* hi_im = lo_im + half;
-      for (std::size_t k = 0; k < half; k += 2) {
-        lanes::Split w{lanes::load(wr + k), lanes::load(wi + k)};
-        if constexpr (kInverse) {
-          w.im = -w.im;
-          if (k == 0) w.im[0] = wi[0];  // FftPlan::twiddle: k = 0 keeps +0.
-        }
-        const lanes::Split u{lanes::load(lo_re + k), lanes::load(lo_im + k)};
-        const lanes::Split v = lanes::mul(
-            {lanes::load(hi_re + k), lanes::load(hi_im + k)}, w);
-        const lanes::Split sum = u + v;
-        const lanes::Split diff = u - v;
-        lanes::store(lo_re + k, sum.re);
-        lanes::store(lo_im + k, sum.im);
-        lanes::store(hi_re + k, diff.re);
-        lanes::store(hi_im + k, diff.im);
+  if (n > kL1Bins) {
+    // Every stage up to kL1Bins on one block of that many bins while it is
+    // in L1, then on the next block: the same butterflies on the same
+    // inputs, in another order.
+    for (std::size_t b = 0; b < n; b += kL1Bins) {
+      for (std::size_t l = len; l <= kL1Bins; l <<= 1U) {
+        butterfly_stage<L, kInverse>(re + b, im + b, kL1Bins, l / 2, plan);
       }
     }
+    len = std::max(len, 2 * kL1Bins);
+  }
+  for (; len <= n; len <<= 1U) {
+    butterfly_stage<L, kInverse>(re, im, n, len / 2, plan);
   }
 }
 
@@ -214,24 +259,50 @@ void split_butterflies(double* re, double* im, std::size_t n,
 /// finite x and NaN otherwise, so OR-ing the bits of those differences
 /// flags a NaN (and an infinity, which merely sends the caller to its exact
 /// path).
-bool maybe_nan(const double* re, const double* im, std::size_t n) {
-  using Bits = std::uint64_t __attribute__((vector_size(16)));
+template <std::size_t L>
+[[gnu::always_inline]] inline bool maybe_nan(const double* re,
+                                             const double* im, std::size_t n) {
+  using Bits = typename lanes::Lanes<L>::Bits;
   Bits bits{};
   std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const lanes::V2 r = lanes::load(re + i);
-    const lanes::V2 m = lanes::load(im + i);
-    bits |= reinterpret_cast<Bits>(r - r) | reinterpret_cast<Bits>(m - m);
+  for (; i + L <= n; i += L) {
+    const lanes::SplitN<L> v = lanes::load<L>(re + i, im + i);
+    bits |= reinterpret_cast<Bits>(v.re - v.re) |
+            reinterpret_cast<Bits>(v.im - v.im);
   }
   for (; i < n; ++i) {
     if (!std::isfinite(re[i]) || !std::isfinite(im[i])) return true;
   }
-  return (bits[0] | bits[1]) != 0;
+  std::uint64_t any = 0;
+  for (std::size_t lane = 0; lane < L; ++lane) any |= bits[lane];
+  return any != 0;
 }
 
-/// The split-plane counterpart of complex_fft_into, writing re/im[0, n).
-void split_fft_into(const ComplexSignal& x, std::size_t r, const FftPlan& plan,
-                    double* re, double* im) {
+/// Block bit_reversed[i] of r bins becomes x[i] plus block 0, for i from the
+/// last input down, so block 0 (i = 0) is overwritten last; L bins at a
+/// time.
+template <std::size_t L>
+[[gnu::always_inline]] inline void fill_blocks(const ComplexSignal& x,
+                                               std::size_t r,
+                                               const FftPlan& plan, double* re,
+                                               double* im) {
+  for (std::size_t i = x.size(); i-- > 0;) {
+    const std::size_t block = plan.bit_reversed[i];
+    const lanes::SplitN<L> xi = lanes::splat<L>(x[i].real(), x[i].imag());
+    for (std::size_t t = 0; t < r; t += L) {
+      lanes::store(re + block + t, im + block + t,
+                   xi + lanes::load<L>(re + t, im + t));
+    }
+  }
+}
+
+/// The split-plane counterpart of complex_fft_into, writing re/im[0, n);
+/// true when the result may hold a NaN.
+template <std::size_t L>
+[[gnu::always_inline]] inline bool split_fft_into(const ComplexSignal& x,
+                                                  std::size_t r,
+                                                  const FftPlan& plan,
+                                                  double* re, double* im) {
   const std::size_t n = plan.bit_reversed.size();
   if (x.size() < n / r) {
     // Inputs beyond x.size() are zero blocks the fill below never writes.
@@ -242,22 +313,77 @@ void split_fft_into(const ComplexSignal& x, std::size_t r, const FftPlan& plan,
   im[0] = -0.0;
   std::fill(re + 1, re + r, 0.0);
   std::fill(im + 1, im + r, 0.0);
-  split_butterflies<false>(re, im, r, 2, plan);
-  for (std::size_t i = x.size(); i-- > 0;) {
-    const std::size_t block = plan.bit_reversed[i];
-    const double xr = x[i].real();
-    const double xi = x[i].imag();
-    if (r == 1) {
-      re[block] = xr + re[0];
-      im[block] = xi + im[0];
-      continue;
+  split_butterflies<L, false>(re, im, r, 2, plan);
+  if (r == 1) {
+    for (std::size_t i = x.size(); i-- > 0;) {
+      const std::size_t block = plan.bit_reversed[i];
+      re[block] = x[i].real() + re[0];
+      im[block] = x[i].imag() + im[0];
     }
-    for (std::size_t t = 0; t < r; t += 2) {
-      lanes::store(re + block + t, lanes::splat(xr) + lanes::load(re + t));
-      lanes::store(im + block + t, lanes::splat(xi) + lanes::load(im + t));
-    }
+  } else if (r < L) {
+    fill_blocks<2>(x, r, plan, re, im);
+  } else {
+    fill_blocks<L>(x, r, plan, re, im);
   }
-  split_butterflies<false>(re, im, n, 2 * r, plan);
+  split_butterflies<L, false>(re, im, n, 2 * r, plan);
+  return maybe_nan<L>(re, im, n);
+}
+
+/// The transform of the bit-reversed planes re/im[0, n) in place, the
+/// inverse scaled by 1 / n; true when the result may hold a NaN.
+template <std::size_t L>
+[[gnu::always_inline]] inline bool split_transform(double* re, double* im,
+                                                   std::size_t n,
+                                                   const FftPlan& plan,
+                                                   bool inverse) {
+  if (inverse) {
+    split_butterflies<L, true>(re, im, n, 2, plan);
+    // Complex *= double scales each part: (re / n, im / n) as re * (1 / n).
+    const double inv_n = 1.0 / static_cast<double>(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      re[i] *= inv_n;
+      im[i] *= inv_n;
+    }
+  } else {
+    split_butterflies<L, false>(re, im, n, 2, plan);
+  }
+  return maybe_nan<L>(re, im, n);
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] bool four_lane_transform(double* re, double* im,
+                                                 std::size_t n,
+                                                 const FftPlan& plan,
+                                                 bool inverse) {
+  return split_transform<4>(re, im, n, plan, inverse);
+}
+
+[[gnu::target("avx2")]] bool four_lane_fft_into(const ComplexSignal& x,
+                                                std::size_t r,
+                                                const FftPlan& plan,
+                                                double* re, double* im) {
+  return split_fft_into<4>(x, r, plan, re, im);
+}
+#endif
+
+/// split_transform at lanes::width().
+bool transform_at_width(double* re, double* im, std::size_t n,
+                        const FftPlan& plan, bool inverse) {
+#if defined(__x86_64__)
+  if (lanes::width() == 4) {
+    return four_lane_transform(re, im, n, plan, inverse);
+  }
+#endif
+  return split_transform<2>(re, im, n, plan, inverse);
+}
+
+/// split_fft_into at lanes::width().
+bool fft_into_at_width(const ComplexSignal& x, std::size_t r,
+                       const FftPlan& plan, double* re, double* im) {
+#if defined(__x86_64__)
+  if (lanes::width() == 4) return four_lane_fft_into(x, r, plan, re, im);
+#endif
+  return split_fft_into<2>(x, r, plan, re, im);
 }
 
 /// Each thread's planes for the transforms that return interleaved output.
@@ -280,18 +406,7 @@ void fft_core(ComplexSignal& x, bool inverse) {
     re[plan.bit_reversed[i]] = x[i].real();
     im[plan.bit_reversed[i]] = x[i].imag();
   }
-  if (inverse) {
-    split_butterflies<true>(re, im, n, 2, plan);
-    // Complex *= double scales each part: (re / n, im / n) as re * (1 / n).
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      re[i] *= inv_n;
-      im[i] *= inv_n;
-    }
-  } else {
-    split_butterflies<false>(re, im, n, 2, plan);
-  }
-  if (maybe_nan(re, im, n)) {
+  if (transform_at_width(re, im, n, plan, inverse)) {
     complex_fft_inplace(x, plan, inverse);
     return;
   }
@@ -316,8 +431,7 @@ void fft_into(const ComplexSignal& x, std::size_t min_size,
   }
   const FftPlan& plan = plan_for(n);
   const std::size_t r = n / signal_size;
-  split_fft_into(x, r, plan, out.re(), out.im());
-  if (maybe_nan(out.re(), out.im(), n)) {
+  if (fft_into_at_width(x, r, plan, out.re(), out.im())) {
     ComplexSignal exact;
     complex_fft_into(x, r, plan, exact);
     for (std::size_t i = 0; i < n; ++i) {

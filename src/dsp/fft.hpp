@@ -5,8 +5,8 @@
 // Each power-of-two size has one process-wide plan (bit-reversal table and
 // per-stage twiddles), built on first use and shared by every later
 // transform of that size. Every transform runs on split real/imaginary
-// planes, two butterflies per vector, and returns the bits the
-// std::complex<double> butterfly loop returns.
+// planes, two or four butterflies per vector (linalg::lanes::width()), and
+// returns the bits the std::complex<double> butterfly loop returns.
 #pragma once
 
 #include <complex>
@@ -49,21 +49,26 @@ void fft_into(const ComplexSignal& x, std::size_t min_size, ComplexSignal& out);
 /// loads never wait on a recent store to another bin that merely looks like
 /// the same address. Planes allocated apart can land 16 bytes off that, and
 /// then they do.
+///
+/// The real plane starts on a 64-byte boundary (the storage holds one cache
+/// line of slack), so from 8 bins up both planes do, and no four-lane
+/// vector straddles a cache line.
 class SplitSpectrum {
  public:
   /// Sets the number of bins; their values are unspecified until written.
   void resize(std::size_t n);
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] double* re() noexcept { return storage_.data(); }
-  [[nodiscard]] double* im() noexcept { return storage_.data() + size_; }
-  [[nodiscard]] const double* re() const noexcept { return storage_.data(); }
-  [[nodiscard]] const double* im() const noexcept {
-    return storage_.data() + size_;
+  [[nodiscard]] double* re() noexcept { return storage_.data() + offset_; }
+  [[nodiscard]] double* im() noexcept { return re() + size_; }
+  [[nodiscard]] const double* re() const noexcept {
+    return storage_.data() + offset_;
   }
+  [[nodiscard]] const double* im() const noexcept { return re() + size_; }
 
  private:
   std::vector<double> storage_;
+  std::size_t offset_ = 0;  ///< doubles before the cache-line-aligned re()
   std::size_t size_ = 0;
 };
 

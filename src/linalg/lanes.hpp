@@ -1,9 +1,11 @@
-// Two-lane double vectors for the root-MUSIC kernels.
+// Double vectors for the split-plane kernels: two lanes (SSE2) or four
+// (AVX2).
 //
-// The covariance, Jacobi and Durand-Kerner kernels run the IEEE operations
-// that std::complex<double> arithmetic compiles to, in the same order, on two
-// independent values at a time (GCC/Clang vector extension; SSE2 on x86-64,
-// no extra build flags). Real and imaginary parts live in separate vectors.
+// The FFT, covariance, Jacobi and Durand-Kerner kernels run the IEEE
+// operations that std::complex<double> arithmetic compiles to, in the same
+// order, on independent values at a time (GCC/Clang vector extension).
+// Real and imaginary parts live in separate vectors, so a lane's bits never
+// depend on the lane count.
 //
 // A complex product a * b compiles to (ar*br - ai*bi, ar*bi + ai*br) and,
 // when both parts come out NaN, to a __muldc3 library call that recovers
@@ -13,15 +15,56 @@
 // it: callers test their final values with `maybe_nan` and redo flagged
 // values with std::complex. Unflagged values carry exactly the bits the
 // scalar code produces.
+//
+// Width. Two lanes are the x86-64 baseline and need no build flag. Four
+// lanes need AVX2, which only some CPUs have, so the four-lane code is
+// compiled inside `[[gnu::target("avx2")]]` entry points and run only when
+// width() says this CPU has AVX2; the width is never a build flag or an
+// option. No target with FMA (fma, avx512f, x86-64-v3, -march=native) is
+// ever enabled: GCC would then fuse a product into a sum and move bits.
+//
+// A kernel body is written once as an always_inline template over the lane
+// count and instantiated in both entry points. No function takes or returns
+// a bare four-lane vector: a 32-byte vector passes in a register only with
+// AVX, so GCC's -Wpsabi fires on such a function compiled without it (an
+// error under -Werror), and clang refuses the call outright when caller and
+// callee targets differ. The four-lane helpers below therefore trade in
+// SplitN structs, by reference or as a return value; a lambda over bare
+// four-lane vectors inside an entry point is a separate function without
+// the target, and trips the same diagnostic.
 #pragma once
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
+#include <stdexcept>
 
 namespace safe::linalg::lanes {
 
-using V2 = double __attribute__((vector_size(16)));
+/// The vector types of each width. Explicit specializations, because GCC 12
+/// silently drops `vector_size(8 * L)` on a dependent alias template, which
+/// would make the four-lane vector a lone double (sizeof 8).
+template <std::size_t L>
+struct Lanes;
+
+template <>
+struct Lanes<2> {
+  using V = double __attribute__((vector_size(16)));
+  using Bits = std::uint64_t __attribute__((vector_size(16)));
+};
+
+template <>
+struct Lanes<4> {
+  using V = double __attribute__((vector_size(32)));
+  using Bits = std::uint64_t __attribute__((vector_size(32)));
+};
+
+template <std::size_t L>
+using V = typename Lanes<L>::V;
+using V2 = V<2>;
+
+static_assert(sizeof(V<4>) == 4 * sizeof(double));
 
 inline V2 splat(double x) { return V2{x, x}; }
 
@@ -33,18 +76,55 @@ inline V2 load(const double* p) {
 
 inline void store(double* p, V2 v) { std::memcpy(p, &v, sizeof v); }
 
-/// Two complex numbers, split into real and imaginary lanes.
-struct Split {
-  V2 re;
-  V2 im;
+/// L complex numbers, split into real and imaginary lanes.
+template <std::size_t L>
+struct SplitN {
+  V<L> re;
+  V<L> im;
 };
 
-inline Split operator+(Split a, Split b) { return {a.re + b.re, a.im + b.im}; }
-inline Split operator-(Split a, Split b) { return {a.re - b.re, a.im - b.im}; }
+using Split = SplitN<2>;
+
+template <std::size_t L>
+inline SplitN<L> operator+(const SplitN<L>& a, const SplitN<L>& b) {
+  return {a.re + b.re, a.im + b.im};
+}
+
+template <std::size_t L>
+inline SplitN<L> operator-(const SplitN<L>& a, const SplitN<L>& b) {
+  return {a.re - b.re, a.im - b.im};
+}
 
 /// a * b as the compiler expands it, without the __muldc3 fallback.
-inline Split mul(Split a, Split b) {
+template <std::size_t L>
+inline SplitN<L> mul(const SplitN<L>& a, const SplitN<L>& b) {
   return {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
+}
+
+/// L complex numbers from the planes at re and im.
+template <std::size_t L>
+inline SplitN<L> load(const double* re, const double* im) {
+  SplitN<L> v{};
+  std::memcpy(&v.re, re, sizeof v.re);
+  std::memcpy(&v.im, im, sizeof v.im);
+  return v;
+}
+
+template <std::size_t L>
+inline void store(double* re, double* im, const SplitN<L>& v) {
+  std::memcpy(re, &v.re, sizeof v.re);
+  std::memcpy(im, &v.im, sizeof v.im);
+}
+
+/// (re, im) in every lane.
+template <std::size_t L>
+inline SplitN<L> splat(double re, double im) {
+  SplitN<L> v{};
+  for (std::size_t i = 0; i < L; ++i) {
+    v.re[i] = re;
+    v.im[i] = im;
+  }
+  return v;
 }
 
 /// False only if no lane of v is NaN (opposite infinities in the two lanes
@@ -52,6 +132,51 @@ inline Split mul(Split a, Split b) {
 inline bool maybe_nan(V2 v) { return std::isnan(v[0] + v[1]); }
 
 /// maybe_nan over both parts of both complex lanes.
-inline bool maybe_nan(Split v) { return maybe_nan(v.re + v.im); }
+inline bool maybe_nan(const Split& v) { return maybe_nan(v.re + v.im); }
+
+/// True when this CPU runs AVX2 code (libgcc's check includes the OS saving
+/// the 256-bit registers).
+inline bool avx2_supported() {
+#if defined(__x86_64__)
+  return __builtin_cpu_supports("avx2");
+#else
+  return false;
+#endif
+}
+
+namespace detail {
+/// 0, or the width a ScopedWidth forces on this thread.
+inline thread_local std::size_t forced_width = 0;
+}  // namespace detail
+
+/// Doubles per vector for the kernels built at both widths: 4 on a CPU with
+/// AVX2, else 2. Decided on first use and fixed for the life of the process.
+inline std::size_t width() {
+  static const std::size_t detected = avx2_supported() ? 4 : 2;
+  return detail::forced_width != 0 ? detail::forced_width : detected;
+}
+
+namespace detail {
+
+/// While alive, width() answers `lanes` on the constructing thread. Only for
+/// tests and benches that run both widths on one machine; throws
+/// std::invalid_argument for a width this CPU cannot run.
+class ScopedWidth {
+ public:
+  explicit ScopedWidth(std::size_t lanes) : previous_(forced_width) {
+    if (lanes != 2 && !(lanes == 4 && avx2_supported())) {
+      throw std::invalid_argument("lanes: width not available on this CPU");
+    }
+    forced_width = lanes;
+  }
+  ~ScopedWidth() { forced_width = previous_; }
+  ScopedWidth(const ScopedWidth&) = delete;
+  ScopedWidth& operator=(const ScopedWidth&) = delete;
+
+ private:
+  std::size_t previous_;
+};
+
+}  // namespace detail
 
 }  // namespace safe::linalg::lanes

@@ -115,6 +115,9 @@ double RadarProcessor::estimate_beat_hz(const ComplexSignal& segment,
       segment, config_.sample_rate_hz.value(),
       std::max<std::size_t>(num_components, 1), options);
   if (candidates.empty()) return 0.0;
+  // A lone candidate wins whatever its power: p >= 0 or NaN never displaces
+  // front() in the ranking below, so it is returned without one.
+  if (candidates.size() == 1) return candidates.front();
   // Rank candidates by coherent power: the receiver locks to the strongest.
   double best_freq = candidates.front();
   double best_power = -1.0;

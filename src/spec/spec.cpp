@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <stdexcept>
 
 namespace safe::spec {
 
@@ -80,6 +81,24 @@ std::optional<bool> to_bool(std::string_view token) {
   if (token == "on" || token == "true" || token == "1") return true;
   if (token == "off" || token == "false" || token == "0") return false;
   return std::nullopt;
+}
+
+std::uint64_t flag_uint(std::string_view flag, std::string_view value,
+                        std::uint64_t max) {
+  if (const auto parsed = to_uint(value, max)) return *parsed;
+  const std::string expected =
+      max == std::numeric_limits<std::uint64_t>::max()
+          ? "a non-negative integer"
+          : "an integer in [0, " + std::to_string(max) + "]";
+  throw std::invalid_argument(std::string(flag) + " expects " + expected +
+                              ", got `" + std::string(value) + "`");
+}
+
+double flag_double(std::string_view flag, std::string_view value) {
+  if (const auto parsed = to_double(value)) return *parsed;
+  throw std::invalid_argument(std::string(flag) +
+                              " expects a finite number, got `" +
+                              std::string(value) + "`");
 }
 
 Params Params::named(std::string domain, std::string_view text) {

@@ -60,6 +60,17 @@ struct Check {
 /// on/true/1 or off/false/0.
 [[nodiscard]] std::optional<bool> to_bool(std::string_view token);
 
+/// A command-line flag's value as to_uint(value, max); throws
+/// std::invalid_argument with a message that names the flag.
+[[nodiscard]] std::uint64_t flag_uint(
+    std::string_view flag, std::string_view value,
+    std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
+
+/// A command-line flag's value as to_double(value); throws
+/// std::invalid_argument with a message that names the flag.
+[[nodiscard]] double flag_double(std::string_view flag,
+                                 std::string_view value);
+
 /// The key=value pairs of one spec, taken by type. Each taker consumes its
 /// key and leaves `out` untouched when the key is absent. The first error
 /// is kept; finish() reports it, or else the first key nobody took.

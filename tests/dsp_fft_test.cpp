@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <latch>
 #include <limits>
 #include <numbers>
@@ -16,6 +17,7 @@
 #include "dsp/fft.hpp"
 #include "dsp/spectral.hpp"
 #include "dsp/window.hpp"
+#include "linalg/lanes.hpp"
 
 namespace safe::dsp {
 namespace {
@@ -107,7 +109,17 @@ ComplexSignal signed_zero_signal(std::size_t n, unsigned seed) {
   return x;
 }
 
-TEST(FftPlan, MatchesReferenceLoopBitForBitAtEveryPowerOfTwo) {
+/// Runs `body` with the split-plane kernels at `lanes` doubles per vector,
+/// or skips the test on a CPU that cannot run that width.
+void at_width(std::size_t lanes, const std::function<void()>& body) {
+  if (lanes == 4 && !linalg::lanes::avx2_supported()) {
+    GTEST_SKIP() << "four lanes need AVX2, which this CPU lacks";
+  }
+  const linalg::lanes::detail::ScopedWidth width(lanes);
+  body();
+}
+
+void every_power_of_two_matches_reference() {
   for (std::size_t n = 1; n <= 16384; n <<= 1U) {
     const auto seed = static_cast<unsigned>(n);
     for (const ComplexSignal& x :
@@ -127,14 +139,25 @@ TEST(FftPlan, MatchesReferenceLoopBitForBitAtEveryPowerOfTwo) {
   }
 }
 
-TEST(FftPlan, ZeroPaddedTransformMatchesReferenceLoop) {
-  // Non-power-of-two lengths and powers of two, padded by factors 1..8192.
+TEST(FftPlan, MatchesReferenceLoopBitForBitAtEveryPowerOfTwo) {
+  at_width(2, every_power_of_two_matches_reference);
+}
+
+TEST(FftPlanFourLanes, MatchesReferenceLoopBitForBitAtEveryPowerOfTwo) {
+  at_width(4, every_power_of_two_matches_reference);
+}
+
+void zero_padded_transforms_match_reference() {
+  // Non-power-of-two lengths and powers of two, padded by factors 1..8192;
+  // the minimum sizes 8, 16 and 32 pad short signals by r = 2, 4 and 8, so
+  // the four-lane stages start partway through a small transform.
   // Hann-windowed with negative end samples, index 0 (and the last index)
   // is exactly (-0, -0): the window's endpoints are +0.
   unsigned seed = 1;
-  for (const std::size_t m : {1U, 2U, 3U, 5U, 7U, 100U, 255U, 257U, 500U, 511U,
-                              512U, 513U, 1000U, 3000U}) {
-    for (const std::size_t min_size : {0U, 1U, 64U, 1024U, 4096U, 8192U}) {
+  for (const std::size_t m : {1U, 2U, 3U, 4U, 5U, 7U, 100U, 255U, 257U, 500U,
+                              511U, 512U, 513U, 1000U, 3000U}) {
+    for (const std::size_t min_size :
+         {0U, 1U, 8U, 16U, 32U, 64U, 1024U, 4096U, 8192U}) {
       ComplexSignal x = random_signal(m, ++seed);
       x.front() = Complex{-1.5, -0.25};
       x.back() = Complex{-0.5, -2.0};
@@ -152,6 +175,14 @@ TEST(FftPlan, ZeroPaddedTransformMatchesReferenceLoop) {
     }
   }
   EXPECT_TRUE(same_bits(fft(ComplexSignal{}, 16), reference_fft({}, 16)));
+}
+
+TEST(FftPlan, ZeroPaddedTransformMatchesReferenceLoop) {
+  at_width(2, zero_padded_transforms_match_reference);
+}
+
+TEST(FftPlanFourLanes, ZeroPaddedTransformMatchesReferenceLoop) {
+  at_width(4, zero_padded_transforms_match_reference);
 }
 
 TEST(FftPlan, ConcurrentFirstUseOfUncachedSizes) {
@@ -230,7 +261,7 @@ void expect_transforms_match_reference(const ComplexSignal& x,
   ifft_inplace(actual);
   EXPECT_TRUE(same_values(actual, expected)) << "inverse, " << what;
 
-  for (const std::size_t min_size : {0U, 64U, 4096U}) {
+  for (const std::size_t min_size : {0U, 16U, 32U, 64U, 4096U}) {
     EXPECT_TRUE(same_values(fft(x, min_size), reference_fft(x, min_size)))
         << "padded to " << min_size << ", " << what;
     SplitSpectrum planes;
@@ -244,11 +275,11 @@ void expect_transforms_match_reference(const ComplexSignal& x,
   }
 }
 
-TEST(SplitFft, InfiniteAndNanSamplesMatchReferenceLoop) {
+void non_finite_samples_match_reference() {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   unsigned seed = 40;
-  for (const std::size_t n : {1U, 2U, 4U, 8U, 64U, 512U}) {
+  for (const std::size_t n : {1U, 2U, 4U, 8U, 16U, 32U, 64U, 512U}) {
     for (const Complex bad : {Complex{kInf, 0.0}, Complex{-kInf, kInf},
                               Complex{0.0, -kInf}, Complex{nan, 0.0},
                               Complex{1.0, nan}, Complex{kInf, nan}}) {
@@ -267,7 +298,15 @@ TEST(SplitFft, InfiniteAndNanSamplesMatchReferenceLoop) {
   }
 }
 
-TEST(SplitFft, OverflowingSumsTakeTheLibraryProductPath) {
+TEST(SplitFft, InfiniteAndNanSamplesMatchReferenceLoop) {
+  at_width(2, non_finite_samples_match_reference);
+}
+
+TEST(SplitFftFourLanes, InfiniteAndNanSamplesMatchReferenceLoop) {
+  at_width(4, non_finite_samples_match_reference);
+}
+
+void overflowing_sums_match_reference() {
   // Finite samples near the top of the range: the first sums overflow to
   // infinity, and a later product of an infinite value with a twiddle that
   // has a zero part, (inf, inf) * (1, +0), comes out (NaN, NaN) inline.
@@ -279,7 +318,7 @@ TEST(SplitFft, OverflowingSumsTakeTheLibraryProductPath) {
                           Complex{1.0, 0.0};
   ASSERT_TRUE(std::isinf(product.real()) && std::isinf(product.imag()));
 
-  for (const std::size_t n : {4U, 8U, 16U, 512U}) {
+  for (const std::size_t n : {4U, 8U, 16U, 32U, 512U}) {
     expect_transforms_match_reference(
         ComplexSignal(n, huge), "constant 1e308, n = " + std::to_string(n));
     ComplexSignal x = random_signal(n, static_cast<unsigned>(n) + 5);
@@ -293,6 +332,14 @@ TEST(SplitFft, OverflowingSumsTakeTheLibraryProductPath) {
   EXPECT_TRUE(std::isinf(reference[0].real()) &&
               std::isinf(reference[0].imag()))
       << reference[0];
+}
+
+TEST(SplitFft, OverflowingSumsTakeTheLibraryProductPath) {
+  at_width(2, overflowing_sums_match_reference);
+}
+
+TEST(SplitFftFourLanes, OverflowingSumsTakeTheLibraryProductPath) {
+  at_width(4, overflowing_sums_match_reference);
 }
 
 TEST(Fft, NextPow2) {

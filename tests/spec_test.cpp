@@ -50,6 +50,25 @@ TEST(SpecKernel, ConvertersTakeTheWholeTokenAndNeverWrap) {
   EXPECT_FALSE(to_bool("yes").has_value());
 }
 
+TEST(SpecKernel, FlagConvertersNameTheFlagInTheirError) {
+  EXPECT_EQ(flag_uint("--port", "65535", 65535), 65535U);
+  EXPECT_EQ(flag_double("--onset", "182.5"), 182.5);
+  const auto message = [](auto&& parse) {
+    try {
+      parse();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_EQ(message([] { (void)flag_uint("--port", "70000", 65535); }),
+            "--port expects an integer in [0, 65535], got `70000`");
+  EXPECT_EQ(message([] { (void)flag_uint("--jobs", "-3"); }),
+            "--jobs expects a non-negative integer, got `-3`");
+  EXPECT_EQ(message([] { (void)flag_double("--onset", "nan"); }),
+            "--onset expects a finite number, got `nan`");
+}
+
 TEST(SpecKernel, ParamsTakeTypedValuesAndKeepTheFirstError) {
   Params params = Params::named("demo spec", "k:a=1.5,b=7,c=off,d=\"x,y\"");
   ASSERT_TRUE(params.ok());

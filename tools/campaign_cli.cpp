@@ -34,6 +34,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -133,15 +134,14 @@ class ProgressReporter {
 };
 
 /// A count flag's value. Only unsigned decimal digits are taken, so `-3`
-/// cannot wrap to 2^64 - 3.
+/// cannot wrap to 2^64 - 3; a bad value exits 2.
 std::uint64_t count_arg(const std::string& flag, const std::string& value) {
-  const std::optional<std::uint64_t> count = safe::spec::to_uint(value);
-  if (!count) {
-    std::cerr << flag << " expects a non-negative integer, got `" << value
-              << "`\n";
+  try {
+    return safe::spec::flag_uint(flag, value);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
     std::exit(2);
   }
-  return *count;
 }
 
 /// A `--spec` value is a file when it names one; otherwise it is parsed as

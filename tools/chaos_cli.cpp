@@ -11,12 +11,16 @@
 // SIGTERM/SIGINT stop the proxy; a summary goes to stderr and, with
 // --stats-json, a machine-readable copy to PATH.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "serve/chaos.hpp"
+#include "spec/spec.hpp"
 
 namespace {
 
@@ -70,24 +74,27 @@ int run(int argc, char** argv) {
       if (arg == "--target-host") {
         target_host = next();
       } else if (arg == "--target-port") {
-        target_port = static_cast<std::uint16_t>(std::stoul(next()));
+        target_port = static_cast<std::uint16_t>(spec::flag_uint(
+            arg, next(), std::numeric_limits<std::uint16_t>::max()));
       } else if (arg == "--bind") {
         bind_address = next();
       } else if (arg == "--port") {
-        port = static_cast<std::uint16_t>(std::stoul(next()));
+        port = static_cast<std::uint16_t>(spec::flag_uint(
+            arg, next(), std::numeric_limits<std::uint16_t>::max()));
       } else if (arg == "--port-file") {
         port_file = next();
       } else if (arg == "--chaos") {
         chaos_spec = next();
       } else if (arg == "--seed") {
-        seed = std::stoull(next());
+        seed = spec::flag_uint(arg, next());
       } else if (arg == "--stats-json") {
         stats_path = next();
       } else {
         usage(argv[0]);
       }
-    } catch (const std::exception&) {
-      usage(argv[0]);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "chaos_cli: " << e.what() << "\n";
+      return 2;
     }
   }
   if (target_port == 0) usage(argv[0]);

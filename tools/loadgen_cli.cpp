@@ -16,11 +16,15 @@
 // what a chaos soak behind chaos_cli needs to complete. Exit status is
 // non-zero when any session failed, any stream was incomplete, or any
 // verified frame mismatched.
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "serve/loadgen.hpp"
+#include "spec/spec.hpp"
 
 namespace {
 
@@ -68,16 +72,18 @@ int run(int argc, char** argv) {
     };
     try {
       if (arg == "--port") {
-        options.port = static_cast<std::uint16_t>(std::stoul(next()));
+        options.port = static_cast<std::uint16_t>(spec::flag_uint(
+            arg, next(), std::numeric_limits<std::uint16_t>::max()));
       } else if (arg == "--host") {
         options.host = next();
       } else if (arg == "--connections") {
-        options.connections = std::stoull(next());
+        options.connections = spec::flag_uint(arg, next());
       } else if (arg == "--sessions") {
-        options.sessions = std::stoull(next());
+        options.sessions = spec::flag_uint(arg, next());
         sessions_set = true;
       } else if (arg == "--steps") {
-        options.spec.horizon_steps = std::stoll(next());
+        options.spec.horizon_steps = static_cast<std::int64_t>(spec::flag_uint(
+            arg, next(), std::numeric_limits<std::int64_t>::max()));
       } else if (arg == "--scenario") {
         const std::string value = next();
         if (value == "const-decel") {
@@ -112,18 +118,19 @@ int run(int argc, char** argv) {
       } else if (arg == "--hardened") {
         options.spec.hardened = true;
       } else if (arg == "--seed") {
-        options.master_seed = std::stoull(next());
+        options.master_seed = spec::flag_uint(arg, next());
       } else if (arg == "--verify") {
         options.verify = true;
       } else if (arg == "--retries") {
-        options.retry_attempts = std::stoull(next());
+        options.retry_attempts = spec::flag_uint(arg, next());
       } else if (arg == "--json") {
         json = true;
       } else {
         usage(argv[0]);
       }
-    } catch (const std::exception&) {
-      usage(argv[0]);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "loadgen_cli: " << e.what() << "\n";
+      return 2;
     }
   }
   if (options.port == 0) usage(argv[0]);

@@ -16,14 +16,18 @@
 // trigger a graceful drain: the listener closes, in-flight session work
 // finishes, every client gets STATUS kDraining, then the process exits.
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "runtime/thread_pool.hpp"
 #include "serve/server.hpp"
+#include "spec/spec.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -67,6 +71,15 @@ namespace {
   std::exit(2);
 }
 
+/// A millisecond flag's value in nanoseconds; values whose product would
+/// overflow are rejected.
+std::uint64_t ms_arg(const std::string& flag, const std::string& value) {
+  constexpr std::uint64_t kNsPerMs = 1'000'000;
+  constexpr std::uint64_t kMaxMs =
+      std::numeric_limits<std::uint64_t>::max() / kNsPerMs;
+  return safe::spec::flag_uint(flag, value, kMaxMs) * kNsPerMs;
+}
+
 safe::serve::StreamServer* g_server = nullptr;
 
 extern "C" void handle_drain_signal(int) {
@@ -94,27 +107,31 @@ int run(int argc, char** argv) {
       if (arg == "--bind") {
         options.bind_address = next();
       } else if (arg == "--port") {
-        options.port = static_cast<std::uint16_t>(std::stoul(next()));
+        options.port = static_cast<std::uint16_t>(spec::flag_uint(
+            arg, next(), std::numeric_limits<std::uint16_t>::max()));
       } else if (arg == "--port-file") {
         port_file = next();
       } else if (arg == "--jobs") {
-        jobs = std::stoull(next());
+        jobs = spec::flag_uint(arg, next());
       } else if (arg == "--max-sessions") {
-        options.session.max_sessions = std::stoull(next());
+        options.session.max_sessions = spec::flag_uint(arg, next());
       } else if (arg == "--idle-timeout-ms") {
-        options.session.idle_timeout_ns = std::stoull(next()) * 1'000'000ULL;
+        options.session.idle_timeout_ns = ms_arg(arg, next());
       } else if (arg == "--max-outbound-kib") {
-        options.max_outbound_bytes = std::stoull(next()) * 1024;
+        options.max_outbound_bytes =
+            spec::flag_uint(arg, next(),
+                            std::numeric_limits<std::size_t>::max() / 1024) *
+            1024;
       } else if (arg == "--seed") {
-        options.master_seed = std::stoull(next());
+        options.master_seed = spec::flag_uint(arg, next());
       } else if (arg == "--admission-max-batches") {
-        options.admission_max_batches = std::stoull(next());
+        options.admission_max_batches = spec::flag_uint(arg, next());
       } else if (arg == "--frame-deadline-ms") {
-        options.frame_deadline_ns = std::stoull(next()) * 1'000'000ULL;
+        options.frame_deadline_ns = ms_arg(arg, next());
       } else if (arg == "--resume-grace-ms") {
-        options.session.resume_grace_ns = std::stoull(next()) * 1'000'000ULL;
+        options.session.resume_grace_ns = ms_arg(arg, next());
       } else if (arg == "--max-retained-steps") {
-        options.session.max_retained_steps = std::stoull(next());
+        options.session.max_retained_steps = spec::flag_uint(arg, next());
       } else if (arg == "--metrics-out") {
         metrics_path = next();
       } else if (arg == "--trace-out") {
@@ -122,8 +139,9 @@ int run(int argc, char** argv) {
       } else {
         usage(argv[0]);
       }
-    } catch (const std::exception&) {
-      usage(argv[0]);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << "serve_cli: " << e.what() << "\n";
+      return 2;
     }
   }
 
