@@ -4,8 +4,9 @@
 // both as a bare 4096-point transform and as the radar runs it, the three
 // root-MUSIC kernels at the radar's order-16, 512-sample configuration, a
 // periodogram radar epoch split into synthesis and the whole measure(), and
-// the epoch's Gaussian noise draws. The rows of the periodogram path run at
-// both lane widths (/lanes:2 SSE2, /lanes:4 AVX2; skipped without AVX2).
+// the epoch's Gaussian noise draws. The rows of the split-plane kernels
+// (root-MUSIC and the periodogram path) run at both lane widths (/lanes:2
+// SSE2, /lanes:4 AVX2; skipped without AVX2).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -216,38 +217,56 @@ linalg::Polynomial null_spectrum_polynomial(const dsp::ComplexSignal& segment) {
 }
 
 void BM_ForwardBackwardCovariance16x512(benchmark::State& state) {
+  if (!lanes_available(state)) return;
+  const linalg::lanes::detail::ScopedWidth lanes(
+      static_cast<std::size_t>(state.range(0)));
   const auto segment = radar_segment(true);
   for (auto _ : state) {
     benchmark::DoNotOptimize(dsp::forward_backward_covariance(segment, kOrder));
   }
 }
-BENCHMARK(BM_ForwardBackwardCovariance16x512);
+BENCHMARK(BM_ForwardBackwardCovariance16x512)
+    ->ArgName("lanes")
+    ->Arg(2)
+    ->Arg(4);
 
 void BM_EigenHermitian16(benchmark::State& state) {
+  if (!lanes_available(state)) return;
+  const linalg::lanes::detail::ScopedWidth lanes(
+      static_cast<std::size_t>(state.range(0)));
   const auto r = dsp::forward_backward_covariance(radar_segment(true), kOrder);
   for (auto _ : state) {
     benchmark::DoNotOptimize(linalg::eigen_hermitian(r));
   }
 }
-BENCHMARK(BM_EigenHermitian16);
+BENCHMARK(BM_EigenHermitian16)->ArgName("lanes")->Arg(2)->Arg(4);
 
 void BM_FindRoots30Converging(benchmark::State& state) {
+  if (!lanes_available(state)) return;
+  const linalg::lanes::detail::ScopedWidth lanes(
+      static_cast<std::size_t>(state.range(0)));
   const auto p = null_spectrum_polynomial(radar_segment(true));
   for (auto _ : state) {
     benchmark::DoNotOptimize(linalg::find_roots(p));
   }
 }
-BENCHMARK(BM_FindRoots30Converging);
+BENCHMARK(BM_FindRoots30Converging)->ArgName("lanes")->Arg(2)->Arg(4);
 
 void BM_FindRoots30Capped(benchmark::State& state) {
+  if (!lanes_available(state)) return;
+  const linalg::lanes::detail::ScopedWidth lanes(
+      static_cast<std::size_t>(state.range(0)));
   const auto p = null_spectrum_polynomial(radar_segment(false));
   for (auto _ : state) {
     benchmark::DoNotOptimize(linalg::find_roots(p));
   }
 }
-BENCHMARK(BM_FindRoots30Capped);
+BENCHMARK(BM_FindRoots30Capped)->ArgName("lanes")->Arg(2)->Arg(4);
 
 void BM_RootMusicRadarSegment(benchmark::State& state) {
+  if (!lanes_available(state)) return;
+  const linalg::lanes::detail::ScopedWidth lanes(
+      static_cast<std::size_t>(state.range(0)));
   const auto segment = radar_segment(true);
   const radar::RadarProcessorConfig cfg;
   for (auto _ : state) {
@@ -255,7 +274,7 @@ void BM_RootMusicRadarSegment(benchmark::State& state) {
         segment, cfg.sample_rate_hz.value(), 1, {.covariance_order = kOrder}));
   }
 }
-BENCHMARK(BM_RootMusicRadarSegment);
+BENCHMARK(BM_RootMusicRadarSegment)->ArgName("lanes")->Arg(2)->Arg(4);
 
 // A periodogram-mode radar epoch as the campaign runs it, one echo at
 // thermal noise: synthesis (2 x 512 complex Gaussian draws plus one

@@ -5,9 +5,11 @@
 #include <numbers>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "dsp/covariance.hpp"
 #include "linalg/eigen_hermitian.hpp"
+#include "linalg/lanes.hpp"
 #include "linalg/polynomial.hpp"
 
 namespace safe::dsp {
@@ -16,6 +18,137 @@ using linalg::CMatrix;
 using linalg::CVector;
 
 namespace {
+
+namespace lanes = linalg::lanes;
+
+/// Entry (i, j) of the noise projector En En^H: v(i, k) conj(v(j, k))
+/// added to +0 in k order, the order that fixes its rounding (and so the
+/// roots and the figures). The scalar form of project_noise, which redoes
+/// the entries it flags.
+Complex projector_entry(const CMatrix& v, std::size_t noise_dim,
+                        std::size_t i, std::size_t j) {
+  Complex acc{};
+  for (std::size_t k = 0; k < noise_dim; ++k) {
+    acc += v(i, k) * std::conj(v(j, k));
+  }
+  return acc;
+}
+
+/// The projector from the first noise_dim columns of v, L entries (i, j)
+/// of a row per vector. Column k of v is copied to split planes at k * ld
+/// (ld a multiple of L), so a vector holds v(j, k) for L rows j. Each lane
+/// runs projector_entry's operations in its order; entries whose sum may
+/// hold a NaN are redone by projector_entry.
+template <std::size_t L>
+[[gnu::always_inline]] inline void project_noise(const CMatrix& v,
+                                                 std::size_t noise_dim,
+                                                 CMatrix& projector) {
+  const std::size_t m = projector.rows();
+  const std::size_t ld = (m + L - 1) / L * L;
+  std::vector<double> v_re(noise_dim * ld, 0.0);
+  std::vector<double> v_im(noise_dim * ld, 0.0);
+  for (std::size_t k = 0; k < noise_dim; ++k) {
+    for (std::size_t j = 0; j < m; ++j) {
+      v_re[k * ld + j] = v(j, k).real();
+      v_im[k * ld + j] = v(j, k).imag();
+    }
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; j += L) {
+      lanes::SplitN<L> acc = lanes::splat<L>(0.0, 0.0);
+      for (std::size_t k = 0; k < noise_dim; ++k) {
+        const lanes::SplitN<L> vik =
+            lanes::splat<L>(v(i, k).real(), v(i, k).imag());
+        const lanes::SplitN<L> vjk =
+            lanes::load<L>(&v_re[k * ld + j], &v_im[k * ld + j]);
+        acc = acc + lanes::mul(vik, {vjk.re, -vjk.im});
+      }
+      const bool redo = lanes::maybe_nan(acc);
+      for (std::size_t e = 0; e < L && j + e < m; ++e) {
+        projector(i, j + e) = redo ? projector_entry(v, noise_dim, i, j + e)
+                                   : Complex{acc.re[e], acc.im[e]};
+      }
+    }
+  }
+}
+
+/// MUSIC null spectrum a(omega)^H C a(omega) with a(omega)_i = e^{j omega i},
+/// evaluated as dot(a, C * a). The scalar form of null_powers, which redoes
+/// the lanes it flags.
+double null_power(const CMatrix& c, double omega) {
+  const std::size_t m = c.rows();
+  CVector a(m);
+  CVector ca(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    a[i] = std::polar(1.0, omega * static_cast<double>(i));
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    Complex acc{};
+    for (std::size_t j = 0; j < m; ++j) acc += c(i, j) * a[j];
+    ca[i] = acc;
+  }
+  Complex power{};
+  for (std::size_t i = 0; i < m; ++i) power += std::conj(a[i]) * ca[i];
+  return std::real(power);
+}
+
+/// powers[n] = null_power(c, omegas[n]) for every candidate, L candidates
+/// per vector. Lane l builds the steering vector of its own candidate
+/// (std::polar, as null_power calls it) into split planes of m rows of L,
+/// and runs null_power's operations in its order; only the real part of
+/// the power is formed, since any product that __muldc3 would have redone
+/// leaves a NaN there. A lane that may hold a NaN is redone by null_power.
+template <std::size_t L>
+[[gnu::always_inline]] inline void null_powers(
+    const CMatrix& c, const std::vector<double>& omegas,
+    std::vector<double>& powers) {
+  const std::size_t m = c.rows();
+  std::vector<double> steer_re(m * L);
+  std::vector<double> steer_im(m * L);
+  for (std::size_t first = 0; first < omegas.size(); first += L) {
+    const std::size_t count = std::min(L, omegas.size() - first);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t l = 0; l < L; ++l) {
+        const double omega = l < count ? omegas[first + l] : 0.0;
+        const Complex ai = std::polar(1.0, omega * static_cast<double>(i));
+        steer_re[i * L + l] = ai.real();
+        steer_im[i * L + l] = ai.imag();
+      }
+    }
+    lanes::V<L> power{};
+    for (std::size_t i = 0; i < m; ++i) {
+      lanes::SplitN<L> cai = lanes::splat<L>(0.0, 0.0);
+      for (std::size_t j = 0; j < m; ++j) {
+        cai = cai + lanes::mul(lanes::splat<L>(c(i, j).real(), c(i, j).imag()),
+                               lanes::load<L>(&steer_re[j * L],
+                                              &steer_im[j * L]));
+      }
+      // Re(conj(a_i) * ca_i) = a_i.re ca_i.re - (-a_i.im) ca_i.im.
+      const lanes::SplitN<L> ai =
+          lanes::load<L>(&steer_re[i * L], &steer_im[i * L]);
+      power = power + (ai.re * cai.re - (-ai.im) * cai.im);
+    }
+    for (std::size_t l = 0; l < count; ++l) {
+      powers[first + l] = std::isnan(power[l])
+                              ? null_power(c, omegas[first + l])
+                              : power[l];
+    }
+  }
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void four_lane_project_noise(const CMatrix& v,
+                                                     std::size_t noise_dim,
+                                                     CMatrix& projector) {
+  project_noise<4>(v, noise_dim, projector);
+}
+
+[[gnu::target("avx2")]] void four_lane_null_powers(
+    const CMatrix& c, const std::vector<double>& omegas,
+    std::vector<double>& powers) {
+  null_powers<4>(c, omegas, powers);
+}
+#endif
 
 /// Noise-subspace projector En En^H from the covariance of `signal`.
 CMatrix noise_projector(const ComplexSignal& signal, std::size_t num_sources,
@@ -30,38 +163,31 @@ CMatrix noise_projector(const ComplexSignal& signal, std::size_t num_sources,
                   : sample_covariance(signal, m);
   const auto eig = linalg::eigen_hermitian(std::move(r));
   // Eigenvalues ascending: the first m - num_sources eigenvectors span the
-  // noise subspace. Each entry sums v_k(i) conj(v_k(j)) in k order, the
-  // order that fixes its rounding (and so the roots and the figures).
+  // noise subspace.
   const std::size_t noise_dim = m - num_sources;
-  const CMatrix& v = eig.eigenvectors;
   CMatrix projector(m, m);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      Complex acc{};
-      for (std::size_t k = 0; k < noise_dim; ++k) {
-        acc += v(i, k) * std::conj(v(j, k));
-      }
-      projector(i, j) = acc;
-    }
+#if defined(__x86_64__)
+  if (lanes::width() == 4) {
+    four_lane_project_noise(eig.eigenvectors, noise_dim, projector);
+    return projector;
   }
+#endif
+  project_noise<2>(eig.eigenvectors, noise_dim, projector);
   return projector;
 }
 
-/// MUSIC null spectrum a(omega)^H C a(omega) with a(omega)_i = e^{j omega i},
-/// evaluated as dot(a, C * a) into caller-owned buffers.
-double null_power(const CMatrix& c, double omega, CVector& a, CVector& ca) {
-  const std::size_t m = c.rows();
-  for (std::size_t i = 0; i < m; ++i) {
-    a[i] = std::polar(1.0, omega * static_cast<double>(i));
+/// null_powers at lanes::width().
+std::vector<double> null_powers_at_width(const CMatrix& c,
+                                         const std::vector<double>& omegas) {
+  std::vector<double> powers(omegas.size());
+#if defined(__x86_64__)
+  if (lanes::width() == 4) {
+    four_lane_null_powers(c, omegas, powers);
+    return powers;
   }
-  for (std::size_t i = 0; i < m; ++i) {
-    Complex acc{};
-    for (std::size_t j = 0; j < m; ++j) acc += c(i, j) * a[j];
-    ca[i] = acc;
-  }
-  Complex power{};
-  for (std::size_t i = 0; i < m; ++i) power += std::conj(a[i]) * ca[i];
-  return std::real(power);
+#endif
+  null_powers<2>(c, omegas, powers);
+  return powers;
 }
 
 }  // namespace
@@ -126,16 +252,21 @@ std::vector<double> root_music_frequencies(const ComplexSignal& signal,
     double null_power;
   };
   std::vector<Candidate> candidates;
+  std::vector<double> omegas;
   candidates.reserve(roots.size());
-  CVector steer(m);
-  CVector c_steer(m);
+  omegas.reserve(roots.size());
   for (const Complex& z : roots) {
     const double mag = std::abs(z);
     // Signal roots sit ON the circle (double roots at high SNR), and the
     // finite-precision split can land both of the pair slightly outside;
     // keep a generous band since ranking is by null power, not radius.
     if (mag > 1.05 || mag < 0.2) continue;
-    candidates.push_back({z, null_power(c, std::arg(z), steer, c_steer)});
+    candidates.push_back({z, 0.0});
+    omegas.push_back(std::arg(z));
+  }
+  const std::vector<double> powers = null_powers_at_width(c, omegas);
+  for (std::size_t n = 0; n < candidates.size(); ++n) {
+    candidates[n].null_power = powers[n];
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {

@@ -1,9 +1,10 @@
 // Double vectors for the split-plane kernels: two lanes (SSE2) or four
 // (AVX2).
 //
-// The FFT, covariance, Jacobi and Durand-Kerner kernels run the IEEE
-// operations that std::complex<double> arithmetic compiles to, in the same
-// order, on independent values at a time (GCC/Clang vector extension).
+// The FFT and the root-MUSIC kernels (covariance, Jacobi, noise projector,
+// null-power ranking, Durand-Kerner Horner chains) run the IEEE operations
+// that std::complex<double> arithmetic compiles to, in the same order, on
+// independent values at a time (GCC/Clang vector extension).
 // Real and imaginary parts live in separate vectors, so a lane's bits never
 // depend on the lane count.
 //
@@ -66,6 +67,10 @@ using V2 = V<2>;
 
 static_assert(sizeof(V<4>) == 4 * sizeof(double));
 
+/// The widest lane count: planes padded by a multiple of it serve either
+/// width.
+inline constexpr std::size_t kMaxWidth = 4;
+
 inline V2 splat(double x) { return V2{x, x}; }
 
 inline V2 load(const double* p) {
@@ -75,6 +80,17 @@ inline V2 load(const double* p) {
 }
 
 inline void store(double* p, V2 v) { std::memcpy(p, &v, sizeof v); }
+
+/// The L doubles of one plane at p into v, and v back to p.
+template <std::size_t L>
+inline void load_plane(V<L>& v, const double* p) {
+  std::memcpy(&v, p, sizeof v);
+}
+
+template <std::size_t L>
+inline void store_plane(double* p, const V<L>& v) {
+  std::memcpy(p, &v, sizeof v);
+}
 
 /// L complex numbers, split into real and imaginary lanes.
 template <std::size_t L>
@@ -127,12 +143,16 @@ inline SplitN<L> splat(double re, double im) {
   return v;
 }
 
-/// False only if no lane of v is NaN (opposite infinities in the two lanes
-/// also answer true, which merely sends the caller to its exact slow path).
-inline bool maybe_nan(V2 v) { return std::isnan(v[0] + v[1]); }
-
-/// maybe_nan over both parts of both complex lanes.
-inline bool maybe_nan(const Split& v) { return maybe_nan(v.re + v.im); }
+/// False only if no part of any lane of v is NaN. The parts are summed, and
+/// a NaN survives every sum; opposite infinities also answer true, which
+/// merely sends the caller to its exact slow path.
+template <std::size_t L>
+inline bool maybe_nan(const SplitN<L>& v) {
+  const V<L> parts = v.re + v.im;
+  double sum = parts[0];
+  for (std::size_t i = 1; i < L; ++i) sum += parts[i];
+  return std::isnan(sum);
+}
 
 /// True when this CPU runs AVX2 code (libgcc's check includes the OS saving
 /// the 256-bit registers).

@@ -16,18 +16,18 @@ constexpr double kLeadingTrimTol = 1e-300;
 
 using lanes::Split;
 
-/// Horner chains run interleaved, two per vector.
+/// Horner chains run interleaved, lanes::width() per vector.
 constexpr std::size_t kChainVectors = 4;
 
 /// Durand-Kerner iterates as split planes, padded past the degree so the
-/// two-lane loops below may run over the end (the padding stays finite and
-/// is never returned).
+/// loops below may run whole vectors of either width over the end (the
+/// padding stays finite and is never returned).
 class RootPlanes {
  public:
   explicit RootPlanes(std::size_t n)
       : n_(n),
-        re_(n + 2 * kChainVectors, 0.0),
-        im_(n + 2 * kChainVectors, 0.0) {}
+        re_(n + lanes::kMaxWidth * kChainVectors, 0.0),
+        im_(n + lanes::kMaxWidth * kChainVectors, 0.0) {}
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] std::size_t size() const { return re_.size(); }
@@ -36,8 +36,9 @@ class RootPlanes {
     re_[i] = z.real();
     im_[i] = z.imag();
   }
-  [[nodiscard]] Split lanes_at(std::size_t i) const {
-    return {lanes::load(&re_[i]), lanes::load(&im_[i])};
+  template <std::size_t L = 2>
+  [[nodiscard]] lanes::SplitN<L> lanes_at(std::size_t i) const {
+    return lanes::load<L>(&re_[i], &im_[i]);
   }
 
  private:
@@ -46,56 +47,80 @@ class RootPlanes {
   std::vector<double> im_;
 };
 
-/// A polynomial's coefficients as split planes for Horner chains run two
-/// points per vector.
-class Coefficients {
- public:
-  explicit Coefficients(const Polynomial& p) : p_(p) {
-    for (const Complex& ci : p.coefficients()) {
-      re_.push_back(ci.real());
-      im_.push_back(ci.imag());
+/// A polynomial and its coefficients as split planes.
+struct Coefficients {
+  explicit Coefficients(const Polynomial& poly) : p(poly) {
+    for (const Complex& ci : poly.coefficients()) {
+      re.push_back(ci.real());
+      im.push_back(ci.imag());
     }
   }
 
-  /// out[i] = p(z_i) for every root, each chain exactly as
-  /// Polynomial::evaluate runs it (acc = acc * z + c from the top),
-  /// 2 * kChainVectors chains interleaved. Values that may hold a NaN are
-  /// recomputed by Polynomial::evaluate itself.
-  void evaluate_all(const RootPlanes& z, double* out_re, double* out_im) const {
-    for (std::size_t i = 0; i < z.count(); i += 2 * kChainVectors) {
-      Split zv[kChainVectors] = {};
-      Split acc[kChainVectors] = {};
-      for (std::size_t v = 0; v < kChainVectors; ++v) {
-        zv[v] = z.lanes_at(i + 2 * v);
-        acc[v] = {lanes::splat(0.0), lanes::splat(0.0)};
-      }
-      for (std::size_t k = re_.size(); k > 0; --k) {
-        const Split ck{lanes::splat(re_[k - 1]), lanes::splat(im_[k - 1])};
-#pragma GCC unroll 4
-        for (std::size_t v = 0; v < kChainVectors; ++v) {
-          acc[v] = lanes::mul(acc[v], zv[v]) + ck;
-        }
-      }
-      Split any{lanes::splat(0.0), lanes::splat(0.0)};
-      for (std::size_t v = 0; v < kChainVectors; ++v) {
-        lanes::store(out_re + i + 2 * v, acc[v].re);
-        lanes::store(out_im + i + 2 * v, acc[v].im);
-        any = any + acc[v];
-      }
-      if (!lanes::maybe_nan(any)) continue;
-      for (std::size_t e = i; e < i + 2 * kChainVectors && e < z.count(); ++e) {
-        const Complex v = p_.evaluate(z.get(e));
-        out_re[e] = v.real();
-        out_im[e] = v.imag();
-      }
-    }
-  }
-
- private:
-  const Polynomial& p_;
-  std::vector<double> re_;
-  std::vector<double> im_;
+  const Polynomial& p;
+  std::vector<double> re;
+  std::vector<double> im;
 };
+
+/// out[i] = p(z_i) for every root, each chain exactly as
+/// Polynomial::evaluate runs it (acc = acc * z + c from the top),
+/// L * kChainVectors chains interleaved. Values that may hold a NaN are
+/// recomputed by Polynomial::evaluate itself.
+template <std::size_t L>
+[[gnu::always_inline]] inline void horner_chains(const Coefficients& c,
+                                                 const RootPlanes& z,
+                                                 double* out_re,
+                                                 double* out_im) {
+  constexpr std::size_t kChains = L * kChainVectors;
+  for (std::size_t i = 0; i < z.count(); i += kChains) {
+    lanes::SplitN<L> zv[kChainVectors] = {};
+    lanes::SplitN<L> acc[kChainVectors] = {};
+    for (std::size_t v = 0; v < kChainVectors; ++v) {
+      zv[v] = z.lanes_at<L>(i + L * v);
+      acc[v] = lanes::splat<L>(0.0, 0.0);
+    }
+    for (std::size_t k = c.re.size(); k > 0; --k) {
+      const lanes::SplitN<L> ck = lanes::splat<L>(c.re[k - 1], c.im[k - 1]);
+#pragma GCC unroll 4
+      for (std::size_t v = 0; v < kChainVectors; ++v) {
+        acc[v] = lanes::mul(acc[v], zv[v]) + ck;
+      }
+    }
+    lanes::SplitN<L> any = lanes::splat<L>(0.0, 0.0);
+    for (std::size_t v = 0; v < kChainVectors; ++v) {
+      lanes::store(out_re + i + L * v, out_im + i + L * v, acc[v]);
+      any = any + acc[v];
+    }
+    if (!lanes::maybe_nan(any)) continue;
+    for (std::size_t e = i; e < i + kChains && e < z.count(); ++e) {
+      const Complex v = c.p.evaluate(z.get(e));
+      out_re[e] = v.real();
+      out_im[e] = v.imag();
+    }
+  }
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] void four_lane_horner_chains(const Coefficients& c,
+                                                     const RootPlanes& z,
+                                                     double* out_re,
+                                                     double* out_im) {
+  horner_chains<4>(c, z, out_re, out_im);
+}
+#endif
+
+/// horner_chains at lanes::width(): the one AVX2 call of a Durand-Kerner
+/// sweep. The serial loop between the calls stays in code built without
+/// AVX2, where it measured faster.
+void evaluate_all(const Coefficients& c, const RootPlanes& z, double* out_re,
+                  double* out_im) {
+#if defined(__x86_64__)
+  if (lanes::width() == 4) {
+    four_lane_horner_chains(c, z, out_re, out_im);
+    return;
+  }
+#endif
+  horner_chains<2>(c, z, out_re, out_im);
+}
 
 /// Once root i has moved, multiplies the running product of every later
 /// root j by (z_j - z_i), two roots per vector.
@@ -260,7 +285,7 @@ std::vector<Complex> find_roots(const Polynomial& p,
   const std::size_t iterations =
       std::max(options.max_iterations, 30 * n);
   for (std::size_t iter = 0; iter < iterations; ++iter) {
-    qc.evaluate_all(z, h_re.data(), h_im.data());
+    evaluate_all(qc, z, h_re.data(), h_im.data());
     std::fill(d_re.begin(), d_re.end(), 1.0);
     std::fill(d_im.begin(), d_im.end(), 0.0);
     bool settled = true;  // no nudge and every |step| < tol (NaN ignored)
@@ -291,8 +316,8 @@ std::vector<Complex> find_roots(const Polynomial& p,
   const Coefficients dqc(dq);
   std::vector<bool> polishing(n, true);
   for (int step = 0; step < 3; ++step) {
-    dqc.evaluate_all(z, d_re.data(), d_im.data());
-    qc.evaluate_all(z, h_re.data(), h_im.data());
+    evaluate_all(dqc, z, d_re.data(), d_im.data());
+    evaluate_all(qc, z, h_re.data(), h_im.data());
     for (std::size_t i = 0; i < n; ++i) {
       if (!polishing[i]) continue;
       const Complex d{d_re[i], d_im[i]};

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <latch>
 #include <limits>
 #include <numbers>
@@ -17,7 +16,7 @@
 #include "dsp/fft.hpp"
 #include "dsp/spectral.hpp"
 #include "dsp/window.hpp"
-#include "linalg/lanes.hpp"
+#include "oracles.hpp"
 
 namespace safe::dsp {
 namespace {
@@ -109,15 +108,8 @@ ComplexSignal signed_zero_signal(std::size_t n, unsigned seed) {
   return x;
 }
 
-/// Runs `body` with the split-plane kernels at `lanes` doubles per vector,
-/// or skips the test on a CPU that cannot run that width.
-void at_width(std::size_t lanes, const std::function<void()>& body) {
-  if (lanes == 4 && !linalg::lanes::avx2_supported()) {
-    GTEST_SKIP() << "four lanes need AVX2, which this CPU lacks";
-  }
-  const linalg::lanes::detail::ScopedWidth width(lanes);
-  body();
-}
+using oracles::at_width;
+using oracles::same_value;
 
 void every_power_of_two_matches_reference() {
   for (std::size_t n = 1; n <= 16384; n <<= 1U) {
@@ -222,12 +214,6 @@ TEST(FftPlan, ConcurrentFirstUseOfUncachedSizes) {
 }
 
 // --- split-plane kernel: non-finite samples ---------------------------------
-
-/// Bits equal, or both NaN: NaN payloads are not pinned.
-bool same_value(double a, double b) {
-  return (std::isnan(a) && std::isnan(b)) ||
-         std::memcmp(&a, &b, sizeof a) == 0;
-}
 
 ::testing::AssertionResult same_values(const ComplexSignal& actual,
                                        const ComplexSignal& expected) {

@@ -2,14 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <numbers>
 #include <random>
 #include <set>
+#include <vector>
 
 #include "dsp/covariance.hpp"
 #include "dsp/music.hpp"
 #include "dsp/prbs.hpp"
+#include "oracles.hpp"
 
 namespace safe::dsp {
 namespace {
@@ -72,65 +73,42 @@ TEST(Covariance, ExchangeConjugateIsInvolution) {
             1e-14);
 }
 
-/// The snapshot triple loop the lag-product kernel replaced, kept as the
-/// oracle.
-linalg::CMatrix reference_sample_covariance(const ComplexSignal& signal,
-                                            std::size_t order) {
-  const std::size_t snapshots = signal.size() - order + 1;
-  linalg::CMatrix r(order, order);
-  for (std::size_t n = 0; n < snapshots; ++n) {
-    for (std::size_t i = 0; i < order; ++i) {
-      const Complex yi = signal[n + i];
-      for (std::size_t j = 0; j < order; ++j) {
-        r(i, j) += yi * std::conj(signal[n + j]);
-      }
-    }
-  }
-  const double scale = 1.0 / static_cast<double>(snapshots);
-  for (std::size_t i = 0; i < order; ++i) {
-    for (std::size_t j = 0; j < order; ++j) r(i, j) *= scale;
-  }
-  return r;
-}
-
-linalg::CMatrix reference_forward_backward(const ComplexSignal& signal,
-                                           std::size_t order) {
-  const linalg::CMatrix fwd = reference_sample_covariance(signal, order);
-  linalg::CMatrix avg = fwd;
-  avg += exchange_conjugate(fwd);
-  avg *= Complex{0.5, 0.0};
-  return avg;
-}
-
-bool same_bits(const linalg::CMatrix& a, const linalg::CMatrix& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(),
-                     a.rows() * a.cols() * sizeof(Complex)) == 0;
-}
-
-/// Both covariance forms against the oracle at every order that fits.
+/// Both covariance forms against the oracle at every order that fits
+/// (NaNs compare equal to each other). Orders 1-9 end the four-lane lag and
+/// window loops partway through a vector.
 void expect_covariance_matches_oracle(const ComplexSignal& x,
                                       const char* label) {
-  for (const std::size_t order : {1u, 2u, 3u, 16u, 24u}) {
+  for (const std::size_t order :
+       {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 16u, 17u, 24u}) {
     if (order > x.size()) continue;
-    EXPECT_TRUE(same_bits(sample_covariance(x, order),
-                          reference_sample_covariance(x, order)))
+    EXPECT_TRUE(oracles::same_values(
+        sample_covariance(x, order),
+        oracles::reference_sample_covariance(x, order)))
         << label << " n=" << x.size() << " order=" << order;
-    EXPECT_TRUE(same_bits(forward_backward_covariance(x, order),
-                          reference_forward_backward(x, order)))
+    EXPECT_TRUE(oracles::same_values(
+        forward_backward_covariance(x, order),
+        oracles::reference_forward_backward(x, order)))
         << label << " n=" << x.size() << " order=" << order;
   }
 }
 
-TEST(CovarianceOracle, NoisyTonesMatchReferenceLoopBitForBit) {
-  for (const std::size_t n : {24u, 25u, 31u, 64u, 127u, 512u}) {
+void noisy_tones_match_reference() {
+  for (const std::size_t n : {9u, 13u, 24u, 25u, 31u, 37u, 64u, 127u, 512u}) {
     ComplexSignal x = make_tone(0.13, 1.0, n, 1.0, 0.4);
     add_noise(x, 0.3, static_cast<unsigned>(n));
     expect_covariance_matches_oracle(x, "noisy tone");
   }
 }
 
-TEST(CovarianceOracle, RealZeroAndSignedZeroSignals) {
+TEST(CovarianceOracle, NoisyTonesMatchReferenceLoopBitForBit) {
+  oracles::at_width(2, noisy_tones_match_reference);
+}
+
+TEST(CovarianceOracleFourLanes, NoisyTonesMatchReferenceLoopBitForBit) {
+  oracles::at_width(4, noisy_tones_match_reference);
+}
+
+void signed_zero_signals_match_reference() {
   std::mt19937 rng(7);
   std::uniform_real_distribution<double> dist(-1.0, 1.0);
   ComplexSignal real(97);
@@ -151,7 +129,15 @@ TEST(CovarianceOracle, RealZeroAndSignedZeroSignals) {
   expect_covariance_matches_oracle(only_zeros, "only signed zeros");
 }
 
-TEST(CovarianceOracle, OverflowingEntriesTakeTheLibraryProductPath) {
+TEST(CovarianceOracle, RealZeroAndSignedZeroSignals) {
+  oracles::at_width(2, signed_zero_signals_match_reference);
+}
+
+TEST(CovarianceOracleFourLanes, RealZeroAndSignedZeroSignals) {
+  oracles::at_width(4, signed_zero_signals_match_reference);
+}
+
+void overflowing_entries_match_reference() {
   // Entries near 1e160 overflow their products to infinities, sums of
   // opposite infinities turn NaN, and the forward-backward scaling by
   // (0.5, 0) then has both parts NaN and goes through __muldc3.
@@ -180,6 +166,67 @@ TEST(CovarianceOracle, OverflowingEntriesTakeTheLibraryProductPath) {
   inf[9] = Complex{INFINITY, 0.0};
   inf[20] = Complex{0.0, -INFINITY};
   expect_covariance_matches_oracle(inf, "infinite samples");
+}
+
+TEST(CovarianceOracle, OverflowingEntriesTakeTheLibraryProductPath) {
+  oracles::at_width(2, overflowing_entries_match_reference);
+}
+
+TEST(CovarianceOracleFourLanes, OverflowingEntriesTakeTheLibraryProductPath) {
+  oracles::at_width(4, overflowing_entries_match_reference);
+}
+
+/// root_music_frequencies against the composed reference loops: the
+/// projector and the null-power ranking have no oracle of their own.
+void expect_root_music_matches_oracle(const ComplexSignal& x,
+                                      std::size_t sources, std::size_t order,
+                                      const char* label) {
+  const double fs = 1.0e6;
+  for (const bool fb : {true, false}) {
+    const std::vector<double> got = root_music_frequencies(
+        x, fs, sources, {.covariance_order = order, .forward_backward = fb});
+    const std::vector<double> want =
+        oracles::reference_root_music_frequencies(x, fs, sources, order, fb);
+    EXPECT_TRUE(oracles::same_values(got, want))
+        << label << ", sources=" << sources << ", order=" << order
+        << (fb ? ", forward-backward" : ", forward");
+  }
+}
+
+void root_music_matches_reference() {
+  const double fs = 1.0e6;
+  for (const std::size_t order : {5u, 16u, 17u}) {
+    ComplexSignal one = make_tone(47'000.0, fs, 129, 1.0, 0.3);
+    add_noise(one, 0.1, static_cast<unsigned>(order));
+    expect_root_music_matches_oracle(one, 1, order, "noisy tone");
+    // Noise-free: a rank-one covariance whose roots pair up on the unit
+    // circle, where rooting runs to its sweep cap.
+    expect_root_music_matches_oracle(make_tone(-210'000.0, fs, 96), 1, order,
+                                     "clean tone");
+
+    ComplexSignal two = make_tone(100'000.0, fs, 255, 1.0, 0.3);
+    const ComplexSignal second = make_tone(130'000.0, fs, 255, 0.5, 2.1);
+    for (std::size_t i = 0; i < two.size(); ++i) two[i] += second[i];
+    add_noise(two, 0.05, static_cast<unsigned>(order) + 40);
+    expect_root_music_matches_oracle(two, 2, order, "two tones");
+
+    // Non-finite samples reach every kernel's fallback.
+    for (const Complex bad : {Complex{NAN, 0.0}, Complex{INFINITY, 0.0},
+                              Complex{0.0, -INFINITY}}) {
+      ComplexSignal x = one;
+      x[x.size() / 2] = bad;
+      expect_root_music_matches_oracle(x, 1, order, "non-finite sample");
+      expect_root_music_matches_oracle(x, 2, order, "non-finite sample");
+    }
+  }
+}
+
+TEST(RootMusicOracle, MatchesReferenceLoopBitForBit) {
+  oracles::at_width(2, root_music_matches_reference);
+}
+
+TEST(RootMusicOracleFourLanes, MatchesReferenceLoopBitForBit) {
+  oracles::at_width(4, root_music_matches_reference);
 }
 
 TEST(RootMusic, SingleCleanTone) {

@@ -5,11 +5,10 @@
 
 #include <cmath>
 #include <complex>
-#include <cstring>
-#include <numeric>
 #include <random>
 
 #include "linalg/matrix.hpp"
+#include "oracles.hpp"
 
 namespace safe::linalg {
 namespace {
@@ -45,127 +44,27 @@ CMatrix random_hermitian(std::size_t n, unsigned seed) {
   return m;
 }
 
-/// The cyclic Jacobi loop the split-plane kernel replaced, kept as the
-/// oracle: rotations applied to columns and rows of the full matrix with
-/// std::complex arithmetic.
-template <typename T>
-HermitianEigenResult<T> reference_eigen_hermitian(Matrix<T> a,
-                                                  real_of_t<T> tol = 1e-13,
-                                                  std::size_t max_sweeps = 64) {
-  using R = real_of_t<T>;
-  const std::size_t n = a.rows();
-  Matrix<T> v = Matrix<T>::identity(n);
-  const auto off_diagonal_norm2 = [&] {
-    R acc{};
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; ++j) {
-        if (i != j) acc += std::norm(std::complex<R>(a(i, j)));
-      }
-    }
-    return acc;
-  };
-
-  HermitianEigenResult<T> result;
-  const R scale = frobenius_norm(a);
-  const R threshold2 = (scale == R{} ? R{1} : scale * scale) * tol * tol;
-
-  std::size_t sweep = 0;
-  for (; sweep < max_sweeps; ++sweep) {
-    if (off_diagonal_norm2() <= threshold2) break;
-    for (std::size_t p = 0; p + 1 < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
-        const T apq = a(p, q);
-        const R alpha = std::abs(apq);
-        if (alpha <= tol * scale / static_cast<R>(n * n) || alpha == R{}) {
-          continue;
-        }
-        const R app = std::real(std::complex<R>(a(p, p)));
-        const R aqq = std::real(std::complex<R>(a(q, q)));
-        const T phase = apq / static_cast<T>(alpha);
-
-        const R tau = (aqq - app) / (R{2} * alpha);
-        R t;
-        if (tau >= R{}) {
-          t = R{1} / (tau + std::sqrt(R{1} + tau * tau));
-        } else {
-          t = R{-1} / (-tau + std::sqrt(R{1} + tau * tau));
-        }
-        const R c = R{1} / std::sqrt(R{1} + t * t);
-        const R s = t * c;
-
-        const R app_new = c * c * app - R{2} * c * s * alpha + s * s * aqq;
-        const R aqq_new = s * s * app + R{2} * c * s * alpha + c * c * aqq;
-
-        for (std::size_t i = 0; i < n; ++i) {
-          if (i == p || i == q) continue;
-          const T aip = a(i, p);
-          const T aiq = a(i, q);
-          const T new_ip = aip * static_cast<T>(c) -
-                           aiq * static_cast<T>(s) * conj_scalar(phase);
-          const T new_iq = aip * static_cast<T>(s) * phase +
-                           aiq * static_cast<T>(c);
-          a(i, p) = new_ip;
-          a(p, i) = conj_scalar(new_ip);
-          a(i, q) = new_iq;
-          a(q, i) = conj_scalar(new_iq);
-        }
-        a(p, p) = static_cast<T>(app_new);
-        a(q, q) = static_cast<T>(aqq_new);
-        a(p, q) = T{};
-        a(q, p) = T{};
-
-        for (std::size_t i = 0; i < n; ++i) {
-          const T vip = v(i, p);
-          const T viq = v(i, q);
-          v(i, p) = vip * static_cast<T>(c) -
-                    viq * static_cast<T>(s) * conj_scalar(phase);
-          v(i, q) = vip * static_cast<T>(s) * phase + viq * static_cast<T>(c);
-        }
-      }
-    }
-  }
-  result.sweeps = sweep;
-  result.converged = off_diagonal_norm2() <= threshold2;
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  Vector<R> raw(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    raw[i] = std::real(std::complex<R>(a(i, i)));
-  }
-  std::sort(order.begin(), order.end(),
-            [&raw](std::size_t x, std::size_t y) { return raw[x] < raw[y]; });
-  result.eigenvalues = Vector<R>(n);
-  result.eigenvectors = Matrix<T>(n, n);
-  for (std::size_t k = 0; k < n; ++k) {
-    result.eigenvalues[k] = raw[order[k]];
-    result.eigenvectors.set_col(k, v.col(order[k]));
-  }
-  return result;
-}
-
-/// Eigenvalues, eigenvectors, sweeps and convergence flag, bit for bit.
+/// Eigenvalues, eigenvectors, sweeps and convergence flag, bit for bit
+/// (NaNs compare equal to each other).
 template <typename T>
 void expect_matches_oracle(const Matrix<T>& a, const char* label) {
   const auto got = eigen_hermitian(a);
-  const auto want = reference_eigen_hermitian(a);
+  const auto want = oracles::reference_eigen_hermitian(a);
   const std::size_t n = a.rows();
   EXPECT_EQ(got.sweeps, want.sweeps) << label << " n=" << n;
   EXPECT_EQ(got.converged, want.converged) << label << " n=" << n;
   ASSERT_EQ(got.eigenvalues.size(), n);
   ASSERT_EQ(got.eigenvectors.rows(), n);
   ASSERT_EQ(got.eigenvectors.cols(), n);
-  EXPECT_EQ(std::memcmp(got.eigenvalues.data(), want.eigenvalues.data(),
-                        n * sizeof(real_of_t<T>)),
-            0)
+  EXPECT_TRUE(oracles::same_values(got.eigenvalues.data(),
+                                   want.eigenvalues.data(), n))
       << label << " n=" << n;
-  EXPECT_EQ(std::memcmp(got.eigenvectors.data(), want.eigenvectors.data(),
-                        n * n * sizeof(T)),
-            0)
+  EXPECT_TRUE(oracles::same_values(got.eigenvectors.data(),
+                                   want.eigenvectors.data(), n * n))
       << label << " n=" << n;
 }
 
-TEST(EigenOracle, HermitianMatchesReferenceLoopBitForBit) {
+void hermitian_matches_reference() {
   for (std::size_t n = 1; n <= 17; ++n) {
     expect_matches_oracle(random_hermitian(n, static_cast<unsigned>(n) + 500),
                           "hermitian");
@@ -173,8 +72,16 @@ TEST(EigenOracle, HermitianMatchesReferenceLoopBitForBit) {
   expect_matches_oracle(random_hermitian(24, 77), "hermitian");
 }
 
-TEST(EigenOracle, RealSymmetricMatchesReferenceLoopBitForBit) {
-  for (std::size_t n = 1; n <= 12; ++n) {
+TEST(EigenOracle, HermitianMatchesReferenceLoopBitForBit) {
+  oracles::at_width(2, hermitian_matches_reference);
+}
+
+TEST(EigenOracleFourLanes, HermitianMatchesReferenceLoopBitForBit) {
+  oracles::at_width(4, hermitian_matches_reference);
+}
+
+void real_symmetric_matches_reference() {
+  for (std::size_t n = 1; n <= 15; ++n) {
     const RMatrix a = random_symmetric(n, static_cast<unsigned>(n) + 900);
     expect_matches_oracle(a, "real");
     // The same matrix as complex entries with zero imaginary parts.
@@ -186,11 +93,20 @@ TEST(EigenOracle, RealSymmetricMatchesReferenceLoopBitForBit) {
   }
 }
 
-TEST(EigenOracle, TriangleMismatchesAndSkippedRotations) {
+TEST(EigenOracle, RealSymmetricMatchesReferenceLoopBitForBit) {
+  oracles::at_width(2, real_symmetric_matches_reference);
+}
+
+TEST(EigenOracleFourLanes, RealSymmetricMatchesReferenceLoopBitForBit) {
+  oracles::at_width(4, real_symmetric_matches_reference);
+}
+
+void triangle_mismatches_match_reference() {
   // The lower triangle is read from the input until a rotation rewrites it,
   // so a matrix Hermitian only to roundoff (or with +0 where the conjugate
-  // has -0) must see exactly those lower entries.
-  for (std::size_t n : {2u, 5u, 8u, 16u}) {
+  // has -0) must see exactly those lower entries. Sizes 5-7 and 13-15 end
+  // the four-lane column loops partway through a vector.
+  for (std::size_t n : {2u, 5u, 6u, 7u, 8u, 13u, 14u, 15u, 16u}) {
     CMatrix a = random_hermitian(n, static_cast<unsigned>(n) + 1300);
     for (std::size_t i = 1; i < n; ++i) a(i, 0) += C{1e-15, -2e-15};
     // +0 imaginary parts on both sides of the diagonal: the conjugate of
@@ -204,7 +120,7 @@ TEST(EigenOracle, TriangleMismatchesAndSkippedRotations) {
   // Sparse, purely imaginary off-diagonals with -0.0 real parts: with
   // exact zeros all around, the ×0.0 terms of each scaling by (c, 0)
   // decide the signs of zero results.
-  for (std::size_t n : {3u, 6u, 9u}) {
+  for (std::size_t n : {3u, 5u, 6u, 7u, 9u, 13u, 15u}) {
     CMatrix a = random_hermitian(n, static_cast<unsigned>(n) + 1500);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = i + 1; j < n; ++j) {
@@ -226,7 +142,15 @@ TEST(EigenOracle, TriangleMismatchesAndSkippedRotations) {
   expect_matches_oracle(CMatrix(5, 5), "zero");
 }
 
-TEST(EigenOracle, NonFiniteEntries) {
+TEST(EigenOracle, TriangleMismatchesAndSkippedRotations) {
+  oracles::at_width(2, triangle_mismatches_match_reference);
+}
+
+TEST(EigenOracleFourLanes, TriangleMismatchesAndSkippedRotations) {
+  oracles::at_width(4, triangle_mismatches_match_reference);
+}
+
+void non_finite_entries_match_reference() {
   // One non-finite pair at every off-diagonal position: some rotations then
   // have a finite pivot but a non-finite entry in the columns they rotate.
   for (std::size_t i = 0; i < 4; ++i) {
@@ -240,7 +164,7 @@ TEST(EigenOracle, NonFiniteEntries) {
     }
   }
   for (const double bad : {NAN, INFINITY, -INFINITY}) {
-    for (std::size_t n : {1u, 2u, 3u, 6u}) {
+    for (std::size_t n : {1u, 2u, 3u, 5u, 6u, 7u, 13u, 15u}) {
       CMatrix a = random_hermitian(n, static_cast<unsigned>(n) + 1700);
       a(n / 2, n - 1) = C{bad, 0.5};
       if (n / 2 != n - 1) a(n - 1, n / 2) = std::conj(a(n / 2, n - 1));
@@ -251,6 +175,14 @@ TEST(EigenOracle, NonFiniteEntries) {
       expect_matches_oracle(r, "non-finite real");
     }
   }
+}
+
+TEST(EigenOracle, NonFiniteEntries) {
+  oracles::at_width(2, non_finite_entries_match_reference);
+}
+
+TEST(EigenOracleFourLanes, NonFiniteEntries) {
+  oracles::at_width(4, non_finite_entries_match_reference);
 }
 
 TEST(EigenHermitian, DiagonalMatrixEigenvaluesSorted) {

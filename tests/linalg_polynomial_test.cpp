@@ -6,11 +6,11 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
-#include <cstring>
-#include <limits>
 #include <numbers>
 #include <random>
 #include <vector>
+
+#include "oracles.hpp"
 
 namespace safe::linalg {
 namespace {
@@ -31,79 +31,8 @@ void expect_roots_match(const std::vector<Complex>& expected,
   }
 }
 
-/// What the Durand-Kerner loop the pipelined kernel replaced did on one call.
-struct ReferenceTrace {
-  std::size_t sweeps = 0;  ///< Sweeps run, counting the converged one.
-  std::size_t nudges = 0;  ///< Collision nudges taken.
-  std::vector<double> max_steps;  ///< Largest |step| of each sweep.
-};
-
-/// The Durand-Kerner loop the pipelined kernel replaced, kept as the
-/// oracle: per root, the full product over the other roots, Horner, and
-/// std::abs (hypot) for both the collision and the convergence test.
-std::vector<Complex> reference_find_roots(
-    const Polynomial& p, ReferenceTrace& trace,
-    const RootFindingOptions& options = {}) {
-  const std::size_t n = p.degree();
-  const Polynomial q = p.monic();
-  const auto& c = q.coefficients();
-  if (n == 1) return {-c[0]};
-
-  double cauchy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    cauchy = std::max(cauchy, std::abs(c[i]));
-  }
-  cauchy += 1.0;
-  const double c0 = std::abs(c[0]);
-  double radius = c0 > 0.0
-                      ? std::exp(std::log(c0) / static_cast<double>(n))
-                      : 0.5;
-  radius = std::clamp(radius, 1e-3, cauchy);
-
-  std::vector<Complex> z(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double angle = (2.0 * std::numbers::pi * static_cast<double>(i)) /
-                             static_cast<double>(n) +
-                         0.3979;
-    const double r = radius * (0.8 + 0.4 * (static_cast<double>(i) + 1.0) /
-                                         static_cast<double>(n));
-    z[i] = std::polar(r, angle);
-  }
-
-  const std::size_t iterations = std::max(options.max_iterations, 30 * n);
-  for (std::size_t iter = 0; iter < iterations; ++iter) {
-    ++trace.sweeps;
-    double max_step = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      Complex denom{1.0, 0.0};
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i) continue;
-        denom *= (z[i] - z[j]);
-      }
-      if (std::abs(denom) == 0.0) {
-        z[i] += Complex(1e-6 * (static_cast<double>(i) + 1.0), 1e-6);
-        max_step = std::numeric_limits<double>::infinity();
-        ++trace.nudges;
-        continue;
-      }
-      const Complex step = q.evaluate(z[i]) / denom;
-      z[i] -= step;
-      max_step = std::max(max_step, std::abs(step));
-    }
-    trace.max_steps.push_back(max_step);
-    if (max_step < options.tolerance) break;
-  }
-
-  const Polynomial dq = q.derivative();
-  for (auto& zi : z) {
-    for (int step = 0; step < 3; ++step) {
-      const Complex d = dq.evaluate(zi);
-      if (std::abs(d) == 0.0) break;
-      zi -= q.evaluate(zi) / d;
-    }
-  }
-  return z;
-}
+using oracles::ReferenceTrace;
+using oracles::reference_find_roots;
 
 ReferenceTrace expect_roots_match_oracle(
     const Polynomial& p, const RootFindingOptions& options = {}) {
@@ -112,8 +41,7 @@ ReferenceTrace expect_roots_match_oracle(
   const std::vector<Complex> got = find_roots(p, options);
   EXPECT_EQ(got.size(), want.size());
   if (got.size() == want.size()) {
-    EXPECT_EQ(
-        std::memcmp(got.data(), want.data(), got.size() * sizeof(Complex)), 0)
+    EXPECT_TRUE(oracles::same_values(got.data(), want.data(), got.size()))
         << "degree " << p.degree();
   }
   return trace;
@@ -127,7 +55,7 @@ std::vector<Complex> random_coefficients(std::size_t degree, unsigned seed) {
   return c;
 }
 
-TEST(FindRootsOracle, DegreesOneToFortyMatchReferenceLoopBitForBit) {
+void degrees_one_to_forty_match_reference() {
   for (std::size_t degree = 1; degree <= 40; ++degree) {
     const auto seed = static_cast<unsigned>(degree);
     expect_roots_match_oracle(Polynomial(random_coefficients(degree, seed)));
@@ -153,7 +81,15 @@ TEST(FindRootsOracle, DegreesOneToFortyMatchReferenceLoopBitForBit) {
   expect_roots_match_oracle(p, {.max_iterations = 1000, .tolerance = 1e-300});
 }
 
-TEST(FindRootsOracle, ToleranceAtASweepsLargestStep) {
+TEST(FindRootsOracle, DegreesOneToFortyMatchReferenceLoopBitForBit) {
+  oracles::at_width(2, degrees_one_to_forty_match_reference);
+}
+
+TEST(FindRootsOracleFourLanes, DegreesOneToFortyMatchReferenceLoopBitForBit) {
+  oracles::at_width(4, degrees_one_to_forty_match_reference);
+}
+
+void tolerance_at_a_sweeps_largest_step() {
   // A tolerance equal to some sweep's largest |step|, or one ulp either
   // side, puts the convergence decision exactly on the threshold, where
   // |step|^2 against tol^2 could round the other way than hypot.
@@ -171,7 +107,15 @@ TEST(FindRootsOracle, ToleranceAtASweepsLargestStep) {
   }
 }
 
-TEST(FindRootsOracle, CollisionNudgePath) {
+TEST(FindRootsOracle, ToleranceAtASweepsLargestStep) {
+  oracles::at_width(2, tolerance_at_a_sweeps_largest_step);
+}
+
+TEST(FindRootsOracleFourLanes, ToleranceAtASweepsLargestStep) {
+  oracles::at_width(4, tolerance_at_a_sweeps_largest_step);
+}
+
+void collision_nudge_path() {
   // z^2 + b z + 1 starts from radius 1 on the spiral find_roots builds.
   // Choose b, to the ulp, so that root 0's first step lands exactly on z1:
   // root 1's product is then exactly zero and it is nudged.
@@ -199,7 +143,15 @@ TEST(FindRootsOracle, CollisionNudgePath) {
   EXPECT_TRUE(found);
 }
 
-TEST(FindRootsOracle, RepeatedRootRunsToTheSweepCap) {
+TEST(FindRootsOracle, CollisionNudgePath) {
+  oracles::at_width(2, collision_nudge_path);
+}
+
+TEST(FindRootsOracleFourLanes, CollisionNudgePath) {
+  oracles::at_width(4, collision_nudge_path);
+}
+
+void repeated_root_runs_to_the_sweep_cap() {
   // A double root on the unit circle, as root-MUSIC sees at high SNR: the
   // pair never settles below the tolerance, so the loop runs 30 * n sweeps.
   std::vector<Complex> roots{std::polar(1.0, 0.7), std::polar(1.0, 0.7)};
@@ -211,7 +163,15 @@ TEST(FindRootsOracle, RepeatedRootRunsToTheSweepCap) {
   EXPECT_EQ(trace.sweeps, 30u * 30u);
 }
 
-TEST(FindRootsOracle, NonFiniteCoefficients) {
+TEST(FindRootsOracle, RepeatedRootRunsToTheSweepCap) {
+  oracles::at_width(2, repeated_root_runs_to_the_sweep_cap);
+}
+
+TEST(FindRootsOracleFourLanes, RepeatedRootRunsToTheSweepCap) {
+  oracles::at_width(4, repeated_root_runs_to_the_sweep_cap);
+}
+
+void non_finite_coefficients() {
   for (const double bad : {NAN, INFINITY}) {
     for (std::size_t degree : {2u, 5u, 16u, 30u}) {
       auto c = random_coefficients(degree, static_cast<unsigned>(degree) + 7);
@@ -219,6 +179,14 @@ TEST(FindRootsOracle, NonFiniteCoefficients) {
       expect_roots_match_oracle(Polynomial(c));
     }
   }
+}
+
+TEST(FindRootsOracle, NonFiniteCoefficients) {
+  oracles::at_width(2, non_finite_coefficients);
+}
+
+TEST(FindRootsOracleFourLanes, NonFiniteCoefficients) {
+  oracles::at_width(4, non_finite_coefficients);
 }
 
 TEST(Polynomial, DegreeTrimsLeadingZeros) {
