@@ -2,9 +2,10 @@
 // per-update cost of RLS / LMS / Kalman, the paper's 118-step RLS holdover,
 // the per-epoch cost of root-MUSIC vs periodogram beat extraction, the FFT
 // both as a bare 4096-point transform and as the radar runs it, the three
-// root-MUSIC kernels at the radar's order-16, 512-sample configuration, a
-// periodogram radar epoch split into synthesis and the whole measure(), and
-// the epoch's Gaussian noise draws. The rows of the split-plane kernels
+// root-MUSIC kernels at the radar's order-16, 512-sample configuration (the
+// rooting also as the receiver pairs an epoch's two segments), a
+// periodogram radar epoch split into synthesis and the whole measure(), a
+// whole root-MUSIC measure(), and the epoch's Gaussian noise draws. The rows of the split-plane kernels
 // (root-MUSIC and the periodogram path) run at both lane widths (/lanes:2
 // SSE2, /lanes:4 AVX2; skipped without AVX2).
 #include <benchmark/benchmark.h>
@@ -190,10 +191,14 @@ radar::EchoScene one_echo_scene(const radar::RadarProcessorConfig& cfg,
   return scene;
 }
 
-dsp::ComplexSignal radar_segment(bool thermal_noise) {
+radar::RadarProcessor::Segments radar_segments(bool thermal_noise) {
   const radar::RadarProcessorConfig cfg;
   radar::RadarProcessor receiver(cfg, 1);
-  return receiver.synthesize(one_echo_scene(cfg, thermal_noise)).up;
+  return receiver.synthesize(one_echo_scene(cfg, thermal_noise));
+}
+
+dsp::ComplexSignal radar_segment(bool thermal_noise) {
+  return radar_segments(thermal_noise).up;
 }
 
 constexpr std::size_t kOrder = 16;
@@ -263,6 +268,40 @@ void BM_FindRoots30Capped(benchmark::State& state) {
 }
 BENCHMARK(BM_FindRoots30Capped)->ArgName("lanes")->Arg(2)->Arg(4);
 
+// Both segments of one epoch rooted as one find_roots_pair (the receiver's
+// path), and as two find_roots calls for comparison; capped:0 converges,
+// capped:1 runs all 900 sweeps in both problems.
+void BM_FindRoots30Pair(benchmark::State& state) {
+  if (!lanes_available(state)) return;
+  const linalg::lanes::detail::ScopedWidth lanes(
+      static_cast<std::size_t>(state.range(0)));
+  const auto seg = radar_segments(state.range(1) == 0);
+  const auto up = null_spectrum_polynomial(seg.up);
+  const auto down = null_spectrum_polynomial(seg.down);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::find_roots_pair(up, down));
+  }
+}
+BENCHMARK(BM_FindRoots30Pair)
+    ->ArgNames({"lanes", "capped"})
+    ->ArgsProduct({{2, 4}, {0, 1}});
+
+void BM_FindRoots30TwoCalls(benchmark::State& state) {
+  if (!lanes_available(state)) return;
+  const linalg::lanes::detail::ScopedWidth lanes(
+      static_cast<std::size_t>(state.range(0)));
+  const auto seg = radar_segments(state.range(1) == 0);
+  const auto up = null_spectrum_polynomial(seg.up);
+  const auto down = null_spectrum_polynomial(seg.down);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(linalg::find_roots(up));
+    benchmark::DoNotOptimize(linalg::find_roots(down));
+  }
+}
+BENCHMARK(BM_FindRoots30TwoCalls)
+    ->ArgNames({"lanes", "capped"})
+    ->ArgsProduct({{2, 4}, {0, 1}});
+
 void BM_RootMusicRadarSegment(benchmark::State& state) {
   if (!lanes_available(state)) return;
   const linalg::lanes::detail::ScopedWidth lanes(
@@ -304,6 +343,22 @@ void BM_RadarMeasurePeriodogram(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RadarMeasurePeriodogram)->ArgName("lanes")->Arg(2)->Arg(4);
+
+// A whole root-MUSIC epoch as the figure runs measure it, one echo at
+// thermal noise: synthesis, PAPR, both segments' covariance, eigensolve and
+// projector, the paired rooting and the candidates' ranking.
+void BM_RadarMeasureRootMusic(benchmark::State& state) {
+  if (!lanes_available(state)) return;
+  const linalg::lanes::detail::ScopedWidth lanes(
+      static_cast<std::size_t>(state.range(0)));
+  const radar::RadarProcessorConfig cfg;
+  radar::RadarProcessor receiver(cfg, 1);
+  const radar::EchoScene scene = one_echo_scene(cfg, true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(receiver.measure(scene));
+  }
+}
+BENCHMARK(BM_RadarMeasureRootMusic)->ArgName("lanes")->Arg(2)->Arg(4);
 
 // The 4 x 512 standard normals behind one radar epoch's noise: drawn by the
 // std::mt19937_64 + std::normal_distribution pair the library used to call

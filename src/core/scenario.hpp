@@ -31,8 +31,8 @@ struct ScenarioOptions {
   units::Seconds attack_start_s{182.0};
   units::Seconds attack_end_s{300.0};
   bool defense_enabled = true;
-  /// A periodogram epoch costs about 1/8 of a root-MUSIC epoch (radar
-  /// receiver, 512-sample segments, model order 16; ~0.12 against ~0.96 ms
+  /// A periodogram epoch costs about 1/7 of a root-MUSIC epoch (radar
+  /// receiver, 512-sample segments, model order 16; ~0.12 against ~0.82 ms
   /// traced on a 4-vCPU AVX2 VM, GCC 12.2) with nearly identical
   /// closed-loop behaviour; tests use it, benches reproduce the paper with
   /// root-MUSIC.

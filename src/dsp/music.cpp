@@ -1,6 +1,7 @@
 #include "dsp/music.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -190,48 +191,10 @@ std::vector<double> null_powers_at_width(const CMatrix& c,
   return powers;
 }
 
-}  // namespace
-
-std::vector<double> music_pseudospectrum(const ComplexSignal& signal,
-                                         std::size_t num_sources,
-                                         std::size_t grid_size,
-                                         const MusicOptions& options) {
-  if (grid_size == 0) {
-    throw std::invalid_argument("music_pseudospectrum: empty grid");
-  }
-  const CMatrix c = noise_projector(signal, num_sources, options);
-  const std::size_t m = options.covariance_order;
-
-  std::vector<double> spectrum(grid_size);
-  for (std::size_t g = 0; g < grid_size; ++g) {
-    const double omega = -std::numbers::pi +
-                         2.0 * std::numbers::pi * static_cast<double>(g) /
-                             static_cast<double>(grid_size);
-    CVector a(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      a[i] = std::polar(1.0, omega * static_cast<double>(i));
-    }
-    // a^H C a is real and >= 0 for a projector C.
-    const CVector ca = c * a;
-    const double denom = std::max(std::real(linalg::dot(a, ca)), 1e-300);
-    spectrum[g] = 1.0 / denom;
-  }
-  return spectrum;
-}
-
-std::vector<double> root_music_frequencies(const ComplexSignal& signal,
-                                           double sample_rate_hz,
-                                           std::size_t num_sources,
-                                           const MusicOptions& options) {
-  if (sample_rate_hz <= 0.0) {
-    throw std::invalid_argument("root_music: sample rate must be > 0");
-  }
-  if (num_sources == 0) return {};
-  const CMatrix c = noise_projector(signal, num_sources, options);
-  const std::size_t m = options.covariance_order;
-
-  // D(z) = a^T(1/z) C a(z): coefficient of z^(l + m - 1) is the sum of the
-  // l-th diagonal of C, l in [-(m-1), m-1].
+/// D(z) = a^T(1/z) C a(z): coefficient of z^(l + m - 1) is the sum of the
+/// l-th diagonal of C, l in [-(m-1), m-1].
+linalg::Polynomial null_polynomial(const CMatrix& c) {
+  const std::size_t m = c.rows();
   std::vector<Complex> coeffs(2 * m - 1);
   for (std::size_t j = 0; j < m; ++j) {
     for (std::size_t i = 0; i < m; ++i) {
@@ -240,9 +203,15 @@ std::vector<double> root_music_frequencies(const ComplexSignal& signal,
       coeffs[power] += c(i, j);
     }
   }
-  const linalg::Polynomial d{std::move(coeffs)};
-  const auto roots = linalg::find_roots(d);
+  return linalg::Polynomial{std::move(coeffs)};
+}
 
+/// The num_sources frequencies root_music_frequencies returns, from the
+/// roots of null_polynomial(c).
+std::vector<double> pick_frequencies(const CMatrix& c,
+                                     const std::vector<Complex>& roots,
+                                     double sample_rate_hz,
+                                     std::size_t num_sources) {
   // Keep roots inside or on the unit circle and rank them by the MUSIC
   // null-spectrum value a(omega)^H C a(omega): signal roots project onto
   // the noise subspace least. Circle-closeness alone is fooled when the
@@ -294,6 +263,64 @@ std::vector<double> root_music_frequencies(const ComplexSignal& signal,
     if (!duplicate) freqs.push_back(f);
   }
   return freqs;
+}
+
+}  // namespace
+
+std::vector<double> music_pseudospectrum(const ComplexSignal& signal,
+                                         std::size_t num_sources,
+                                         std::size_t grid_size,
+                                         const MusicOptions& options) {
+  if (grid_size == 0) {
+    throw std::invalid_argument("music_pseudospectrum: empty grid");
+  }
+  const CMatrix c = noise_projector(signal, num_sources, options);
+  const std::size_t m = options.covariance_order;
+
+  std::vector<double> spectrum(grid_size);
+  for (std::size_t g = 0; g < grid_size; ++g) {
+    const double omega = -std::numbers::pi +
+                         2.0 * std::numbers::pi * static_cast<double>(g) /
+                             static_cast<double>(grid_size);
+    CVector a(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      a[i] = std::polar(1.0, omega * static_cast<double>(i));
+    }
+    // a^H C a is real and >= 0 for a projector C.
+    const CVector ca = c * a;
+    const double denom = std::max(std::real(linalg::dot(a, ca)), 1e-300);
+    spectrum[g] = 1.0 / denom;
+  }
+  return spectrum;
+}
+
+std::vector<double> root_music_frequencies(const ComplexSignal& signal,
+                                           double sample_rate_hz,
+                                           std::size_t num_sources,
+                                           const MusicOptions& options) {
+  if (sample_rate_hz <= 0.0) {
+    throw std::invalid_argument("root_music: sample rate must be > 0");
+  }
+  if (num_sources == 0) return {};
+  const CMatrix c = noise_projector(signal, num_sources, options);
+  return pick_frequencies(c, linalg::find_roots(null_polynomial(c)),
+                          sample_rate_hz, num_sources);
+}
+
+std::array<std::vector<double>, 2> root_music_frequencies_pair(
+    const ComplexSignal& first, const ComplexSignal& second,
+    double sample_rate_hz, std::size_t num_sources,
+    const MusicOptions& options) {
+  if (sample_rate_hz <= 0.0) {
+    throw std::invalid_argument("root_music: sample rate must be > 0");
+  }
+  if (num_sources == 0) return {};
+  const CMatrix c_first = noise_projector(first, num_sources, options);
+  const CMatrix c_second = noise_projector(second, num_sources, options);
+  const auto roots = linalg::find_roots_pair(null_polynomial(c_first),
+                                             null_polynomial(c_second));
+  return {pick_frequencies(c_first, roots[0], sample_rate_hz, num_sources),
+          pick_frequencies(c_second, roots[1], sample_rate_hz, num_sources)};
 }
 
 }  // namespace safe::dsp

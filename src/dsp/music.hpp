@@ -5,6 +5,7 @@
 // rooting (see DESIGN.md, substitution table).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -39,5 +40,14 @@ std::vector<double> root_music_frequencies(const ComplexSignal& signal,
                                            double sample_rate_hz,
                                            std::size_t num_sources,
                                            const MusicOptions& options = {});
+
+/// {root_music_frequencies(first, ...), root_music_frequencies(second, ...)},
+/// bit for bit, with both null-spectrum polynomials rooted as one
+/// linalg::find_roots_pair: the up and down segments of one FMCW epoch.
+/// Throws what root_music_frequencies throws for either signal.
+std::array<std::vector<double>, 2> root_music_frequencies_pair(
+    const ComplexSignal& first, const ComplexSignal& second,
+    double sample_rate_hz, std::size_t num_sources,
+    const MusicOptions& options = {});
 
 }  // namespace safe::dsp

@@ -1,9 +1,11 @@
 #include "linalg/polynomial.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "linalg/lanes.hpp"
@@ -36,10 +38,12 @@ class RootPlanes {
     re_[i] = z.real();
     im_[i] = z.imag();
   }
-  template <std::size_t L = 2>
+  template <std::size_t L>
   [[nodiscard]] lanes::SplitN<L> lanes_at(std::size_t i) const {
     return lanes::load<L>(&re_[i], &im_[i]);
   }
+  [[nodiscard]] double* re() { return re_.data(); }
+  [[nodiscard]] double* im() { return im_.data(); }
 
  private:
   std::size_t n_;
@@ -109,8 +113,8 @@ template <std::size_t L>
 #endif
 
 /// horner_chains at lanes::width(): the one AVX2 call of a Durand-Kerner
-/// sweep. The serial loop between the calls stays in code built without
-/// AVX2, where it measured faster.
+/// sweep. The product loop of a sweep stays in code built without AVX2,
+/// where it measured faster.
 void evaluate_all(const Coefficients& c, const RootPlanes& z, double* out_re,
                   double* out_im) {
 #if defined(__x86_64__)
@@ -120,28 +124,6 @@ void evaluate_all(const Coefficients& c, const RootPlanes& z, double* out_re,
   }
 #endif
   horner_chains<2>(c, z, out_re, out_im);
-}
-
-/// Once root i has moved, multiplies the running product of every later
-/// root j by (z_j - z_i), two roots per vector.
-void extend_products(const RootPlanes& z, std::size_t i, double* d_re,
-                     double* d_im) {
-  const Complex zi = z.get(i);
-  const Split zi2{lanes::splat(zi.real()), lanes::splat(zi.imag())};
-  for (std::size_t j = i + 1; j < z.count(); j += 2) {
-    const Split d{lanes::load(d_re + j), lanes::load(d_im + j)};
-    const Split next = lanes::mul(d, z.lanes_at(j) - zi2);
-    if (!lanes::maybe_nan(next)) {
-      lanes::store(d_re + j, next.re);
-      lanes::store(d_im + j, next.im);
-      continue;
-    }
-    for (std::size_t e = j; e < j + 2 && e < z.count(); ++e) {
-      const Complex v = Complex{d_re[e], d_im[e]} * (z.get(e) - zi);
-      d_re[e] = v.real();
-      d_im[e] = v.imag();
-    }
-  }
 }
 
 /// Whether std::abs(step) >= tol, decided from |step|^2 = re^2 + im^2
@@ -174,6 +156,266 @@ class StepTest {
   double below_;
   double above_;
 };
+
+/// One polynomial's Durand-Kerner state: the monic polynomial and its
+/// coefficient planes, the iterates, and one sweep's Horner values h and
+/// running products d (d also holds q' during the Newton polish).
+class Problem {
+ public:
+  /// Starts from a deterministic non-symmetric spiral (a symmetric start
+  /// can put Durand-Kerner on an invariant subspace and stall). Its radius
+  /// is the geometric mean of the root magnitudes, |c0|^(1/n) for a monic
+  /// polynomial, which puts the start ring through the root cluster (the
+  /// Cauchy bound can overshoot by orders of magnitude, stalling
+  /// convergence at high degree), clamped against the Cauchy bound.
+  explicit Problem(Polynomial monic)
+      : q(std::move(monic)),
+        qc(q),
+        z(q.degree()),
+        h_re(z.size()),
+        h_im(z.size()),
+        d_re(z.size()),
+        d_im(z.size()) {
+    const std::size_t n = q.degree();
+    const auto& c = q.coefficients();
+    double cauchy = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      cauchy = std::max(cauchy, std::abs(c[i]));
+    }
+    cauchy += 1.0;
+    const double c0 = std::abs(c[0]);
+    double radius = c0 > 0.0
+                        ? std::exp(std::log(c0) / static_cast<double>(n))
+                        : 0.5;
+    radius = std::clamp(radius, 1e-3, cauchy);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double angle = (2.0 * std::numbers::pi * static_cast<double>(i)) /
+                               static_cast<double>(n) +
+                           0.3979;
+      const double r = radius * (0.8 + 0.4 * (static_cast<double>(i) + 1.0) /
+                                           static_cast<double>(n));
+      z.set(i, std::polar(r, angle));
+    }
+  }
+  Problem(const Problem&) = delete;
+  Problem& operator=(const Problem&) = delete;
+
+  const Polynomial q;
+  const Coefficients qc;  // refers to q
+  RootPlanes z;
+  std::vector<double> h_re;
+  std::vector<double> h_im;
+  std::vector<double> d_re;
+  std::vector<double> d_im;
+};
+
+/// The sweep cap: high-degree polynomials need proportionally more sweeps.
+std::size_t sweep_cap(std::size_t n, const RootFindingOptions& options) {
+  return std::max(options.max_iterations, 30 * n);
+}
+
+/// How a sweep holds P problems' values of one root: one problem as a
+/// std::complex, whose products take the library's __muldc3 fallback
+/// themselves; two problems as the lanes of a lanes::Split, whose products
+/// are checked with maybe_nan and redone per lane with std::complex.
+template <std::size_t P>
+struct Pack;
+
+template <>
+struct Pack<1> {
+  using T = Complex;
+  static T load(const double* re, const double* im) { return {*re, *im}; }
+  static void store(double* re, double* im, const T& v) {
+    *re = v.real();
+    *im = v.imag();
+  }
+  static Complex lane(const T& v, std::size_t /*p*/) { return v; }
+  static void set_lane(T& v, std::size_t /*p*/, Complex x) { v = x; }
+  static T mul(const T& a, const T& b) { return a * b; }
+  static bool maybe_nan(const T& /*v*/) { return false; }
+};
+
+template <>
+struct Pack<2> {
+  using T = Split;
+  static T load(const double* re, const double* im) {
+    return {lanes::load(re), lanes::load(im)};
+  }
+  static void store(double* re, double* im, const T& v) {
+    lanes::store(re, v.re);
+    lanes::store(im, v.im);
+  }
+  static Complex lane(const T& v, std::size_t p) { return {v.re[p], v.im[p]}; }
+  static void set_lane(T& v, std::size_t p, Complex x) {
+    v.re[p] = x.real();
+    v.im[p] = x.imag();
+  }
+  static T mul(const T& a, const T& b) { return lanes::mul(a, b); }
+  static bool maybe_nan(const T& v) { return lanes::maybe_nan(v); }
+};
+
+/// The iterates and running products a sweep reads: P problems' values of
+/// root j side by side at P * j.
+struct SweepPlanes {
+  double* z_re;
+  double* z_im;
+  double* d_re;
+  double* d_im;
+};
+
+/// d_j * (z_j - prev) per problem with std::complex: the exact path of
+/// extended(). Out of line and rereading the planes, so that the sweep loop
+/// keeps nothing live across its __muldc3 calls.
+template <std::size_t P>
+[[gnu::noinline, gnu::cold]] typename Pack<P>::T exact_extended(
+    const SweepPlanes& planes, std::size_t j, const typename Pack<P>::T& prev) {
+  using K = Pack<P>;
+  typename K::T next{};
+  for (std::size_t p = 0; p < P; ++p) {
+    const Complex d{planes.d_re[P * j + p], planes.d_im[P * j + p]};
+    const Complex z{planes.z_re[P * j + p], planes.z_im[P * j + p]};
+    K::set_lane(next, p, d * (z - K::lane(prev, p)));
+  }
+  return next;
+}
+
+/// Root j's running product extended by (z_j - prev), exactly as
+/// std::complex computes it.
+template <std::size_t P>
+[[gnu::always_inline]] inline typename Pack<P>::T extended(
+    const SweepPlanes& planes, std::size_t j, const typename Pack<P>::T& prev) {
+  using K = Pack<P>;
+  const typename K::T z = K::load(planes.z_re + P * j, planes.z_im + P * j);
+  const typename K::T d = K::load(planes.d_re + P * j, planes.d_im + P * j);
+  const typename K::T next = K::mul(d, z - prev);
+  if (K::maybe_nan(next)) [[unlikely]] {
+    return exact_extended<P>(planes, j, prev);
+  }
+  return next;
+}
+
+/// Root i's move, from its iterate zi, its product over the other roots
+/// and q(zi): the collision nudge when the product is exactly zero, else
+/// the Durand-Kerner step. Clears `settled` on a nudge or on a step of at
+/// least the tolerance.
+Complex finish_root(std::size_t i, Complex zi, Complex denom, Complex h,
+                    const StepTest& step_test, bool& settled) {
+  // |denom| (hypot) is zero exactly when both parts are.
+  if (denom.real() == 0.0 && denom.imag() == 0.0) {
+    // Collision between iterates: nudge deterministically and retry.
+    settled = false;
+    return zi + Complex(1e-6 * (static_cast<double>(i) + 1.0), 1e-6);
+  }
+  const Complex step = h / denom;
+  if (settled && step_test.at_least(step)) settled = false;
+  return zi - step;
+}
+
+/// One Gauss-Seidel sweep of P problems of one degree, problem p in lane p.
+/// Root i divides q(z_i) by prod_{j != i} (z_i - z_j), multiplied in
+/// increasing j, where roots before i already moved this sweep. q(z_i)
+/// reads only z_i, which changes at root i's own turn, so every Horner
+/// chain runs up front. The factors of the roots before i form a running
+/// product d_i, extended by each root once it moves; root i's chain over
+/// the later roots and root i - 1's extension of their products share one
+/// j loop, two independent dependency chains. settled[p] ends true when
+/// problem p took no nudge and every |step| < tol (NaN ignored).
+template <std::size_t P>
+void sweep(Problem* const (&problems)[P], const SweepPlanes& planes,
+           const StepTest& step_test, bool (&settled)[P]) {
+  using K = Pack<P>;
+  using T = typename K::T;
+  const std::size_t n = problems[0]->z.count();
+  for (std::size_t p = 0; p < P; ++p) {
+    Problem& s = *problems[p];
+    evaluate_all(s.qc, s.z, s.h_re.data(), s.h_im.data());
+    settled[p] = true;
+  }
+  std::fill_n(planes.d_re, P * n, 1.0);
+  std::fill_n(planes.d_im, P * n, 0.0);
+  const auto z_at = [&planes](std::size_t j) {
+    return K::load(planes.z_re + P * j, planes.z_im + P * j);
+  };
+  T prev{};  // every problem's root i - 1, moved
+  for (std::size_t i = 0; i < n; ++i) {
+    const T zi = z_at(i);
+    // d_i = 1 for root 0, else extended by root i - 1.
+    const T di = i == 0 ? K::load(planes.d_re, planes.d_im)
+                        : extended<P>(planes, i, prev);
+    T c = di;
+    if (i == 0) {
+      for (std::size_t j = 1; j < n; ++j) c = K::mul(c, zi - z_at(j));
+    } else {
+      for (std::size_t j = i + 1; j < n; ++j) {
+        c = K::mul(c, zi - z_at(j));
+        K::store(planes.d_re + P * j, planes.d_im + P * j,
+                 extended<P>(planes, j, prev));
+      }
+    }
+    if (K::maybe_nan(c)) [[unlikely]] {
+      for (std::size_t p = 0; p < P; ++p) {
+        Complex exact = K::lane(di, p);
+        const Complex zip = K::lane(zi, p);
+        for (std::size_t j = i + 1; j < n; ++j) {
+          exact *= zip - Complex{planes.z_re[P * j + p],
+                                 planes.z_im[P * j + p]};
+        }
+        K::set_lane(c, p, exact);
+      }
+    }
+    for (std::size_t p = 0; p < P; ++p) {
+      Problem& s = *problems[p];
+      const Complex next =
+          finish_root(i, K::lane(zi, p), K::lane(c, p),
+                      Complex{s.h_re[i], s.h_im[i]}, step_test, settled[p]);
+      planes.z_re[P * i + p] = next.real();
+      planes.z_im[P * i + p] = next.imag();
+      if constexpr (P > 1) s.z.set(i, next);
+      K::set_lane(prev, p, next);
+    }
+  }
+}
+
+/// Sweeps s on its own planes, from sweep `first` until it settles or
+/// reaches the cap.
+void sweep_alone(Problem& s, std::size_t first, std::size_t cap,
+                 const StepTest& step_test, double tolerance) {
+  Problem* const problems[1] = {&s};
+  const SweepPlanes planes{s.z.re(), s.z.im(), s.d_re.data(), s.d_im.data()};
+  for (std::size_t iter = first; iter < cap; ++iter) {
+    bool settled[1];
+    sweep<1>(problems, planes, step_test, settled);
+    // The largest |step| (NaN ignored, a nudge counting as infinite, 0 when
+    // no step counted) is below tolerance.
+    if (settled[0] && 0.0 < tolerance) return;
+  }
+}
+
+/// The iterates after a few polishing Newton steps per root (cheap,
+/// tightens clusters). The roots polish independently, so the steps run
+/// root-parallel.
+std::vector<Complex> polished_roots(Problem& s) {
+  const std::size_t n = s.z.count();
+  const Polynomial dq = s.q.derivative();
+  const Coefficients dqc(dq);
+  std::vector<bool> polishing(n, true);
+  for (int step = 0; step < 3; ++step) {
+    evaluate_all(dqc, s.z, s.d_re.data(), s.d_im.data());
+    evaluate_all(s.qc, s.z, s.h_re.data(), s.h_im.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!polishing[i]) continue;
+      const Complex d{s.d_re[i], s.d_im[i]};
+      if (d.real() == 0.0 && d.imag() == 0.0) {
+        polishing[i] = false;
+        continue;
+      }
+      s.z.set(i, s.z.get(i) - Complex{s.h_re[i], s.h_im[i]} / d);
+    }
+  }
+  std::vector<Complex> roots(n);
+  for (std::size_t i = 0; i < n; ++i) roots[i] = s.z.get(i);
+  return roots;
+}
 
 }  // namespace
 
@@ -234,103 +476,58 @@ std::vector<Complex> find_roots(const Polynomial& p,
   if (n == 0) {
     throw std::invalid_argument("find_roots: polynomial has no roots");
   }
-  const Polynomial q = p.monic();
-  const auto& c = q.coefficients();
-
+  Polynomial q = p.monic();
   if (n == 1) {
-    return {-c[0]};
+    return {-q.coefficients()[0]};
   }
+  Problem s(std::move(q));
+  sweep_alone(s, 0, sweep_cap(n, options), StepTest(options.tolerance),
+              options.tolerance);
+  return polished_roots(s);
+}
 
-  // Initial radius: the geometric mean of the root magnitudes is
-  // |c0|^(1/n) for a monic polynomial, which puts the start ring through
-  // the root cluster (the Cauchy bound can overshoot by orders of
-  // magnitude, stalling convergence at high degree). Clamp against the
-  // Cauchy bound for safety.
-  double cauchy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    cauchy = std::max(cauchy, std::abs(c[i]));
+std::array<std::vector<Complex>, 2> find_roots_pair(
+    const Polynomial& a, const Polynomial& b,
+    const RootFindingOptions& options) {
+  const std::size_t n = a.degree();
+  if (n < 2 || b.degree() != n) {
+    return {find_roots(a, options), find_roots(b, options)};
   }
-  cauchy += 1.0;
-  const double c0 = std::abs(c[0]);
-  double radius = c0 > 0.0
-                      ? std::exp(std::log(c0) / static_cast<double>(n))
-                      : 0.5;
-  radius = std::clamp(radius, 1e-3, cauchy);
-
-  // Deterministic non-symmetric initial spiral (a symmetric start can put
-  // Durand-Kerner on an invariant subspace and stall).
-  RootPlanes z(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double angle = (2.0 * std::numbers::pi * static_cast<double>(i)) /
-                             static_cast<double>(n) +
-                         0.3979;
-    const double r = radius * (0.8 + 0.4 * (static_cast<double>(i) + 1.0) /
-                                         static_cast<double>(n));
-    z.set(i, std::polar(r, angle));
+  Problem first(a.monic());
+  Problem second(b.monic());
+  Problem* const problems[2] = {&first, &second};
+  // Both problems' iterates and running products, pair-interleaved; each
+  // problem's own iterate planes follow along for its Horner chains.
+  std::vector<double> z_re(2 * n);
+  std::vector<double> z_im(2 * n);
+  std::vector<double> d_re(2 * n);
+  std::vector<double> d_im(2 * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t p = 0; p < 2; ++p) {
+      z_re[2 * j + p] = problems[p]->z.get(j).real();
+      z_im[2 * j + p] = problems[p]->z.get(j).imag();
+    }
   }
-
-  // Each sweep updates the roots in turn (Gauss-Seidel): root i divides
-  // q(z_i) by prod_{j != i} (z_i - z_j), multiplied in increasing j, where
-  // roots before i already moved this sweep. q(z_i) reads only z_i, which
-  // changes at root i's own turn, so every Horner chain runs up front; and
-  // each root's product over the roots before it is extended as those roots
-  // finish, which leaves only the factors of later roots on the serial path.
-  const Coefficients qc(q);
+  const SweepPlanes planes{z_re.data(), z_im.data(), d_re.data(), d_im.data()};
   const StepTest step_test(options.tolerance);
-  std::vector<double> h_re(z.size());
-  std::vector<double> h_im(z.size());
-  std::vector<double> d_re(z.size());
-  std::vector<double> d_im(z.size());
-  // High-degree polynomials need proportionally more sweeps.
-  const std::size_t iterations =
-      std::max(options.max_iterations, 30 * n);
-  for (std::size_t iter = 0; iter < iterations; ++iter) {
-    evaluate_all(qc, z, h_re.data(), h_im.data());
-    std::fill(d_re.begin(), d_re.end(), 1.0);
-    std::fill(d_im.begin(), d_im.end(), 0.0);
-    bool settled = true;  // no nudge and every |step| < tol (NaN ignored)
-    for (std::size_t i = 0; i < n; ++i) {
-      const Complex zi = z.get(i);
-      Complex denom{d_re[i], d_im[i]};
-      for (std::size_t j = i + 1; j < n; ++j) denom *= (zi - z.get(j));
-      // |denom| (hypot) is zero exactly when both parts are.
-      if (denom.real() == 0.0 && denom.imag() == 0.0) {
-        // Collision between iterates: nudge deterministically and retry.
-        z.set(i, zi + Complex(1e-6 * (static_cast<double>(i) + 1.0), 1e-6));
-        settled = false;
-      } else {
-        const Complex step = Complex{h_re[i], h_im[i]} / denom;
-        z.set(i, zi - step);
-        if (settled && step_test.at_least(step)) settled = false;
-      }
-      extend_products(z, i, d_re.data(), d_im.data());
-    }
-    // The largest |step| (NaN ignored, a nudge counting as infinite, 0 when
-    // no step counted) is below tolerance.
-    if (settled && 0.0 < options.tolerance) break;
-  }
-
-  // A few polishing Newton steps per root (cheap, tightens clusters). The
-  // roots polish independently, so the steps run root-parallel.
-  const Polynomial dq = q.derivative();
-  const Coefficients dqc(dq);
-  std::vector<bool> polishing(n, true);
-  for (int step = 0; step < 3; ++step) {
-    evaluate_all(dqc, z, d_re.data(), d_im.data());
-    evaluate_all(qc, z, h_re.data(), h_im.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!polishing[i]) continue;
-      const Complex d{d_re[i], d_im[i]};
-      if (d.real() == 0.0 && d.imag() == 0.0) {
-        polishing[i] = false;
-        continue;
-      }
-      z.set(i, z.get(i) - Complex{h_re[i], h_im[i]} / d);
+  const std::size_t cap = sweep_cap(n, options);
+  std::size_t iter = 0;
+  bool done[2] = {false, false};
+  while (iter < cap && !done[0] && !done[1]) {
+    bool settled[2];
+    sweep<2>(problems, planes, step_test, settled);
+    ++iter;
+    for (std::size_t p = 0; p < 2; ++p) {
+      done[p] = settled[p] && 0.0 < options.tolerance;
     }
   }
-  std::vector<Complex> roots(n);
-  for (std::size_t i = 0; i < n; ++i) roots[i] = z.get(i);
-  return roots;
+  // Once one problem settles, the other runs on alone.
+  for (std::size_t p = 0; p < 2; ++p) {
+    if (!done[p]) {
+      sweep_alone(*problems[p], iter, cap, step_test, options.tolerance);
+    }
+  }
+  return {polished_roots(first), polished_roots(second)};
 }
 
 CMatrix companion_matrix(const Polynomial& p) {

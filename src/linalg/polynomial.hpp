@@ -7,6 +7,7 @@
 // builder provided for cross-checking.
 #pragma once
 
+#include <array>
 #include <complex>
 #include <cstddef>
 #include <vector>
@@ -64,6 +65,14 @@ struct RootFindingOptions {
 /// std::invalid_argument for (near-)zero polynomials of degree 0.
 std::vector<Complex> find_roots(const Polynomial& p,
                                 const RootFindingOptions& options = {});
+
+/// {find_roots(a, options), find_roots(b, options)}, bit for bit, from one
+/// iteration over both problems: polynomials of one degree >= 2 run their
+/// Gauss-Seidel sweeps side by side, a problem per vector lane, and once one
+/// settles the other runs on alone. Other pairs take two find_roots calls.
+std::array<std::vector<Complex>, 2> find_roots_pair(
+    const Polynomial& a, const Polynomial& b,
+    const RootFindingOptions& options = {});
 
 /// Frobenius companion matrix of a monic polynomial (for cross-validation of
 /// the iterative root finder in tests; eigenvalues of the companion matrix

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <vector>
 
 #include "dsp/music.hpp"
 #include "dsp/spectral.hpp"
@@ -33,6 +34,27 @@ struct ProcessorMetrics {
 const ProcessorMetrics& processor_metrics() {
   static const ProcessorMetrics m;
   return m;
+}
+
+/// The root-MUSIC candidate a segment's receiver locks to: the strongest by
+/// coherent power, 0 Hz when there is none.
+double strongest_beat_hz(const dsp::ComplexSignal& segment,
+                         const std::vector<double>& candidates,
+                         double sample_rate_hz) {
+  if (candidates.empty()) return 0.0;
+  // A lone candidate wins whatever its power: p >= 0 or NaN never displaces
+  // front() in the ranking below, so it is returned without one.
+  if (candidates.size() == 1) return candidates.front();
+  double best_freq = candidates.front();
+  double best_power = -1.0;
+  for (const double f : candidates) {
+    const double p = dsp::tone_power(segment, f, sample_rate_hz);
+    if (p > best_power) {
+      best_power = p;
+      best_freq = f;
+    }
+  }
+  return best_freq;
 }
 
 }  // namespace
@@ -102,35 +124,6 @@ RadarProcessor::Segments RadarProcessor::synthesize(const EchoScene& scene) {
   return seg;
 }
 
-double RadarProcessor::estimate_beat_hz(const ComplexSignal& segment,
-                                        std::size_t num_components) const {
-  if (config_.estimator == BeatEstimator::kPeriodogram) {
-    const auto tone =
-        dsp::estimate_dominant_tone(segment, config_.sample_rate_hz.value());
-    return tone ? tone->frequency_hz : 0.0;
-  }
-  const dsp::MusicOptions options{.covariance_order = config_.music_order,
-                                  .forward_backward = true};
-  const auto candidates = dsp::root_music_frequencies(
-      segment, config_.sample_rate_hz.value(),
-      std::max<std::size_t>(num_components, 1), options);
-  if (candidates.empty()) return 0.0;
-  // A lone candidate wins whatever its power: p >= 0 or NaN never displaces
-  // front() in the ranking below, so it is returned without one.
-  if (candidates.size() == 1) return candidates.front();
-  // Rank candidates by coherent power: the receiver locks to the strongest.
-  double best_freq = candidates.front();
-  double best_power = -1.0;
-  for (const double f : candidates) {
-    const double p = dsp::tone_power(segment, f, config_.sample_rate_hz.value());
-    if (p > best_power) {
-      best_power = p;
-      best_freq = f;
-    }
-  }
-  return best_freq;
-}
-
 RadarMeasurement RadarProcessor::measure(const EchoScene& scene) {
   const ProcessorMetrics& metrics = processor_metrics();
   telemetry::ScopedTimer span("radar.measure", "radar", metrics.measure_ns,
@@ -151,20 +144,28 @@ RadarMeasurement RadarProcessor::measure(const EchoScene& scene) {
   // receiver still produces (corrupted) measurements, which is precisely the
   // failure mode of Figures 2a/3a.
   const std::size_t components = std::max<std::size_t>(scene.echoes.size(), 1);
+  const double fs = config_.sample_rate_hz.value();
   RadarMeasurement m;
   m.rx_power_w = 0.5 * (dsp::mean_power(seg.up) + dsp::mean_power(seg.down));
   if (config_.estimator == BeatEstimator::kPeriodogram) {
     // The up segment's one spectrum gives both its coherence and its beat.
-    const dsp::PeriodogramSummary up =
-        dsp::summarize_periodogram(seg.up, config_.sample_rate_hz.value());
+    const dsp::PeriodogramSummary up = dsp::summarize_periodogram(seg.up, fs);
     m.peak_to_average = up.peak_to_average;
     m.beats.up_hz =
         Hertz{up.dominant_tone ? up.dominant_tone->frequency_hz : 0.0};
+    const auto down = dsp::estimate_dominant_tone(seg.down, fs);
+    m.beats.down_hz = Hertz{down ? down->frequency_hz : 0.0};
   } else {
     m.peak_to_average = dsp::peak_to_average_power(seg.up);
-    m.beats.up_hz = Hertz{estimate_beat_hz(seg.up, components)};
+    // Both segments' candidates from one paired rooting, each ranked by
+    // its own segment's tone power.
+    const dsp::MusicOptions options{.covariance_order = config_.music_order,
+                                    .forward_backward = true};
+    const auto candidates = dsp::root_music_frequencies_pair(
+        seg.up, seg.down, fs, components, options);
+    m.beats.up_hz = Hertz{strongest_beat_hz(seg.up, candidates[0], fs)};
+    m.beats.down_hz = Hertz{strongest_beat_hz(seg.down, candidates[1], fs)};
   }
-  m.beats.down_hz = Hertz{estimate_beat_hz(seg.down, components)};
   m.coherent_echo = m.peak_to_average > config_.coherence_threshold;
   m.power_alarm =
       m.rx_power_w > config_.power_alarm_factor * config_.noise_floor_w;

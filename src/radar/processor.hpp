@@ -77,11 +77,6 @@ class RadarProcessor {
   [[nodiscard]] const RadarProcessorConfig& config() const { return config_; }
 
  private:
-  /// Estimates the dominant beat frequency of one segment, ranking
-  /// root-MUSIC candidates by their coherent power.
-  double estimate_beat_hz(const dsp::ComplexSignal& segment,
-                          std::size_t num_components) const;
-
   RadarProcessorConfig config_;
   sim::GaussianNoise noise_;
 };

@@ -35,7 +35,7 @@ struct TraceSpec {
   units::Seconds attack_start_s{182.0};
   units::Seconds attack_end_s{300.0};
   /// Periodogram by default: serving traffic values throughput, and an epoch
-  /// of the paper's root-MUSIC costs about 8x as much for nearly identical
+  /// of the paper's root-MUSIC costs about 7x as much for nearly identical
   /// behaviour (core::ScenarioOptions::estimator has the measurement).
   radar::BeatEstimator estimator = radar::BeatEstimator::kPeriodogram;
   bool hardened = false;  ///< hardened_pipeline_options() vs paper defaults

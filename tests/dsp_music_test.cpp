@@ -1,6 +1,7 @@
 // Tests for covariance estimation, MUSIC, root-MUSIC, and the PRBS.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <random>
@@ -227,6 +228,72 @@ TEST(RootMusicOracle, MatchesReferenceLoopBitForBit) {
 
 TEST(RootMusicOracleFourLanes, MatchesReferenceLoopBitForBit) {
   oracles::at_width(4, root_music_matches_reference);
+}
+
+/// root_music_frequencies_pair against the composed reference loops, one
+/// signal at a time.
+void expect_root_music_pair_matches_oracle(const ComplexSignal& first,
+                                           const ComplexSignal& second,
+                                           std::size_t sources,
+                                           std::size_t order,
+                                           const char* label) {
+  const double fs = 1.0e6;
+  for (const bool fb : {true, false}) {
+    const auto got = root_music_frequencies_pair(
+        first, second, fs, sources,
+        {.covariance_order = order, .forward_backward = fb});
+    const std::array<const ComplexSignal*, 2> signals = {&first, &second};
+    for (std::size_t p = 0; p < 2; ++p) {
+      const std::vector<double> want = oracles::reference_root_music_frequencies(
+          *signals[p], fs, sources, order, fb);
+      EXPECT_TRUE(oracles::same_values(got[p], want))
+          << label << " (" << (p == 0 ? "first" : "second")
+          << "), sources=" << sources << ", order=" << order
+          << (fb ? ", forward-backward" : ", forward");
+    }
+  }
+}
+
+void root_music_pair_matches_reference() {
+  const double fs = 1.0e6;
+  for (const std::size_t order : {5u, 16u, 17u}) {
+    ComplexSignal one = make_tone(47'000.0, fs, 129, 1.0, 0.3);
+    add_noise(one, 0.1, static_cast<unsigned>(order));
+    // Noise-free: rooting runs to its sweep cap, so the noisy signal's
+    // problem settles first and the clean one runs on alone.
+    const ComplexSignal clean = make_tone(-210'000.0, fs, 96);
+    ComplexSignal two = make_tone(100'000.0, fs, 255, 1.0, 0.3);
+    const ComplexSignal second = make_tone(130'000.0, fs, 255, 0.5, 2.1);
+    for (std::size_t i = 0; i < two.size(); ++i) two[i] += second[i];
+    add_noise(two, 0.05, static_cast<unsigned>(order) + 40);
+
+    for (const std::size_t sources : {1u, 2u}) {
+      expect_root_music_pair_matches_oracle(one, clean, sources, order,
+                                            "noisy and clean tones");
+      expect_root_music_pair_matches_oracle(clean, one, sources, order,
+                                            "clean and noisy tones");
+      expect_root_music_pair_matches_oracle(two, one, sources, order,
+                                            "two tones and a noisy tone");
+      // Non-finite samples in one signal of the pair.
+      for (const Complex bad : {Complex{NAN, 0.0}, Complex{INFINITY, 0.0},
+                                Complex{0.0, -INFINITY}}) {
+        ComplexSignal x = one;
+        x[x.size() / 2] = bad;
+        expect_root_music_pair_matches_oracle(x, two, sources, order,
+                                              "non-finite and finite");
+        expect_root_music_pair_matches_oracle(two, x, sources, order,
+                                              "finite and non-finite");
+      }
+    }
+  }
+}
+
+TEST(RootMusicPairOracle, MatchesReferenceLoopBitForBit) {
+  oracles::at_width(2, root_music_pair_matches_reference);
+}
+
+TEST(RootMusicPairOracleFourLanes, MatchesReferenceLoopBitForBit) {
+  oracles::at_width(4, root_music_pair_matches_reference);
 }
 
 TEST(RootMusic, SingleCleanTone) {

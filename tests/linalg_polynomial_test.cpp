@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <complex>
 #include <numbers>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -55,30 +57,41 @@ std::vector<Complex> random_coefficients(std::size_t degree, unsigned seed) {
   return c;
 }
 
+/// A conjugate-reciprocal root set, the structure root-MUSIC roots.
+Polynomial conjugate_reciprocal_polynomial(std::size_t degree, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> mag(0.3, 0.95);
+  std::uniform_real_distribution<double> ang(-3.0, 3.0);
+  std::vector<Complex> roots;
+  while (roots.size() + 2 <= degree) {
+    const Complex z = std::polar(mag(rng), ang(rng));
+    roots.push_back(z);
+    roots.push_back(1.0 / std::conj(z));
+  }
+  if (roots.size() < degree) roots.push_back(std::polar(1.0, ang(rng)));
+  return Polynomial::from_roots(roots);
+}
+
+/// A loose tolerance, a tolerance outside the squared-norm range, no
+/// tolerance, and a sweep cap above 30 * degree.
+const std::vector<RootFindingOptions> kOptionVariants = {
+    {.max_iterations = 400, .tolerance = 1e-6},
+    {.max_iterations = 400, .tolerance = 1e-120},
+    {.max_iterations = 400, .tolerance = 0.0},
+    {.max_iterations = 1000, .tolerance = 1e-300},
+};
+
 void degrees_one_to_forty_match_reference() {
   for (std::size_t degree = 1; degree <= 40; ++degree) {
     const auto seed = static_cast<unsigned>(degree);
     expect_roots_match_oracle(Polynomial(random_coefficients(degree, seed)));
-    // A conjugate-reciprocal root set, the structure root-MUSIC roots.
-    std::mt19937 rng(seed + 100);
-    std::uniform_real_distribution<double> mag(0.3, 0.95);
-    std::uniform_real_distribution<double> ang(-3.0, 3.0);
-    std::vector<Complex> roots;
-    while (roots.size() + 2 <= degree) {
-      const Complex z = std::polar(mag(rng), ang(rng));
-      roots.push_back(z);
-      roots.push_back(1.0 / std::conj(z));
-    }
-    if (roots.size() < degree) roots.push_back(std::polar(1.0, ang(rng)));
-    expect_roots_match_oracle(Polynomial::from_roots(roots));
+    expect_roots_match_oracle(
+        conjugate_reciprocal_polynomial(degree, seed + 100));
   }
-  // Options: a loose tolerance, a tolerance outside the squared-norm range,
-  // and a sweep cap above 30 * degree.
   const Polynomial p(random_coefficients(12, 3));
-  expect_roots_match_oracle(p, {.max_iterations = 400, .tolerance = 1e-6});
-  expect_roots_match_oracle(p, {.max_iterations = 400, .tolerance = 1e-120});
-  expect_roots_match_oracle(p, {.max_iterations = 400, .tolerance = 0.0});
-  expect_roots_match_oracle(p, {.max_iterations = 1000, .tolerance = 1e-300});
+  for (const RootFindingOptions& options : kOptionVariants) {
+    expect_roots_match_oracle(p, options);
+  }
 }
 
 TEST(FindRootsOracle, DegreesOneToFortyMatchReferenceLoopBitForBit) {
@@ -115,17 +128,17 @@ TEST(FindRootsOracleFourLanes, ToleranceAtASweepsLargestStep) {
   oracles::at_width(4, tolerance_at_a_sweeps_largest_step);
 }
 
-void collision_nudge_path() {
-  // z^2 + b z + 1 starts from radius 1 on the spiral find_roots builds.
-  // Choose b, to the ulp, so that root 0's first step lands exactly on z1:
-  // root 1's product is then exactly zero and it is nudged.
+/// z^2 + b z + 1, which starts from radius 1 on the spiral find_roots
+/// builds, with b chosen to the ulp so that root 0's first step lands
+/// exactly on z1: root 1's product is then exactly zero and it is nudged.
+/// Empty if no b within 8 ulps does it.
+std::optional<Polynomial> collision_nudge_polynomial() {
   const Complex z0 = std::polar(0.8 + 0.4 * 1.0 / 2.0, 0.3979);
   const Complex z1 =
       std::polar(0.8 + 0.4 * 2.0 / 2.0, 2.0 * std::numbers::pi / 2.0 + 0.3979);
   const Complex guess = ((z0 - z1) * (z0 - z1) - z0 * z0 - Complex{1.0}) / z0;
-  bool found = false;
-  for (int dr = -8; dr <= 8 && !found; ++dr) {
-    for (int di = -8; di <= 8 && !found; ++di) {
+  for (int dr = -8; dr <= 8; ++dr) {
+    for (int di = -8; di <= 8; ++di) {
       double br = guess.real();
       double bi = guess.imag();
       for (int k = 0; k < std::abs(dr); ++k) {
@@ -135,12 +148,18 @@ void collision_nudge_path() {
         bi = std::nextafter(bi, di * 1e300);
       }
       const Polynomial p({Complex{1.0}, Complex{br, bi}, Complex{1.0}});
-      if (z0 - p.evaluate(z0) / (Complex{1.0, 0.0} * (z0 - z1)) != z1) continue;
-      found = true;
-      EXPECT_GT(expect_roots_match_oracle(p).nudges, 0u);
+      if (z0 - p.evaluate(z0) / (Complex{1.0, 0.0} * (z0 - z1)) == z1) {
+        return p;
+      }
     }
   }
-  EXPECT_TRUE(found);
+  return std::nullopt;
+}
+
+void collision_nudge_path() {
+  const std::optional<Polynomial> p = collision_nudge_polynomial();
+  ASSERT_TRUE(p.has_value());
+  EXPECT_GT(expect_roots_match_oracle(*p).nudges, 0u);
 }
 
 TEST(FindRootsOracle, CollisionNudgePath) {
@@ -151,15 +170,18 @@ TEST(FindRootsOracleFourLanes, CollisionNudgePath) {
   oracles::at_width(4, collision_nudge_path);
 }
 
-void repeated_root_runs_to_the_sweep_cap() {
-  // A double root on the unit circle, as root-MUSIC sees at high SNR: the
-  // pair never settles below the tolerance, so the loop runs 30 * n sweeps.
+/// A double root on the unit circle, as root-MUSIC sees at high SNR: the
+/// pair never settles below the tolerance, so the loop runs 30 * n sweeps.
+Polynomial capped_polynomial() {
   std::vector<Complex> roots{std::polar(1.0, 0.7), std::polar(1.0, 0.7)};
   std::mt19937 rng(41);
   std::uniform_real_distribution<double> ang(-3.0, 3.0);
   while (roots.size() < 30) roots.push_back(std::polar(0.6, ang(rng)));
-  const ReferenceTrace trace =
-      expect_roots_match_oracle(Polynomial::from_roots(roots));
+  return Polynomial::from_roots(roots);
+}
+
+void repeated_root_runs_to_the_sweep_cap() {
+  const ReferenceTrace trace = expect_roots_match_oracle(capped_polynomial());
   EXPECT_EQ(trace.sweeps, 30u * 30u);
 }
 
@@ -187,6 +209,151 @@ TEST(FindRootsOracle, NonFiniteCoefficients) {
 
 TEST(FindRootsOracleFourLanes, NonFiniteCoefficients) {
   oracles::at_width(4, non_finite_coefficients);
+}
+
+/// find_roots_pair against reference_find_roots of each polynomial; the
+/// references' traces, first then second.
+std::array<ReferenceTrace, 2> expect_pair_matches_oracle(
+    const Polynomial& first, const Polynomial& second,
+    const RootFindingOptions& options = {}) {
+  const std::array<std::vector<Complex>, 2> got =
+      find_roots_pair(first, second, options);
+  const std::array<const Polynomial*, 2> polys = {&first, &second};
+  std::array<ReferenceTrace, 2> traces;
+  for (std::size_t p = 0; p < 2; ++p) {
+    const std::vector<Complex> want =
+        reference_find_roots(*polys[p], traces[p], options);
+    EXPECT_EQ(got[p].size(), want.size());
+    if (got[p].size() == want.size()) {
+      EXPECT_TRUE(oracles::same_values(got[p].data(), want.data(),
+                                       want.size()))
+          << (p == 0 ? "first" : "second") << " of degrees "
+          << first.degree() << " and " << second.degree();
+    }
+  }
+  return traces;
+}
+
+void pair_degrees_two_to_forty_match_reference() {
+  for (std::size_t degree = 2; degree <= 40; ++degree) {
+    const auto seed = static_cast<unsigned>(degree);
+    const Polynomial random(random_coefficients(degree, seed));
+    const Polynomial other(random_coefficients(degree, seed + 500));
+    const Polynomial reciprocal =
+        conjugate_reciprocal_polynomial(degree, seed + 100);
+    expect_pair_matches_oracle(random, other);
+    expect_pair_matches_oracle(reciprocal,
+                               conjugate_reciprocal_polynomial(degree,
+                                                               seed + 600));
+    expect_pair_matches_oracle(random, reciprocal);
+    expect_pair_matches_oracle(reciprocal, random);
+  }
+  const Polynomial p(random_coefficients(12, 3));
+  const Polynomial q = conjugate_reciprocal_polynomial(12, 112);
+  for (const RootFindingOptions& options : kOptionVariants) {
+    expect_pair_matches_oracle(p, q, options);
+    expect_pair_matches_oracle(q, p, options);
+  }
+}
+
+TEST(FindRootsPairOracle, DegreesTwoToFortyMatchReferenceLoopBitForBit) {
+  oracles::at_width(2, pair_degrees_two_to_forty_match_reference);
+}
+
+TEST(FindRootsPairOracleFourLanes,
+     DegreesTwoToFortyMatchReferenceLoopBitForBit) {
+  oracles::at_width(4, pair_degrees_two_to_forty_match_reference);
+}
+
+void pair_survivor_runs_on_alone() {
+  // A converging polynomial settles long before the capped one, which then
+  // runs its remaining sweeps alone; in either lane. Two capped problems
+  // share every sweep.
+  const Polynomial capped = capped_polynomial();
+  const Polynomial converging(random_coefficients(30, 9));
+  for (const bool capped_first : {true, false}) {
+    const auto traces =
+        capped_first ? expect_pair_matches_oracle(capped, converging)
+                     : expect_pair_matches_oracle(converging, capped);
+    const ReferenceTrace& slow = traces[capped_first ? 0 : 1];
+    const ReferenceTrace& fast = traces[capped_first ? 1 : 0];
+    EXPECT_EQ(slow.sweeps, 30u * 30u);
+    EXPECT_LT(fast.sweeps, slow.sweeps);
+  }
+  const auto both = expect_pair_matches_oracle(capped, capped);
+  EXPECT_EQ(both[0].sweeps, 30u * 30u);
+}
+
+TEST(FindRootsPairOracle, SurvivorRunsOnAlone) {
+  oracles::at_width(2, pair_survivor_runs_on_alone);
+}
+
+TEST(FindRootsPairOracleFourLanes, SurvivorRunsOnAlone) {
+  oracles::at_width(4, pair_survivor_runs_on_alone);
+}
+
+void pair_collision_nudge_path() {
+  const std::optional<Polynomial> nudged = collision_nudge_polynomial();
+  ASSERT_TRUE(nudged.has_value());
+  const Polynomial plain(random_coefficients(2, 5));
+  EXPECT_GT(expect_pair_matches_oracle(*nudged, plain)[0].nudges, 0u);
+  EXPECT_GT(expect_pair_matches_oracle(plain, *nudged)[1].nudges, 0u);
+}
+
+TEST(FindRootsPairOracle, CollisionNudgePath) {
+  oracles::at_width(2, pair_collision_nudge_path);
+}
+
+TEST(FindRootsPairOracleFourLanes, CollisionNudgePath) {
+  oracles::at_width(4, pair_collision_nudge_path);
+}
+
+void pair_non_finite_coefficients() {
+  // A NaN or infinite coefficient in one problem of the pair sends its
+  // products to the per-lane fallback while the other lane stays finite.
+  for (const double bad : {NAN, INFINITY}) {
+    for (const std::size_t degree : {2u, 5u, 16u, 30u}) {
+      auto c = random_coefficients(degree, static_cast<unsigned>(degree) + 7);
+      c[degree / 2] = Complex{bad, 0.25};
+      const Polynomial broken(c);
+      const Polynomial plain(
+          random_coefficients(degree, static_cast<unsigned>(degree) + 70));
+      expect_pair_matches_oracle(broken, plain);
+      expect_pair_matches_oracle(plain, broken);
+    }
+  }
+}
+
+TEST(FindRootsPairOracle, NonFiniteCoefficients) {
+  oracles::at_width(2, pair_non_finite_coefficients);
+}
+
+TEST(FindRootsPairOracleFourLanes, NonFiniteCoefficients) {
+  oracles::at_width(4, pair_non_finite_coefficients);
+}
+
+void pair_unequal_or_low_degrees() {
+  // These pairs take two find_roots calls.
+  const Polynomial linear({Complex{-6.0}, Complex{3.0}});
+  const Polynomial other_linear({Complex{0.5, 1.0}, Complex{-2.0, 0.25}});
+  expect_pair_matches_oracle(linear, other_linear);
+  expect_pair_matches_oracle(linear, Polynomial(random_coefficients(5, 11)));
+  expect_pair_matches_oracle(Polynomial(random_coefficients(7, 12)),
+                             Polynomial(random_coefficients(6, 13)));
+  expect_pair_matches_oracle(capped_polynomial(),
+                             Polynomial(random_coefficients(29, 14)));
+  EXPECT_THROW(find_roots_pair(Polynomial({Complex{1.0}}), linear),
+               std::invalid_argument);
+  EXPECT_THROW(find_roots_pair(linear, Polynomial({Complex{1.0}})),
+               std::invalid_argument);
+}
+
+TEST(FindRootsPairOracle, UnequalOrLowDegrees) {
+  oracles::at_width(2, pair_unequal_or_low_degrees);
+}
+
+TEST(FindRootsPairOracleFourLanes, UnequalOrLowDegrees) {
+  oracles::at_width(4, pair_unequal_or_low_degrees);
 }
 
 TEST(Polynomial, DegreeTrimsLeadingZeros) {

@@ -8,6 +8,7 @@
 #include <random>
 #include <vector>
 
+#include "dsp/music.hpp"
 #include "dsp/spectral.hpp"
 #include "radar/echo_scene.hpp"
 #include "radar/link_budget.hpp"
@@ -297,6 +298,79 @@ TEST(RadarProcessor, PeriodogramMeasureEqualsSeparatelyComposedEstimates) {
     const BeatFrequencies beats{
         .up_hz = Hertz{up ? up->frequency_hz : 0.0},
         .down_hz = Hertz{down ? down->frequency_hz : 0.0}};
+    const RangeRate expected = range_rate_from_beats(cfg.waveform, beats);
+
+    EXPECT_TRUE(same_bits(m.peak_to_average, papr));
+    EXPECT_TRUE(same_bits(m.beats.up_hz.value(), beats.up_hz.value()));
+    EXPECT_TRUE(same_bits(m.beats.down_hz.value(), beats.down_hz.value()));
+    EXPECT_TRUE(same_bits(m.estimate.distance_m.value(),
+                          expected.distance_m.value()));
+    EXPECT_TRUE(same_bits(m.estimate.range_rate_mps.value(),
+                          expected.range_rate_mps.value()));
+    EXPECT_EQ(m.coherent_echo, papr > cfg.coherence_threshold);
+  }
+}
+
+TEST(RadarProcessor, RootMusicEpochMatchesPerSegmentPath) {
+  // measure() roots both segments' null-spectrum polynomials as one pair.
+  // On a twin receiver's segments, the per-segment path must give the same
+  // bits: the up segment's PAPR, root_music_frequencies per segment, then a
+  // lone candidate as is or the strongest by tone power. Scenes with 0 to 3
+  // echoes (3 and 2 candidates go through the tone-power pick), a jammed
+  // epoch and a silent challenge slot.
+  const auto cfg = test_config(BeatEstimator::kRootMusic);
+  RadarProcessor radar(cfg, 47);
+  RadarProcessor twin(cfg, 47);
+  const double fs = cfg.sample_rate_hz.value();
+  const dsp::MusicOptions options{.covariance_order = cfg.music_order,
+                                  .forward_backward = true};
+
+  EchoScene noise_only;
+  noise_only.noise_power_w = cfg.noise_floor_w;
+  std::vector<EchoScene> scenes = {noise_only, target_scene(60.0, -1.0, cfg)};
+  EchoScene two = target_scene(40.0, -2.0, cfg);
+  two.echoes.push_back(target_scene(75.0, 1.0, cfg, 2.5).echoes.front());
+  scenes.push_back(two);
+  EchoScene three = two;
+  three.echoes.push_back(target_scene(46.0, -2.0, cfg, 40.0).echoes.front());
+  scenes.push_back(three);
+  EchoScene jammed = target_scene(100.0, -1.0, cfg);
+  jammed.noise_power_w +=
+      received_jammer_power_w(cfg.waveform, JammerParameters{}, Meters{100.0});
+  scenes.push_back(jammed);
+  EchoScene silent;
+  silent.tx_enabled = false;
+  silent.noise_power_w = cfg.noise_floor_w;
+  scenes.push_back(silent);
+
+  const auto pick = [fs](const dsp::ComplexSignal& segment,
+                         const std::vector<double>& candidates) {
+    if (candidates.empty()) return 0.0;
+    if (candidates.size() == 1) return candidates.front();
+    double best_freq = candidates.front();
+    double best_power = -1.0;
+    for (const double f : candidates) {
+      const double p = dsp::tone_power(segment, f, fs);
+      if (p > best_power) {
+        best_power = p;
+        best_freq = f;
+      }
+    }
+    return best_freq;
+  };
+
+  for (std::size_t i = 0; i < scenes.size(); ++i) {
+    SCOPED_TRACE(i);
+    const RadarMeasurement m = radar.measure(scenes[i]);
+    const RadarProcessor::Segments seg = twin.synthesize(scenes[i]);
+    const std::size_t sources =
+        std::max<std::size_t>(scenes[i].echoes.size(), 1);
+    const double papr = dsp::peak_to_average_power(seg.up);
+    const BeatFrequencies beats{
+        .up_hz = Hertz{pick(seg.up, dsp::root_music_frequencies(
+                                        seg.up, fs, sources, options))},
+        .down_hz = Hertz{pick(seg.down, dsp::root_music_frequencies(
+                                            seg.down, fs, sources, options))}};
     const RangeRate expected = range_rate_from_beats(cfg.waveform, beats);
 
     EXPECT_TRUE(same_bits(m.peak_to_average, papr));
