@@ -29,16 +29,18 @@ BuildResult built(const spec::Params& params, bool want_attack,
   return result;
 }
 
+// The messages are built only on failure: scenario set-up builds the
+// legacy enum's attacks through this path too.
 void take_positive(spec::Params& params, const std::string& key,
                    double& out) {
   params.number(key, out);
-  params.require(out > 0.0, "`" + key + "` must be > 0");
+  if (!(out > 0.0)) params.fail("`" + key + "` must be > 0");
 }
 
 void take_non_negative(spec::Params& params, const std::string& key,
                        double& out) {
   params.number(key, out);
-  params.require(out >= 0.0, "`" + key + "` must be >= 0");
+  if (!(out >= 0.0)) params.fail("`" + key + "` must be >= 0");
 }
 
 BuildResult build_dos(spec::Params& params,

@@ -1,28 +1,13 @@
 #include "core/car_following.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
+#include <utility>
 
-#include "radar/link_budget.hpp"
-#include "telemetry/telemetry.hpp"
+#include "core/follower.hpp"
 
 namespace safe::core {
 
 namespace units = safe::units;
-
-namespace {
-
-// The controller stage is the tail of the per-step chain (modulate ->
-// channel -> demodulate/CFAR -> CRA check -> RLS -> ACC); the radar and
-// pipeline stages carry their own spans, this closes the profile.
-const telemetry::MetricId& controller_ns_metric() {
-  static const telemetry::MetricId id =
-      telemetry::duration_histogram("control.step_ns");
-  return id;
-}
-
-}  // namespace
 
 std::vector<std::string> CarFollowingResult::columns() {
   return {
@@ -59,18 +44,6 @@ CarFollowingSimulation::CarFollowingSimulation(
 
 CarFollowingResult CarFollowingSimulation::run() {
   const units::Seconds t_sample = config_.sample_time_s;
-  const radar::FmcwParameters& wf = config_.radar.waveform;
-
-  radar::RadarProcessor radar(config_.radar, config_.seed);
-  SafeMeasurementPipeline pipeline =
-      make_default_pipeline(schedule_, config_.pipeline);
-  control::AccController acc(config_.acc);
-
-  // Local copy of the fault schedule: stream state (stuck frames, challenge
-  // counts) is per-run.
-  fault::FaultSchedule faults =
-      config_.faults ? *config_.faults : fault::FaultSchedule{};
-  faults.reset();
 
   // Per-run clone of the attack model: entrainment-style attacks carry a
   // lock-on state machine, and repeated run() calls must start it fresh.
@@ -80,17 +53,14 @@ CarFollowingResult CarFollowingSimulation::run() {
 
   vehicle::VehicleState leader{.position_m = config_.initial_gap_m,
                                .velocity_mps = config_.leader_speed_mps};
-  vehicle::VehicleState follower{.position_m = units::Meters{0.0},
-                                 .velocity_mps = config_.follower_speed_mps};
+  Follower follower(config_, config_.seed, schedule_, config_.faults.get(),
+                    leader,
+                    vehicle::VehicleState{
+                        .position_m = units::Meters{0.0},
+                        .velocity_mps = config_.follower_speed_mps});
 
   CarFollowingResult result;
   result.min_gap_m = config_.initial_gap_m;
-
-  // Undefended runs still need target tracking across challenge slots and
-  // dropouts: a real radar holds its last track briefly.
-  units::Meters held_gap = config_.initial_gap_m;
-  units::MetersPerSecond held_dv = vehicle::relative_velocity(leader, follower);
-  bool held_valid = false;
 
   for (std::int64_t k = 0; k < config_.horizon_steps; ++k) {
     const units::Seconds t = static_cast<double>(k) * t_sample;
@@ -101,110 +71,10 @@ CarFollowingResult CarFollowingSimulation::run() {
                              t_sample);
     }
 
-    const units::Meters true_gap = vehicle::gap(leader, follower);
-    const units::MetersPerSecond true_dv =
-        vehicle::relative_velocity(leader, follower);
+    const FollowerStep s =
+        follower.step(k, t, leader, result.collided, {}, attack.get());
 
-    // --- RF scene: genuine echo if the probe radiates and the target is in
-    // the radar's range window.
-    radar::EchoScene scene;
-    scene.tx_enabled = !pipeline.probe_suppressed(k);
-    scene.noise_power_w = config_.radar.noise_floor_w;
-    const bool in_window =
-        true_gap >= wf.min_range_m && true_gap <= wf.max_range_m;
-    double echo_power = 0.0;
-    if (scene.tx_enabled && in_window && !result.collided) {
-      echo_power =
-          radar::received_echo_power_w(wf, true_gap, config_.target_rcs_m2);
-      scene.echoes.push_back(radar::EchoComponent{
-          .distance_m = true_gap,
-          .range_rate_mps = true_dv,
-          .power_w = echo_power,
-      });
-    } else if (in_window && !result.collided) {
-      echo_power =
-          radar::received_echo_power_w(wf, true_gap, config_.target_rcs_m2);
-    }
-
-    bool attack_active = false;
-    if (attack && !result.collided) {
-      const attack::AttackContext ctx{
-          .time_s = t,
-          .step = k,
-          .true_distance_m = true_gap,
-          .true_range_rate_mps = true_dv,
-          .true_echo_power_w = echo_power,
-          .waveform = &wf,
-      };
-      attack_active = attack->apply(ctx, scene);
-    }
-
-    // --- Radar receiver (+ post-digitization sensor faults, if scheduled).
-    radar::RadarMeasurement meas = radar.measure(scene);
-    if (!faults.empty()) {
-      meas = faults.apply(k, pipeline.probe_suppressed(k), meas);
-    }
-
-    // --- Defense pipeline (Algorithm 2).
-    const SafeMeasurement safe =
-        pipeline.process_scored(k, meas, attack_active);
-    if (safe.safe_stop) ++result.safe_stop_steps;
-
-    // --- Controller input selection.
-    control::AccInputs inputs;
-    inputs.follower_speed_mps = follower.velocity_mps;
-    if (config_.defense_enabled) {
-      inputs.target_present = safe.target_present;
-      inputs.distance_m = safe.distance_m;
-      inputs.relative_velocity_mps = safe.relative_velocity_mps;
-      inputs.degraded_safe_stop = safe.safe_stop;
-      inputs.degraded_holdover =
-          safe.degradation == DegradationState::kHoldover;
-    } else {
-      // Raw radar consumer with a one-epoch track hold across dropouts.
-      if (meas.coherent_echo) {
-        held_gap = meas.estimate.distance_m;
-        held_dv = meas.estimate.range_rate_mps;
-        held_valid = true;
-      }
-      inputs.target_present = held_valid;
-      inputs.distance_m = held_gap;
-      inputs.relative_velocity_mps = held_dv;
-    }
-
-    // Audit what the controller is about to consume: with the defense on,
-    // the health monitor must have filtered every non-finite value.
-    if (inputs.target_present &&
-        (!std::isfinite(inputs.distance_m.value()) ||
-         !std::isfinite(inputs.relative_velocity_mps.value()))) {
-      ++result.nonfinite_controller_inputs;
-    }
-
-    // --- Follower controller + dynamics (Eqs. 13-17, or IDM baseline).
-    units::MetersPerSecond2 follower_accel;
-    {
-      telemetry::ScopedTimer span("acc.step", "control",
-                                  controller_ns_metric(),
-                                  telemetry::TraceDetail::kFine);
-      span.arg("step", k);
-      if (config_.controller == FollowerController::kAccHierarchy) {
-        follower_accel = acc.step(inputs).actuation.actual_accel_mps2;
-      } else {
-        follower_accel =
-            inputs.target_present
-                ? control::idm_acceleration(
-                      config_.idm, follower.velocity_mps,
-                      follower.velocity_mps + inputs.relative_velocity_mps,
-                      inputs.distance_m)
-                : control::idm_free_acceleration(config_.idm,
-                                                 follower.velocity_mps);
-      }
-    }
-    if (!result.collided) {
-      follower = vehicle::step(follower, follower_accel, t_sample);
-    }
-
-    const units::Meters gap_after = vehicle::gap(leader, follower);
+    const units::Meters gap_after = vehicle::gap(leader, follower.state());
     result.min_gap_m = units::min(result.min_gap_m, gap_after);
     if (!result.collided && gap_after <= units::Meters{0.0}) {
       result.collided = true;
@@ -214,30 +84,35 @@ CarFollowingResult CarFollowingSimulation::run() {
     // The recorded radar output is zero when the receiver saw nothing
     // (challenge slots in clean runs: the zero-spikes of Figures 2-3), and
     // the possibly-corrupted estimate whenever anything radiated.
+    const radar::RadarMeasurement& meas = s.measurement;
     const bool receiver_output = meas.nonzero_output();
+    const vehicle::VehicleState& own = follower.state();
     result.trace.append_row({
         t.value(),
-        true_gap.value(),
-        true_dv.value(),
+        s.true_gap_m.value(),
+        s.true_dv_mps.value(),
         receiver_output ? meas.estimate.distance_m.value() : 0.0,
         receiver_output ? meas.estimate.range_rate_mps.value() : 0.0,
-        safe.distance_m.value(),
-        safe.relative_velocity_mps.value(),
+        s.safe.distance_m.value(),
+        s.safe.relative_velocity_mps.value(),
         leader.velocity_mps.value(),
-        follower.velocity_mps.value(),
-        follower.acceleration_mps2.value(),
-        safe.challenge_slot ? 1.0 : 0.0,
-        safe.under_attack ? 1.0 : 0.0,
-        safe.estimated ? 1.0 : 0.0,
+        own.velocity_mps.value(),
+        own.acceleration_mps2.value(),
+        s.safe.challenge_slot ? 1.0 : 0.0,
+        s.safe.under_attack ? 1.0 : 0.0,
+        s.safe.estimated ? 1.0 : 0.0,
         result.collided ? 1.0 : 0.0,
-        static_cast<double>(safe.degradation),
-        static_cast<double>(safe.holdover_steps),
+        static_cast<double>(s.safe.degradation),
+        static_cast<double>(s.safe.holdover_steps),
     });
   }
 
+  const SafeMeasurementPipeline& pipeline = follower.pipeline();
   result.detection_step = pipeline.detection_step();
   result.detection_stats = pipeline.detection_stats();
   result.health_stats = pipeline.health_stats();
+  result.safe_stop_steps = follower.safe_stop_steps();
+  result.nonfinite_controller_inputs = follower.nonfinite_controller_inputs();
   return result;
 }
 

@@ -2,6 +2,9 @@
 //
 // leader kinematics -> RF scene -> (attack) -> CRA radar -> safe-measurement
 // pipeline -> ACC hierarchy -> follower kinematics, sampled at T = 1 s.
+//
+// The pair scene is the leader, one core::Follower (core/follower.hpp, the
+// per-step chain every scene runs), the collision check and the trace.
 #pragma once
 
 #include <cstdint>

@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "attack/delay_injection.hpp"
-#include "attack/dos_jammer.hpp"
 #include "attack/spec.hpp"
 #include "attack/window.hpp"
 #include "radar/link_budget.hpp"
@@ -79,25 +77,17 @@ Scenario make_paper_scenario(const ScenarioOptions& options) {
       break;
   }
 
-  std::shared_ptr<attack::AttackModel> inner;
-  if (attack::attack_spec_enabled(options.attack_spec)) {
-    // Spec language wins over the legacy enum; bare "dos" inherits the
-    // scenario's jammer link budget so the campaign power axis composes.
-    inner =
-        attack::make_attack(options.attack_spec, options.jammer, options.seed);
-  } else {
-    switch (options.attack) {
-      case AttackKind::kNone:
-        break;
-      case AttackKind::kDosJammer:
-        inner = std::make_shared<attack::DosJammerAttack>(options.jammer);
-        break;
-      case AttackKind::kDelayInjection:
-        inner = std::make_shared<attack::DelayInjectionAttack>(
-            attack::DelayInjectionConfig{});
-        break;
-    }
+  // The spec language wins over the legacy enum, which names its bare
+  // spec; a bare "dos" inherits the scenario's jammer link budget so the
+  // campaign power axis composes.
+  std::string attack_spec = options.attack_spec;
+  if (!attack::attack_spec_enabled(attack_spec)) {
+    attack_spec = options.attack == AttackKind::kDosJammer        ? "dos"
+                  : options.attack == AttackKind::kDelayInjection ? "delay"
+                                                                  : "";
   }
+  std::shared_ptr<attack::AttackModel> inner =
+      attack::make_attack(attack_spec, options.jammer, options.seed);
   if (inner) {
     s.attack = std::make_shared<attack::ScheduledAttack>(
         std::move(inner), attack::AttackWindow{options.attack_start_s,

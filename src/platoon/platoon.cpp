@@ -1,17 +1,18 @@
 #include "platoon/platoon.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "attack/spec.hpp"
 #include "attack/window.hpp"
-#include "control/idm.hpp"
+#include "core/follower.hpp"
 #include "fault/schedule.hpp"
-#include "radar/link_budget.hpp"
 #include "runtime/seed.hpp"  // header-only: no platoon -> runtime link dep
 #include "telemetry/telemetry.hpp"
 #include "vehicle/longitudinal.hpp"
@@ -21,23 +22,6 @@ namespace safe::platoon {
 namespace units = safe::units;
 
 namespace {
-
-/// Per-follower simulation state: the complete pair-scene stack plus the
-/// outcome accumulators.
-struct Follower {
-  radar::RadarProcessor radar;
-  core::SafeMeasurementPipeline pipeline;
-  control::AccController acc;
-  fault::FaultSchedule faults;
-  vehicle::VehicleState state;
-  // Raw-radar track hold used when the defense is disabled (same one-epoch
-  // bridge the pair scene gives its undefended consumer).
-  units::Meters held_gap{0.0};
-  units::MetersPerSecond held_dv{0.0};
-  bool held_valid = false;
-  VehicleOutcome outcome;
-  double holdover_sq_sum_m2 = 0.0;
-};
 
 /// Radar seed for follower `index`: follower 1 keeps the base seed so a
 /// 2-vehicle platoon replays the pair scene bit-for-bit; deeper followers
@@ -98,15 +82,18 @@ PlatoonSimulation::PlatoonSimulation(
   if (po.initial_gap_m <= units::Meters{0.0}) {
     throw std::invalid_argument("PlatoonSimulation: bad initial gap");
   }
+  // The platoon options own the controller and the gap (platoon.hpp).
+  config_.base.controller = po.controller;
+  config_.base.initial_gap_m = po.initial_gap_m;
 }
 
 PlatoonResult PlatoonSimulation::run() {
   telemetry::ScopedTimer run_span("platoon.run", "platoon");
 
-  const units::Seconds t_sample = config_.base.sample_time_s;
-  const radar::FmcwParameters& wf = config_.base.radar.waveform;
+  const core::CarFollowingConfig& base = config_.base;
+  const units::Seconds t_sample = base.sample_time_s;
   const PlatoonOptions& po = config_.platoon;
-  const units::Meters initial_gap = po.initial_gap_m;
+  const units::Meters initial_gap = base.initial_gap_m;
   const std::size_t n_followers = po.size - 1;
 
   // Per-run clone of the attack model (pair-scene idiom): stateful attacks
@@ -120,48 +107,30 @@ PlatoonResult PlatoonSimulation::run() {
   vehicle::VehicleState leader{
       .position_m = units::Meters{static_cast<double>(n_followers) *
                                   initial_gap.value()},
-      .velocity_mps = config_.base.leader_speed_mps};
-
-  std::vector<std::unique_ptr<Follower>> followers;
-  followers.reserve(n_followers);
-  for (std::size_t i = 1; i <= n_followers; ++i) {
-    auto f = std::make_unique<Follower>(Follower{
-        .radar = radar::RadarProcessor(config_.base.radar,
-                                       follower_seed(config_.base.seed, i)),
-        .pipeline =
-            core::make_default_pipeline(schedule_, config_.base.pipeline),
-        .acc = control::AccController(config_.base.acc),
-        .faults = (i == po.attacked && config_.base.faults)
-                      ? *config_.base.faults
-                      : fault::FaultSchedule{},
-        .state =
-            vehicle::VehicleState{
-                .position_m =
-                    units::Meters{static_cast<double>(n_followers - i) *
-                                  initial_gap.value()},
-                .velocity_mps = config_.base.follower_speed_mps},
-        .held_gap = initial_gap,
-        .held_dv = units::MetersPerSecond{0.0},
-        .held_valid = false,
-        .outcome = VehicleOutcome{},
-        .holdover_sq_sum_m2 = 0.0,
-    });
-    f->faults.reset();
-    f->outcome.index = i;
-    f->outcome.min_gap_m = initial_gap;
-    followers.push_back(std::move(f));
-  }
-  // Track holds seed from the true initial kinematics (pair-scene idiom).
-  for (std::size_t i = 1; i <= n_followers; ++i) {
-    const vehicle::VehicleState& pred =
-        i == 1 ? leader : followers[i - 2]->state;
-    followers[i - 1]->held_dv =
-        vehicle::relative_velocity(pred, followers[i - 1]->state);
-  }
+      .velocity_mps = base.leader_speed_mps};
 
   PlatoonResult result(po.size);
+  result.followers.resize(n_followers);
+  std::vector<double> holdover_sq_sum_m2(n_followers, 0.0);
+  // Reserved up front, so a follower built from its predecessor's state
+  // never moves that predecessor.
+  std::vector<core::Follower> followers;
+  followers.reserve(n_followers);
+  for (std::size_t i = 1; i <= n_followers; ++i) {
+    // Only the attacked follower's stream carries the scheduled faults.
+    followers.emplace_back(
+        base, follower_seed(base.seed, i), schedule_,
+        i == po.attacked ? base.faults.get() : nullptr,
+        i == 1 ? leader : followers[i - 2].state(),
+        vehicle::VehicleState{
+            .position_m = units::Meters{static_cast<double>(n_followers - i) *
+                                        initial_gap.value()},
+            .velocity_mps = base.follower_speed_mps});
+    result.followers[i - 1].index = i;
+    result.followers[i - 1].min_gap_m = initial_gap;
+  }
 
-  for (std::int64_t k = 0; k < config_.base.horizon_steps; ++k) {
+  for (std::int64_t k = 0; k < base.horizon_steps; ++k) {
     const units::Seconds t = static_cast<double>(k) * t_sample;
 
     // --- Leader dynamics (Eq. 15).
@@ -178,145 +147,48 @@ PlatoonResult PlatoonSimulation::run() {
     // Followers in string order: vehicle i measures a predecessor that has
     // already stepped this sample — exactly the pair scene's sequencing.
     for (std::size_t i = 1; i <= n_followers; ++i) {
-      Follower& f = *followers[i - 1];
+      core::Follower& f = followers[i - 1];
       const vehicle::VehicleState& pred =
-          i == 1 ? leader : followers[i - 2]->state;
+          i == 1 ? leader : followers[i - 2].state();
 
-      const units::Meters true_gap = vehicle::gap(pred, f.state);
-      const units::MetersPerSecond true_dv =
-          vehicle::relative_velocity(pred, f.state);
-
-      // --- RF scene: genuine echo if the probe radiates and the target is
-      // in the radar's range window.
-      radar::EchoScene scene;
-      scene.tx_enabled = !f.pipeline.probe_suppressed(k);
-      scene.noise_power_w = config_.base.radar.noise_floor_w;
-      const bool in_window =
-          true_gap >= wf.min_range_m && true_gap <= wf.max_range_m;
-      double echo_power = 0.0;
-      if (scene.tx_enabled && in_window && !result.collided) {
-        echo_power = radar::received_echo_power_w(
-            wf, true_gap, config_.base.target_rcs_m2);
-        scene.echoes.push_back(radar::EchoComponent{
-            .distance_m = true_gap,
-            .range_rate_mps = true_dv,
-            .power_w = echo_power,
-        });
-      } else if (in_window && !result.collided) {
-        echo_power = radar::received_echo_power_w(
-            wf, true_gap, config_.base.target_rcs_m2);
-      }
-
+      // Echoes beyond the predecessor's, in the order synthesis sums them.
+      std::array<core::ExtraEcho, 2> extra;
+      std::size_t n_extra = 0;
       // --- Multi-target scene: the vehicle two ahead reflects too (RCS
       // attenuated by the direct predecessor's occlusion). Only followers
       // with two vehicles ahead have one, so follower 1's scene — and with
       // it the 2-vehicle degeneracy — is untouched.
-      if (po.multi_target && i >= 2 && scene.tx_enabled &&
-          !result.collided) {
+      if (po.multi_target && i >= 2) {
         const vehicle::VehicleState& two_ahead =
-            i == 2 ? leader : followers[i - 3]->state;
-        const units::Meters far_gap = vehicle::gap(two_ahead, f.state);
-        if (far_gap >= wf.min_range_m && far_gap <= wf.max_range_m) {
-          scene.echoes.push_back(radar::EchoComponent{
-              .distance_m = far_gap,
-              .range_rate_mps =
-                  vehicle::relative_velocity(two_ahead, f.state),
-              .power_w = radar::received_echo_power_w(
-                  wf, far_gap,
-                  config_.base.target_rcs_m2 * po.second_target_rcs_scale),
-          });
-        }
+            i == 2 ? leader : followers[i - 3].state();
+        extra[n_extra++] = core::ExtraEcho{
+            .distance_m = vehicle::gap(two_ahead, f.state()),
+            .range_rate_mps = vehicle::relative_velocity(two_ahead, f.state()),
+            .rcs_m2 = base.target_rcs_m2 * po.second_target_rcs_scale,
+        };
       }
-
       // --- Cut-in ghost: for the event window a vehicle merges in at a
       // fraction of the true gap. Nearer means ~R^-4 stronger, so the
       // receiver locks onto it and the controller brakes for it.
-      if (po.cutin.enabled() && po.cutin.into == i && scene.tx_enabled &&
-          !result.collided && t >= po.cutin.start_s &&
+      if (po.cutin.enabled() && po.cutin.into == i &&
+          t >= po.cutin.start_s &&
           t < po.cutin.start_s + po.cutin.duration_s) {
-        const units::Meters cut_gap{po.cutin.gap_fraction *
-                                    true_gap.value()};
-        if (cut_gap >= wf.min_range_m && cut_gap <= wf.max_range_m) {
-          scene.echoes.push_back(radar::EchoComponent{
-              .distance_m = cut_gap,
-              .range_rate_mps = true_dv,
-              .power_w = radar::received_echo_power_w(
-                  wf, cut_gap, config_.base.target_rcs_m2),
-          });
-        }
-      }
-
-      bool attack_active = false;
-      if (attack && i == po.attacked && !result.collided) {
-        const attack::AttackContext ctx{
-            .time_s = t,
-            .step = k,
-            .true_distance_m = true_gap,
-            .true_range_rate_mps = true_dv,
-            .true_echo_power_w = echo_power,
-            .waveform = &wf,
+        extra[n_extra++] = core::ExtraEcho{
+            .distance_m = units::Meters{po.cutin.gap_fraction *
+                                        vehicle::gap(pred, f.state()).value()},
+            .range_rate_mps = vehicle::relative_velocity(pred, f.state()),
+            .rcs_m2 = base.target_rcs_m2,
         };
-        attack_active = attack->apply(ctx, scene);
       }
 
-      // --- Radar receiver (+ post-digitization faults on the attacked
-      // vehicle, if scheduled).
-      radar::RadarMeasurement meas = f.radar.measure(scene);
-      if (!f.faults.empty()) {
-        meas = f.faults.apply(k, f.pipeline.probe_suppressed(k), meas);
-      }
+      const core::FollowerStep s =
+          f.step(k, t, pred, result.collided,
+                 std::span<const core::ExtraEcho>(extra.data(), n_extra),
+                 i == po.attacked ? attack.get() : nullptr);
 
-      // --- Defense pipeline (Algorithm 2, per-vehicle detector backend).
-      const core::SafeMeasurement safe =
-          f.pipeline.process_scored(k, meas, attack_active);
-      if (safe.safe_stop) ++f.outcome.safe_stop_steps;
-
-      // --- Controller input selection.
-      control::AccInputs inputs;
-      inputs.follower_speed_mps = f.state.velocity_mps;
-      if (config_.base.defense_enabled) {
-        inputs.target_present = safe.target_present;
-        inputs.distance_m = safe.distance_m;
-        inputs.relative_velocity_mps = safe.relative_velocity_mps;
-        inputs.degraded_safe_stop = safe.safe_stop;
-        inputs.degraded_holdover =
-            safe.degradation == core::DegradationState::kHoldover;
-      } else {
-        if (meas.coherent_echo) {
-          f.held_gap = meas.estimate.distance_m;
-          f.held_dv = meas.estimate.range_rate_mps;
-          f.held_valid = true;
-        }
-        inputs.target_present = f.held_valid;
-        inputs.distance_m = f.held_gap;
-        inputs.relative_velocity_mps = f.held_dv;
-      }
-
-      if (inputs.target_present &&
-          (!std::isfinite(inputs.distance_m.value()) ||
-           !std::isfinite(inputs.relative_velocity_mps.value()))) {
-        ++f.outcome.nonfinite_controller_inputs;
-      }
-
-      // --- Follower controller + dynamics (Eqs. 13-17, or IDM baseline).
-      units::MetersPerSecond2 accel;
-      if (config_.base.controller == core::FollowerController::kAccHierarchy) {
-        accel = f.acc.step(inputs).actuation.actual_accel_mps2;
-      } else {
-        accel = inputs.target_present
-                    ? control::idm_acceleration(
-                          config_.base.idm, f.state.velocity_mps,
-                          f.state.velocity_mps + inputs.relative_velocity_mps,
-                          inputs.distance_m)
-                    : control::idm_free_acceleration(config_.base.idm,
-                                                     f.state.velocity_mps);
-      }
-      if (!result.collided) {
-        f.state = vehicle::step(f.state, accel, t_sample);
-      }
-
-      const units::Meters gap_after = vehicle::gap(pred, f.state);
-      f.outcome.min_gap_m = units::min(f.outcome.min_gap_m, gap_after);
+      VehicleOutcome& outcome = result.followers[i - 1];
+      const units::Meters gap_after = vehicle::gap(pred, f.state());
+      outcome.min_gap_m = units::min(outcome.min_gap_m, gap_after);
       if (!result.collided && gap_after <= units::Meters{0.0}) {
         result.collided = true;
         result.collision_step = k;
@@ -325,49 +197,51 @@ PlatoonResult PlatoonSimulation::run() {
 
       // --- Outcome accumulators (computed online; the platoon trace keeps
       // only the plotting columns).
-      const double gap_dev = std::abs(true_gap.value() - initial_gap.value());
+      const double gap_dev =
+          std::abs(s.true_gap_m.value() - initial_gap.value());
       if (std::isfinite(gap_dev)) {
-        f.outcome.peak_gap_deviation_m = units::max(
-            f.outcome.peak_gap_deviation_m, units::Meters{gap_dev});
+        outcome.peak_gap_deviation_m = units::max(
+            outcome.peak_gap_deviation_m, units::Meters{gap_dev});
       }
-      if (safe.estimated) {
-        const double err = safe.distance_m.value() - true_gap.value();
+      if (s.safe.estimated) {
+        const double err = s.safe.distance_m.value() - s.true_gap_m.value();
         if (std::isfinite(err)) {
-          f.holdover_sq_sum_m2 += err * err;
-          ++f.outcome.holdover_steps;
+          holdover_sq_sum_m2[i - 1] += err * err;
+          ++outcome.holdover_steps;
         }
       }
-      f.outcome.degradation_max = std::max(
-          f.outcome.degradation_max, static_cast<double>(safe.degradation));
+      outcome.degradation_max = std::max(
+          outcome.degradation_max, static_cast<double>(s.safe.degradation));
 
-      row.push_back(true_gap.value());
-      row.push_back(safe.distance_m.value());
-      row.push_back(f.state.velocity_mps.value());
-      row.push_back(f.state.acceleration_mps2.value());
-      row.push_back(attack_active ? 1.0 : 0.0);
-      row.push_back(static_cast<double>(safe.degradation));
+      row.push_back(s.true_gap_m.value());
+      row.push_back(s.safe.distance_m.value());
+      row.push_back(f.state().velocity_mps.value());
+      row.push_back(f.state().acceleration_mps2.value());
+      row.push_back(s.attack_active ? 1.0 : 0.0);
+      row.push_back(static_cast<double>(s.safe.degradation));
     }
 
     result.trace.append_row(row);
   }
 
-  result.followers.reserve(n_followers);
   for (std::size_t i = 1; i <= n_followers; ++i) {
-    Follower& f = *followers[i - 1];
-    f.outcome.detection_step = f.pipeline.detection_step();
-    f.outcome.detection_stats = f.pipeline.detection_stats();
-    f.outcome.health_stats = f.pipeline.health_stats();
-    f.outcome.holdover_rmse_m = units::Meters{
-        f.outcome.holdover_steps > 0
-            ? std::sqrt(f.holdover_sq_sum_m2 /
-                        static_cast<double>(f.outcome.holdover_steps))
+    const core::Follower& f = followers[i - 1];
+    VehicleOutcome& outcome = result.followers[i - 1];
+    outcome.detection_step = f.pipeline().detection_step();
+    outcome.detection_stats = f.pipeline().detection_stats();
+    outcome.health_stats = f.pipeline().health_stats();
+    outcome.safe_stop_steps = f.safe_stop_steps();
+    outcome.nonfinite_controller_inputs = f.nonfinite_controller_inputs();
+    outcome.holdover_rmse_m = units::Meters{
+        outcome.holdover_steps > 0
+            ? std::sqrt(holdover_sq_sum_m2[i - 1] /
+                        static_cast<double>(outcome.holdover_steps))
             : 0.0};
-    result.followers.push_back(f.outcome);
   }
   const units::Meters standstill =
-      config_.base.controller == core::FollowerController::kIdm
-          ? config_.base.idm.min_gap_m
-          : config_.base.acc.min_gap_m;
+      base.controller == core::FollowerController::kIdm
+          ? base.idm.min_gap_m
+          : base.acc.min_gap_m;
   result.metrics = compute_propagation_metrics(
       result.followers, po.attacked, units::Meters{0.5 * standstill.value()});
   return result;
@@ -385,8 +259,6 @@ PlatoonScenario make_paper_platoon(const core::ScenarioOptions& options) {
   PlatoonScenario s;
   s.config.base = pair.config;
   s.config.platoon = po;
-  s.config.base.controller = po.controller;
-  s.config.base.initial_gap_m = po.initial_gap_m;
   if (!po.detector_spec.empty()) {
     s.config.base.pipeline.detector_spec = po.detector_spec;
   }

@@ -9,10 +9,12 @@
 // attack on one vehicle's sensor stream propagates down the string through
 // the gaps.
 //
-// The per-step order is exactly the pair simulation's (leader steps, then
-// each follower measures its already-stepped predecessor and steps): a
+// Every follower is a core::Follower, the chain the pair scene runs, and
+// the per-step order is the pair simulation's (leader steps, then each
+// follower measures its already-stepped predecessor and steps), so a
 // 2-vehicle platoon with default options is bit-identical to
-// core::CarFollowingSimulation, which the regression tests pin.
+// core::CarFollowingSimulation by construction; the regression tests pin
+// it.
 //
 // Beyond the pair scene, followers with two vehicles ahead get a
 // multi-target echo scene (the second-ahead return, RCS-attenuated), and an

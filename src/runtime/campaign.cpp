@@ -87,13 +87,7 @@ std::size_t CampaignSpec::grid_cells() const {
   return cells;
 }
 
-Campaign::Campaign(CampaignSpec spec) : spec_(std::move(spec)) {
-  if (!spec_.factory) {
-    spec_.factory = [](const core::ScenarioOptions& options) {
-      return core::make_paper_scenario(options);
-    };
-  }
-}
+Campaign::Campaign(CampaignSpec spec) : spec_(std::move(spec)) {}
 
 std::size_t Campaign::default_jobs() {
   return std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -185,7 +179,7 @@ TrialRecord Campaign::run_trial(std::uint64_t trial_id) const {
 
 void Campaign::run_pair_trial(const core::ScenarioOptions& options,
                               TrialRecord& record) const {
-  core::Scenario scenario = spec_.factory(options);
+  core::Scenario scenario = core::make_paper_scenario(options);
   if (spec_.customize) spec_.customize(scenario, record);
   const core::CarFollowingResult result = scenario.run();
 
@@ -238,7 +232,7 @@ void Campaign::run_pair_trial(const core::ScenarioOptions& options,
 
 void Campaign::run_platoon_trial(const core::ScenarioOptions& options,
                                  TrialRecord& record) const {
-  // Platoon trials bypass `factory`/`customize`: the platoon module owns
+  // Platoon trials bypass `customize`: the platoon module owns
   // scenario assembly so every follower's stack matches the paper profile.
   const platoon::PlatoonOptions popts =
       platoon::parse_platoon_spec(options.platoon_spec);

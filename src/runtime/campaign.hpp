@@ -77,8 +77,7 @@ struct CampaignSpec {
   /// Platoon specs (platoon mini-language; "" = the pair scene). Appended
   /// after defenses in the unravel order so specs without a platoon axis
   /// keep their existing trial-to-cell mapping. Platoon trials always run
-  /// platoon::make_paper_platoon — `factory` and `customize` apply to pair
-  /// cells only.
+  /// platoon::make_paper_platoon — `customize` applies to pair cells only.
   std::vector<std::string> platoon_specs;
   /// Attack specs (attack mini-language; "" = keep the legacy enum axis for
   /// that cell). Appended after platoon_specs in the unravel order so specs
@@ -94,10 +93,9 @@ struct CampaignSpec {
   /// empty = derive from `seed`. Lets CLIs replay a literal seed list.
   std::vector<std::uint64_t> scenario_seeds;
 
-  /// Builds the scenario for one trial (default: core::make_paper_scenario).
-  std::function<core::Scenario(const core::ScenarioOptions&)> factory;
-  /// Optional post-factory hook (swap leader profile, challenge schedule,
-  /// ...). Must depend only on the record's contents, not on shared state.
+  /// Optional hook run on each pair trial's core::make_paper_scenario()
+  /// (swap leader profile, challenge schedule, ...). Must depend only on
+  /// the record's contents, not on shared state.
   std::function<void(core::Scenario&, const TrialRecord&)> customize;
 
   /// Number of cells in the cartesian grid (>= 1).
@@ -113,8 +111,6 @@ struct CampaignResult {
 
 class Campaign {
  public:
-  /// Validates the spec (throws std::invalid_argument on an impossible
-  /// grid/distribution combination).
   explicit Campaign(CampaignSpec spec);
 
   /// Deterministic expansion of trial `trial_id`: the ScenarioOptions it

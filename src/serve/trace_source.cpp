@@ -3,8 +3,7 @@
 #include <utility>
 
 #include "attack/attack.hpp"
-#include "fault/schedule.hpp"
-#include "radar/link_budget.hpp"
+#include "core/follower.hpp"
 #include "vehicle/longitudinal.hpp"
 
 namespace safe::serve {
@@ -85,13 +84,10 @@ std::vector<MeasurementFrame> make_measurement_trace(const TraceSpec& spec) {
   // the closed-loop simulation would.
   const core::Scenario scenario = make_paper_scenario(scenario_options_for(spec));
   const core::CarFollowingConfig& config = scenario.config;
-  const radar::FmcwParameters& wf = config.radar.waveform;
   const units::Seconds t_sample = config.sample_time_s;
 
-  radar::RadarProcessor radar(config.radar, config.seed);
-  fault::FaultSchedule faults =
-      config.faults ? *config.faults : fault::FaultSchedule{};
-  faults.reset();
+  core::RadarFrontEnd front_end(config.radar, config.seed,
+                                config.target_rcs_m2, config.faults.get());
 
   // Open loop: the follower mirrors the leader's acceleration, holding the
   // true gap at the initial 100 m. The serving layer never closes the
@@ -117,45 +113,12 @@ std::vector<MeasurementFrame> make_measurement_trace(const TraceSpec& spec) {
     leader = vehicle::step(leader, accel, t_sample);
     follower = vehicle::step(follower, accel, t_sample);
 
-    const units::Meters true_gap = vehicle::gap(leader, follower);
-    const units::MetersPerSecond true_dv =
-        vehicle::relative_velocity(leader, follower);
-
-    radar::EchoScene scene;
-    scene.tx_enabled = !scenario.schedule->is_challenge(k);
-    scene.noise_power_w = config.radar.noise_floor_w;
-    const bool in_window =
-        true_gap >= wf.min_range_m && true_gap <= wf.max_range_m;
-    double echo_power = 0.0;
-    if (in_window) {
-      echo_power =
-          radar::received_echo_power_w(wf, true_gap, config.target_rcs_m2);
-      if (scene.tx_enabled) {
-        scene.echoes.push_back(radar::EchoComponent{
-            .distance_m = true_gap,
-            .range_rate_mps = true_dv,
-            .power_w = echo_power,
-        });
-      }
-    }
-
-    if (attack) {
-      const attack::AttackContext ctx{
-          .time_s = t,
-          .step = k,
-          .true_distance_m = true_gap,
-          .true_range_rate_mps = true_dv,
-          .true_echo_power_w = echo_power,
-          .waveform = &wf,
-      };
-      attack->apply(ctx, scene);
-    }
-
-    radar::RadarMeasurement meas = radar.measure(scene);
-    if (!faults.empty()) {
-      meas = faults.apply(k, scenario.schedule->is_challenge(k), meas);
-    }
-    frames.push_back(MeasurementFrame{.step = k, .measurement = meas});
+    const core::SensedEpoch sensed = front_end.sense(
+        k, t, !scenario.schedule->is_challenge(k), /*visible=*/true,
+        vehicle::gap(leader, follower),
+        vehicle::relative_velocity(leader, follower), {}, attack.get());
+    frames.push_back(
+        MeasurementFrame{.step = k, .measurement = sensed.measurement});
   }
   return frames;
 }

@@ -9,8 +9,8 @@
 //   * make_measurement_trace() synthesizes the deterministic open-loop
 //     radar stream a client replays (leader profile + mirrored follower,
 //     paper link budget, CRA probe gating, scheduled attack, optional
-//     fault schedule — the same chain as core::CarFollowingSimulation
-//     minus the controller feedback);
+//     fault schedule): core::RadarFrontEnd, the receiver half of the chain
+//     every closed-loop scene runs, with no controller feedback;
 //   * run_offline() is the in-process reference: the exact pipeline a
 //     server session builds, fed the exact frames it would receive.
 //

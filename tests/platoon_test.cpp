@@ -98,6 +98,49 @@ TEST(Platoon, TwoVehicleNoDefenseDegeneratesToPairScene) {
   expect_degenerates_to_pair(o);
 }
 
+TEST(Platoon, TwoVehicleDosAttackDegeneratesToPairScene) {
+  core::ScenarioOptions o = fast_options();
+  o.attack = core::AttackKind::kDosJammer;
+  expect_degenerates_to_pair(o);
+}
+
+TEST(Platoon, TwoVehicleFaultScheduleDegeneratesToPairScene) {
+  // The faults land on the attacked follower's stream, the pair's only one.
+  core::ScenarioOptions o = fast_options();
+  o.attack = core::AttackKind::kDelayInjection;
+  o.attack_start_s = units::Seconds{180.0};
+  o.pipeline = core::hardened_pipeline_options();
+  o.fault_spec =
+      "dropout:start=60,len=10;nan:start=100,len=1,period=25;flap:start=150";
+  expect_degenerates_to_pair(o);
+}
+
+TEST(Platoon, PlatoonOptionsControllerIsTheOneThatRuns) {
+  // PlatoonConfig documents that the platoon options override
+  // `base.controller`: setting only `platoon.controller` must run IDM, as
+  // the `controller=idm` spec does.
+  core::ScenarioOptions o = fast_options();
+  o.horizon_steps = 120;
+  o.platoon_spec = "n=3,controller=idm";
+  const PlatoonResult from_spec = make_paper_platoon(o).run();
+
+  o.platoon_spec = "n=3";
+  PlatoonScenario scenario = make_paper_platoon(o);
+  ASSERT_EQ(scenario.config.base.controller,
+            core::FollowerController::kAccHierarchy);
+  scenario.config.platoon.controller = core::FollowerController::kIdm;
+  const PlatoonResult from_options = scenario.run();
+
+  ASSERT_EQ(from_options.trace.num_rows(), from_spec.trace.num_rows());
+  for (const std::string& column : from_spec.trace.column_names()) {
+    const auto& a = from_spec.trace.column(column);
+    const auto& b = from_options.trace.column(column);
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      ASSERT_EQ(a[k], b[k]) << column << " diverges at k=" << k;
+    }
+  }
+}
+
 TEST(Platoon, AttackTargetsOnlyTheSpecifiedFollower) {
   core::ScenarioOptions o = fast_options();
   o.attack = core::AttackKind::kDelayInjection;

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -514,6 +515,38 @@ TEST_F(TelemetryTest, MergedDeterministicMetricsIdenticalAtJobs1And4) {
   // Sanity: the campaign actually recorded work.
   EXPECT_NE(jobs1.find("\"name\":\"campaign.trials\""), std::string::npos);
   EXPECT_NE(jobs1.find("\"value\":4"), std::string::npos);
+}
+
+// Every scene runs its followers through one core::Follower chain, so every
+// follower's controller call is timed: a 3-vehicle platoon records two
+// control.step_ns samples per step, the pair one. Recording them moves no
+// bit of the trial JSONL.
+TEST_F(TelemetryTest, EveryFollowerStepIsTimed) {
+  const auto run = [](const std::string& platoon, bool record) {
+    runtime::CampaignSpec spec = small_campaign();
+    spec.trials = 1;
+    spec.base.platoon_spec = platoon;
+    tm::reset_for_testing();
+    tm::set_metrics_enabled(record);
+    tm::set_tracing_enabled(record);
+    tm::set_trace_detail(record ? tm::TraceDetail::kFine
+                                : tm::TraceDetail::kCoarse);
+    std::ostringstream records;
+    runtime::JsonlWriter writer(records);
+    std::vector<runtime::TrialSink*> sinks{&writer};
+    runtime::Campaign(spec).run(1, sinks);
+    return std::make_pair(
+        records.str(), histogram_count(tm::collect_metrics(), "control.step_ns"));
+  };
+  for (const auto& [platoon, followers] :
+       {std::make_pair(std::string(""), 1U), std::make_pair(std::string("n=3"), 2U)}) {
+    const auto [quiet, quiet_count] = run(platoon, false);
+    const auto [traced, count] = run(platoon, true);
+    EXPECT_EQ(quiet_count, 0U) << platoon;
+    EXPECT_EQ(count, 60U * followers) << platoon;
+    EXPECT_FALSE(quiet.empty());
+    EXPECT_EQ(traced, quiet) << platoon;
+  }
 }
 
 // Degenerate campaign: zero trials. The summary must stay finite and the
