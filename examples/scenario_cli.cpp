@@ -417,7 +417,8 @@ int main(int argc, char** argv) {
         "\nshock depth: %zu   string L-inf amplification: %.3f\n"
         "detected vehicles: %zu   safe-stop vehicles: %zu   min gap: %.2f m\n",
         pm.shock_depth, pm.linf_amplification, pm.detected_vehicles,
-        pm.safe_stop_vehicles, pm.min_gap_m.value());
+        pm.safe_stop_vehicles,
+        platoon::string_outcome(result.followers).min_gap_m.value());
 
     if (!csv_path.empty()) {
       std::ofstream csv(csv_path);

@@ -1,5 +1,7 @@
 #include "core/car_following.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -8,6 +10,43 @@
 namespace safe::core {
 
 namespace units = safe::units;
+
+units::Meters FollowerOutcome::holdover_rmse_m() const {
+  return units::Meters{
+      holdover_steps > 0
+          ? std::sqrt(holdover_sq_sum_m2 / static_cast<double>(holdover_steps))
+          : 0.0};
+}
+
+void FollowerOutcome::merge(const FollowerOutcome& other) {
+  min_gap_m = units::min(min_gap_m, other.min_gap_m);
+  peak_gap_deviation_m =
+      units::max(peak_gap_deviation_m, other.peak_gap_deviation_m);
+  holdover_steps += other.holdover_steps;
+  holdover_sq_sum_m2 += other.holdover_sq_sum_m2;
+  degradation_max = std::max(degradation_max, other.degradation_max);
+  if (other.detection_step &&
+      (!detection_step || *other.detection_step < *detection_step)) {
+    detection_step = other.detection_step;
+  }
+  cra::DetectionStats& d = detection_stats;
+  d.challenges += other.detection_stats.challenges;
+  d.true_positives += other.detection_stats.true_positives;
+  d.false_positives += other.detection_stats.false_positives;
+  d.true_negatives += other.detection_stats.true_negatives;
+  d.false_negatives += other.detection_stats.false_negatives;
+  HealthStats& h = health_stats;
+  h.rejected_nonfinite += other.health_stats.rejected_nonfinite;
+  h.rejected_out_of_range += other.health_stats.rejected_out_of_range;
+  h.rejected_innovation += other.health_stats.rejected_innovation;
+  h.rejected_stuck += other.health_stats.rejected_stuck;
+  h.innovation_resyncs += other.health_stats.innovation_resyncs;
+  h.predictor_resets += other.health_stats.predictor_resets;
+  h.safe_stop_entries += other.health_stats.safe_stop_entries;
+  h.bridged_dropouts += other.health_stats.bridged_dropouts;
+  safe_stop_steps += other.safe_stop_steps;
+  nonfinite_controller_inputs += other.nonfinite_controller_inputs;
+}
 
 std::vector<std::string> CarFollowingResult::columns() {
   return {
@@ -60,7 +99,6 @@ CarFollowingResult CarFollowingSimulation::run() {
                         .velocity_mps = config_.follower_speed_mps});
 
   CarFollowingResult result;
-  result.min_gap_m = config_.initial_gap_m;
 
   for (std::int64_t k = 0; k < config_.horizon_steps; ++k) {
     const units::Seconds t = static_cast<double>(k) * t_sample;
@@ -74,9 +112,7 @@ CarFollowingResult CarFollowingSimulation::run() {
     const FollowerStep s =
         follower.step(k, t, leader, result.collided, {}, attack.get());
 
-    const units::Meters gap_after = vehicle::gap(leader, follower.state());
-    result.min_gap_m = units::min(result.min_gap_m, gap_after);
-    if (!result.collided && gap_after <= units::Meters{0.0}) {
+    if (!result.collided && s.gap_after_m <= units::Meters{0.0}) {
       result.collided = true;
       result.collision_step = k;
     }
@@ -107,12 +143,7 @@ CarFollowingResult CarFollowingSimulation::run() {
     });
   }
 
-  const SafeMeasurementPipeline& pipeline = follower.pipeline();
-  result.detection_step = pipeline.detection_step();
-  result.detection_stats = pipeline.detection_stats();
-  result.health_stats = pipeline.health_stats();
-  result.safe_stop_steps = follower.safe_stop_steps();
-  result.nonfinite_controller_inputs = follower.nonfinite_controller_inputs();
+  static_cast<FollowerOutcome&>(result) = follower.outcome();
   return result;
 }
 

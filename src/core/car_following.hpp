@@ -62,21 +62,42 @@ struct CarFollowingConfig {
   std::shared_ptr<const fault::FaultSchedule> faults;
 };
 
-/// Everything recorded about one simulation run.
-struct CarFollowingResult {
-  sim::Trace trace;
-  bool collided = false;
-  std::optional<std::int64_t> collision_step;
+/// One follower's outcome over a run (Section 6), the record every scene
+/// reports and the campaign reads. core::Follower tallies it online.
+struct FollowerOutcome {
+  units::Meters min_gap_m{0.0};  ///< Smallest post-step gap to the target.
+  /// Peak |gap - initial gap| over the run: the disturbance magnitude the
+  /// platoon's string-stability ratio compares between vehicles.
+  units::Meters peak_gap_deviation_m{0.0};
+  /// Steps the pipeline substituted an RLS estimate with a finite error
+  /// against the true gap, and the sum of those squared errors.
+  std::size_t holdover_steps = 0;
+  double holdover_sq_sum_m2 = 0.0;
+  double degradation_max = 0.0;  ///< Worst DegradationState, as a number.
   std::optional<std::int64_t> detection_step;
   cra::DetectionStats detection_stats;
-  units::Meters min_gap_m{0.0};
-  /// Health / degradation outcome of the run.
   HealthStats health_stats;
-  std::size_t safe_stop_steps = 0;       ///< Steps spent in DEGRADED_SAFE_STOP.
+  std::size_t safe_stop_steps = 0;  ///< Steps spent in DEGRADED_SAFE_STOP.
   /// Controller epochs whose selected distance/velocity inputs were not
   /// finite. Must be zero whenever the defense pipeline is enabled — the
   /// whole point of the health monitor.
   std::size_t nonfinite_controller_inputs = 0;
+
+  /// RMSE of the holdover estimates against truth (0 without holdover).
+  [[nodiscard]] units::Meters holdover_rmse_m() const;
+
+  /// Folds `other` in, as for a whole string: the smaller min gap, the
+  /// larger peak deviation and degradation, the earlier detection, and
+  /// summed counts and stats.
+  void merge(const FollowerOutcome& other);
+};
+
+/// Everything recorded about one simulation run: the follower's outcome,
+/// the collision and the trace.
+struct CarFollowingResult : FollowerOutcome {
+  sim::Trace trace;
+  bool collided = false;
+  std::optional<std::int64_t> collision_step;
 
   CarFollowingResult() : trace(columns()) {}
 

@@ -1,5 +1,6 @@
 #include "core/follower.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -107,7 +108,10 @@ Follower::Follower(const CarFollowingConfig& config, std::uint64_t radar_seed,
       acc_(config.acc),
       state_(initial),
       held_gap_(config.initial_gap_m),
-      held_dv_(vehicle::relative_velocity(predecessor, initial)) {}
+      held_dv_(vehicle::relative_velocity(predecessor, initial)),
+      initial_gap_(config.initial_gap_m) {
+  tally_.min_gap_m = initial_gap_;
+}
 
 FollowerStep Follower::step(std::int64_t k, units::Seconds t,
                             const vehicle::VehicleState& predecessor,
@@ -125,7 +129,7 @@ FollowerStep Follower::step(std::int64_t k, units::Seconds t,
 
   // --- Defense pipeline (Algorithm 2).
   out.safe = pipeline_.process_scored(k, out.measurement, out.attack_active);
-  if (out.safe.safe_stop) ++safe_stop_steps_;
+  if (out.safe.safe_stop) ++tally_.safe_stop_steps;
 
   // --- Controller input selection.
   control::AccInputs inputs;
@@ -154,7 +158,7 @@ FollowerStep Follower::step(std::int64_t k, units::Seconds t,
   if (inputs.target_present &&
       (!std::isfinite(inputs.distance_m.value()) ||
        !std::isfinite(inputs.relative_velocity_mps.value()))) {
-    ++nonfinite_controller_inputs_;
+    ++tally_.nonfinite_controller_inputs;
   }
 
   // --- Follower controller + dynamics (Eqs. 13-17, or IDM baseline).
@@ -175,7 +179,34 @@ FollowerStep Follower::step(std::int64_t k, units::Seconds t,
     }
   }
   if (!frozen) state_ = vehicle::step(state_, accel, sample_time_);
+  out.gap_after_m = vehicle::gap(predecessor, state_);
+
+  // --- Outcome tallies, from the doubles the scenes record.
+  tally_.min_gap_m = units::min(tally_.min_gap_m, out.gap_after_m);
+  const double gap_dev =
+      std::abs(out.true_gap_m.value() - initial_gap_.value());
+  if (std::isfinite(gap_dev)) {
+    tally_.peak_gap_deviation_m =
+        units::max(tally_.peak_gap_deviation_m, units::Meters{gap_dev});
+  }
+  if (out.safe.estimated) {
+    const double err = out.safe.distance_m.value() - out.true_gap_m.value();
+    if (std::isfinite(err)) {
+      tally_.holdover_sq_sum_m2 += err * err;
+      ++tally_.holdover_steps;
+    }
+  }
+  tally_.degradation_max = std::max(
+      tally_.degradation_max, static_cast<double>(out.safe.degradation));
   return out;
+}
+
+FollowerOutcome Follower::outcome() const {
+  FollowerOutcome o = tally_;
+  o.detection_step = pipeline_.detection_step();
+  o.detection_stats = pipeline_.detection_stats();
+  o.health_stats = pipeline_.health_stats();
+  return o;
 }
 
 }  // namespace safe::core

@@ -72,13 +72,15 @@ class RadarFrontEnd {
 struct FollowerStep {
   units::Meters true_gap_m{0.0};            ///< Before the follower moved.
   units::MetersPerSecond true_dv_mps{0.0};  ///< Before the follower moved.
+  units::Meters gap_after_m{0.0};  ///< After it moved: the collision gap.
   radar::RadarMeasurement measurement;
   SafeMeasurement safe;
   bool attack_active = false;
 };
 
 /// One follower: radar front end, safe-measurement pipeline, controller and
-/// plant, driven one sample at a time against its predecessor.
+/// plant, driven one sample at a time against its predecessor, with its
+/// FollowerOutcome tallied as it goes.
 class Follower {
  public:
   /// Takes radar, pipeline, controller, speeds and sample time from
@@ -94,24 +96,17 @@ class Follower {
 
   /// Senses `predecessor` (already stepped this sample) with `extra`
   /// echoes and `attack` (may be null), runs the pipeline and controller,
-  /// and moves the plant unless the scene is `frozen` (after a collision
-  /// the target is invisible and nothing moves).
+  /// moves the plant unless the scene is `frozen` (after a collision the
+  /// target is invisible and nothing moves), and tallies the step.
   FollowerStep step(std::int64_t k, units::Seconds t,
                     const vehicle::VehicleState& predecessor, bool frozen,
                     std::span<const ExtraEcho> extra,
                     attack::AttackModel* attack);
 
   [[nodiscard]] const vehicle::VehicleState& state() const { return state_; }
-  [[nodiscard]] const SafeMeasurementPipeline& pipeline() const {
-    return pipeline_;
-  }
-  /// Steps spent in DEGRADED_SAFE_STOP.
-  [[nodiscard]] std::size_t safe_stop_steps() const { return safe_stop_steps_; }
-  /// Steps whose controller inputs claimed a target at a non-finite
-  /// distance or velocity.
-  [[nodiscard]] std::size_t nonfinite_controller_inputs() const {
-    return nonfinite_controller_inputs_;
-  }
+  /// The steps' tallies so far, with the pipeline's detection and health
+  /// record.
+  [[nodiscard]] FollowerOutcome outcome() const;
 
  private:
   units::Seconds sample_time_;
@@ -127,8 +122,8 @@ class Follower {
   units::Meters held_gap_;
   units::MetersPerSecond held_dv_;
   bool held_valid_ = false;
-  std::size_t safe_stop_steps_ = 0;
-  std::size_t nonfinite_controller_inputs_ = 0;
+  units::Meters initial_gap_;
+  FollowerOutcome tally_;
 };
 
 }  // namespace safe::core

@@ -530,17 +530,4 @@ std::array<std::vector<Complex>, 2> find_roots_pair(
   return {polished_roots(first), polished_roots(second)};
 }
 
-CMatrix companion_matrix(const Polynomial& p) {
-  const std::size_t n = p.degree();
-  if (n == 0) {
-    throw std::invalid_argument("companion_matrix: degree must be >= 1");
-  }
-  const Polynomial q = p.monic();
-  const auto& c = q.coefficients();
-  CMatrix m(n, n);
-  for (std::size_t i = 1; i < n; ++i) m(i, i - 1) = Complex{1.0, 0.0};
-  for (std::size_t i = 0; i < n; ++i) m(i, n - 1) = -c[i];
-  return m;
-}
-
 }  // namespace safe::linalg

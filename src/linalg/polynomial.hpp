@@ -3,16 +3,13 @@
 // root-MUSIC forms a conjugate-symmetric polynomial from the noise-subspace
 // projector and needs all of its roots. We use the Durand-Kerner
 // (Weierstrass) simultaneous iteration, which is dependency-free and robust
-// for the moderate degrees (< 64) that arise here, with a companion-matrix
-// builder provided for cross-checking.
+// for the moderate degrees (< 64) that arise here.
 #pragma once
 
 #include <array>
 #include <complex>
 #include <cstddef>
 #include <vector>
-
-#include "linalg/matrix.hpp"
 
 namespace safe::linalg {
 
@@ -73,10 +70,5 @@ std::vector<Complex> find_roots(const Polynomial& p,
 std::array<std::vector<Complex>, 2> find_roots_pair(
     const Polynomial& a, const Polynomial& b,
     const RootFindingOptions& options = {});
-
-/// Frobenius companion matrix of a monic polynomial (for cross-validation of
-/// the iterative root finder in tests; eigenvalues of the companion matrix
-/// are the polynomial's roots).
-CMatrix companion_matrix(const Polynomial& p);
 
 }  // namespace safe::linalg

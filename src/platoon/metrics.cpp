@@ -4,31 +4,29 @@
 
 namespace safe::platoon {
 
+core::FollowerOutcome string_outcome(
+    const std::vector<VehicleOutcome>& followers) {
+  if (followers.empty()) return {};
+  core::FollowerOutcome merged = followers.front();
+  for (std::size_t i = 1; i < followers.size(); ++i) {
+    merged.merge(followers[i]);
+  }
+  return merged;
+}
+
 PropagationMetrics compute_propagation_metrics(
     const std::vector<VehicleOutcome>& followers, std::size_t attacked,
     units::Meters shock_threshold_m) {
   PropagationMetrics m;
-  if (followers.empty()) return m;
-  m.min_gap_m = followers.front().min_gap_m;
-
   units::Meters attacked_peak{0.0};
 
   for (const VehicleOutcome& f : followers) {
-    m.min_gap_m = units::min(m.min_gap_m, f.min_gap_m);
     if (f.index >= attacked && f.min_gap_m < shock_threshold_m) {
       m.shock_depth = std::max(m.shock_depth, f.index - attacked + 1);
     }
     if (f.index == attacked) attacked_peak = f.peak_gap_deviation_m;
     if (f.safe_stop_steps > 0) ++m.safe_stop_vehicles;
     if (f.detection_step) ++m.detected_vehicles;
-    m.detection_totals.challenges += f.detection_stats.challenges;
-    m.detection_totals.true_positives += f.detection_stats.true_positives;
-    m.detection_totals.false_positives += f.detection_stats.false_positives;
-    m.detection_totals.true_negatives += f.detection_stats.true_negatives;
-    m.detection_totals.false_negatives += f.detection_stats.false_negatives;
-    m.safe_stop_steps_total += f.safe_stop_steps;
-    m.nonfinite_controller_inputs_total += f.nonfinite_controller_inputs;
-    m.degradation_max = std::max(m.degradation_max, f.degradation_max);
   }
 
   // Deviation ratios are only meaningful against a non-degenerate reference:

@@ -10,33 +10,20 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "core/health_monitor.hpp"
-#include "cra/detector.hpp"
+#include "core/car_following.hpp"
 #include "units/units.hpp"
 
 namespace safe::platoon {
 
-/// Everything recorded about one follower over a platoon run.
-struct VehicleOutcome {
+/// One follower's outcome over a platoon run, with its place in the string.
+struct VehicleOutcome : core::FollowerOutcome {
   std::size_t index = 0;  ///< 1-based follower index (0 is the leader).
-  units::Meters min_gap_m{0.0};  ///< Smallest gap to the predecessor.
-  /// Peak |gap - initial gap| over the run: the disturbance magnitude the
-  /// string-stability ratio compares between vehicles.
-  units::Meters peak_gap_deviation_m{0.0};
-  std::optional<std::int64_t> detection_step;
-  cra::DetectionStats detection_stats;
-  std::size_t safe_stop_steps = 0;
-  std::size_t holdover_steps = 0;
-  units::Meters holdover_rmse_m{0.0};
-  std::size_t nonfinite_controller_inputs = 0;
-  core::HealthStats health_stats;
-  double degradation_max = 0.0;
 };
 
+/// What the string's merged outcome (string_outcome) cannot say: how the
+/// disturbance and the defense's reaction spread along the string.
 struct PropagationMetrics {
   /// How deep the gap collapse reaches: the largest (j - attacked + 1) over
   /// followers j >= attacked whose min gap fell below the near-collision
@@ -44,8 +31,6 @@ struct PropagationMetrics {
   /// string never crosses in a clean run, even when the leader brakes to a
   /// stop). 0 when no follower at or behind the attacked one did.
   std::size_t shock_depth = 0;
-  /// Smallest inter-vehicle gap anywhere in the string.
-  units::Meters min_gap_m{0.0};
   /// String-stability L-infinity amplification: max over followers behind
   /// the attacked vehicle of peak_gap_deviation[j] / peak_gap_deviation
   /// [attacked]. > 1 means the string amplifies the disturbance as it
@@ -54,12 +39,13 @@ struct PropagationMetrics {
   double linf_amplification = 0.0;
   std::size_t safe_stop_vehicles = 0;  ///< Followers that entered safe-stop.
   std::size_t detected_vehicles = 0;   ///< Followers whose detector fired.
-  /// Detection tallies summed over every follower's scored stream.
-  cra::DetectionStats detection_totals;
-  std::size_t safe_stop_steps_total = 0;
-  std::size_t nonfinite_controller_inputs_total = 0;
-  double degradation_max = 0.0;
 };
+
+/// Every follower's outcome merged (core::FollowerOutcome::merge, in string
+/// order): the string's smallest gap, its summed counts and detection and
+/// health stats, its worst degradation. Empty input gives the default.
+[[nodiscard]] core::FollowerOutcome string_outcome(
+    const std::vector<VehicleOutcome>& followers);
 
 /// Pure reduction of the per-follower outcomes; `attacked` is the 1-based
 /// follower index the attack targeted and `shock_threshold_m` the

@@ -1,8 +1,6 @@
 #include "platoon/platoon.hpp"
 
-#include <algorithm>
 #include <array>
-#include <cmath>
 #include <memory>
 #include <span>
 #include <stdexcept>
@@ -110,8 +108,6 @@ PlatoonResult PlatoonSimulation::run() {
       .velocity_mps = base.leader_speed_mps};
 
   PlatoonResult result(po.size);
-  result.followers.resize(n_followers);
-  std::vector<double> holdover_sq_sum_m2(n_followers, 0.0);
   // Reserved up front, so a follower built from its predecessor's state
   // never moves that predecessor.
   std::vector<core::Follower> followers;
@@ -126,8 +122,6 @@ PlatoonResult PlatoonSimulation::run() {
             .position_m = units::Meters{static_cast<double>(n_followers - i) *
                                         initial_gap.value()},
             .velocity_mps = base.follower_speed_mps});
-    result.followers[i - 1].index = i;
-    result.followers[i - 1].min_gap_m = initial_gap;
   }
 
   for (std::int64_t k = 0; k < base.horizon_steps; ++k) {
@@ -186,32 +180,11 @@ PlatoonResult PlatoonSimulation::run() {
                  std::span<const core::ExtraEcho>(extra.data(), n_extra),
                  i == po.attacked ? attack.get() : nullptr);
 
-      VehicleOutcome& outcome = result.followers[i - 1];
-      const units::Meters gap_after = vehicle::gap(pred, f.state());
-      outcome.min_gap_m = units::min(outcome.min_gap_m, gap_after);
-      if (!result.collided && gap_after <= units::Meters{0.0}) {
+      if (!result.collided && s.gap_after_m <= units::Meters{0.0}) {
         result.collided = true;
         result.collision_step = k;
         result.collision_index = i;
       }
-
-      // --- Outcome accumulators (computed online; the platoon trace keeps
-      // only the plotting columns).
-      const double gap_dev =
-          std::abs(s.true_gap_m.value() - initial_gap.value());
-      if (std::isfinite(gap_dev)) {
-        outcome.peak_gap_deviation_m = units::max(
-            outcome.peak_gap_deviation_m, units::Meters{gap_dev});
-      }
-      if (s.safe.estimated) {
-        const double err = s.safe.distance_m.value() - s.true_gap_m.value();
-        if (std::isfinite(err)) {
-          holdover_sq_sum_m2[i - 1] += err * err;
-          ++outcome.holdover_steps;
-        }
-      }
-      outcome.degradation_max = std::max(
-          outcome.degradation_max, static_cast<double>(s.safe.degradation));
 
       row.push_back(s.true_gap_m.value());
       row.push_back(s.safe.distance_m.value());
@@ -224,19 +197,9 @@ PlatoonResult PlatoonSimulation::run() {
     result.trace.append_row(row);
   }
 
+  result.followers.reserve(n_followers);
   for (std::size_t i = 1; i <= n_followers; ++i) {
-    const core::Follower& f = followers[i - 1];
-    VehicleOutcome& outcome = result.followers[i - 1];
-    outcome.detection_step = f.pipeline().detection_step();
-    outcome.detection_stats = f.pipeline().detection_stats();
-    outcome.health_stats = f.pipeline().health_stats();
-    outcome.safe_stop_steps = f.safe_stop_steps();
-    outcome.nonfinite_controller_inputs = f.nonfinite_controller_inputs();
-    outcome.holdover_rmse_m = units::Meters{
-        outcome.holdover_steps > 0
-            ? std::sqrt(holdover_sq_sum_m2[i - 1] /
-                        static_cast<double>(outcome.holdover_steps))
-            : 0.0};
+    result.followers.push_back(VehicleOutcome{followers[i - 1].outcome(), i});
   }
   const units::Meters standstill =
       base.controller == core::FollowerController::kIdm

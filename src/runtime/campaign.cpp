@@ -40,6 +40,43 @@ const TrialMetrics& trial_metrics() {
   return m;
 }
 
+/// The outcome half of a trial's record: detection and holdover from the
+/// attacked follower, the gap, counts and stats from the whole string's
+/// merged outcome (a pair is the one-follower string).
+void record_outcome(const core::FollowerOutcome& attacked,
+                    const core::FollowerOutcome& merged,
+                    const core::ScenarioOptions& options,
+                    units::Seconds sample_time, TrialRecord& record) {
+  record.detection_step = attacked.detection_step.value_or(-1);
+  if ((options.attack != core::AttackKind::kNone ||
+       !record.attack_spec.empty()) &&
+      record.detection_step >= 0) {
+    const double latency =
+        static_cast<double>(record.detection_step) * sample_time.value() -
+        options.attack_start_s.value();
+    record.detection_latency_s = units::Seconds{std::max(0.0, latency)};
+  }
+  // Holdover fidelity is the attacked follower's: the stream whose
+  // estimates the attack actually stresses.
+  record.holdover_steps = attacked.holdover_steps;
+  record.holdover_rmse_m = attacked.holdover_rmse_m();
+
+  record.min_gap_m = merged.min_gap_m;
+  record.false_positives = merged.detection_stats.false_positives;
+  record.false_negatives = merged.detection_stats.false_negatives;
+  record.true_positives = merged.detection_stats.true_positives;
+  record.true_negatives = merged.detection_stats.true_negatives;
+  record.safe_stop_steps = merged.safe_stop_steps;
+  record.nonfinite_controller_inputs = merged.nonfinite_controller_inputs;
+  record.degradation_max = merged.degradation_max;
+  const core::HealthStats& hs = merged.health_stats;
+  record.rejected_nonfinite = hs.rejected_nonfinite;
+  record.rejected_signal = hs.rejected_out_of_range + hs.rejected_innovation +
+                           hs.rejected_stuck;
+  record.bridged_dropouts = hs.bridged_dropouts;
+  record.predictor_resets = hs.predictor_resets;
+}
+
 }  // namespace
 
 Distribution Distribution::uniform(double lo, double hi) {
@@ -184,50 +221,9 @@ void Campaign::run_pair_trial(const core::ScenarioOptions& options,
   const core::CarFollowingResult result = scenario.run();
 
   record.collided = result.collided;
-  record.collision_step = result.collision_step ? *result.collision_step : -1;
-  record.detection_step = result.detection_step ? *result.detection_step : -1;
-  record.min_gap_m = result.min_gap_m;
-  record.false_positives = result.detection_stats.false_positives;
-  record.false_negatives = result.detection_stats.false_negatives;
-  record.true_positives = result.detection_stats.true_positives;
-  record.true_negatives = result.detection_stats.true_negatives;
-  record.safe_stop_steps = result.safe_stop_steps;
-  record.nonfinite_controller_inputs = result.nonfinite_controller_inputs;
-  const core::HealthStats& hs = result.health_stats;
-  record.rejected_nonfinite = hs.rejected_nonfinite;
-  record.rejected_signal = hs.rejected_out_of_range + hs.rejected_innovation +
-                           hs.rejected_stuck;
-  record.bridged_dropouts = hs.bridged_dropouts;
-  record.predictor_resets = hs.predictor_resets;
-  record.degradation_max = result.trace.column_max("degradation");
-
-  const units::Seconds dt = scenario.config.sample_time_s;
-  if ((options.attack != core::AttackKind::kNone ||
-       !record.attack_spec.empty()) &&
-      record.detection_step >= 0) {
-    const double latency =
-        static_cast<double>(record.detection_step) * dt.value() -
-        options.attack_start_s.value();
-    record.detection_latency_s = units::Seconds{std::max(0.0, latency)};
-  }
-
-  // RLS holdover fidelity: RMSE of the substituted gap against truth over
-  // the steps the controller ran on estimates.
-  const auto& estimated = result.trace.column("estimated");
-  const auto& safe_gap = result.trace.column("safe_gap_m");
-  const auto& true_gap = result.trace.column("true_gap_m");
-  double sq_sum = 0.0;
-  std::size_t n = 0;
-  for (std::size_t k = 0; k < estimated.size(); ++k) {
-    if (estimated[k] <= 0.5) continue;
-    const double err = safe_gap[k] - true_gap[k];
-    if (!std::isfinite(err)) continue;
-    sq_sum += err * err;
-    ++n;
-  }
-  record.holdover_steps = n;
-  record.holdover_rmse_m = units::Meters{
-      n > 0 ? std::sqrt(sq_sum / static_cast<double>(n)) : 0.0};
+  record.collision_step = result.collision_step.value_or(-1);
+  record_outcome(result, result, options, scenario.config.sample_time_s,
+                 record);
 }
 
 void Campaign::run_platoon_trial(const core::ScenarioOptions& options,
@@ -242,45 +238,14 @@ void Campaign::run_platoon_trial(const core::ScenarioOptions& options,
   const platoon::PlatoonScenario scenario =
       platoon::make_paper_platoon(options);
   const platoon::PlatoonResult result = scenario.run();
-  const platoon::VehicleOutcome& attacked =
-      result.followers.at(popts.attacked - 1);
-  const platoon::PropagationMetrics& pm = result.metrics;
 
   record.collided = result.collided;
-  record.collision_step = result.collision_step ? *result.collision_step : -1;
-  record.detection_step =
-      attacked.detection_step ? *attacked.detection_step : -1;
-  record.min_gap_m = pm.min_gap_m;
-  record.false_positives = pm.detection_totals.false_positives;
-  record.false_negatives = pm.detection_totals.false_negatives;
-  record.true_positives = pm.detection_totals.true_positives;
-  record.true_negatives = pm.detection_totals.true_negatives;
-  record.safe_stop_steps = pm.safe_stop_steps_total;
-  record.nonfinite_controller_inputs = pm.nonfinite_controller_inputs_total;
-  record.degradation_max = pm.degradation_max;
-  for (const platoon::VehicleOutcome& v : result.followers) {
-    const core::HealthStats& hs = v.health_stats;
-    record.rejected_nonfinite += hs.rejected_nonfinite;
-    record.rejected_signal += hs.rejected_out_of_range +
-                              hs.rejected_innovation + hs.rejected_stuck;
-    record.bridged_dropouts += hs.bridged_dropouts;
-    record.predictor_resets += hs.predictor_resets;
-  }
+  record.collision_step = result.collision_step.value_or(-1);
+  record_outcome(result.followers.at(popts.attacked - 1),
+                 platoon::string_outcome(result.followers), options,
+                 scenario.config.base.sample_time_s, record);
 
-  const units::Seconds dt = scenario.config.base.sample_time_s;
-  if ((options.attack != core::AttackKind::kNone ||
-       !record.attack_spec.empty()) &&
-      record.detection_step >= 0) {
-    const double latency =
-        static_cast<double>(record.detection_step) * dt.value() -
-        options.attack_start_s.value();
-    record.detection_latency_s = units::Seconds{std::max(0.0, latency)};
-  }
-  // Holdover fidelity is reported for the attacked follower — the stream
-  // whose estimates the attack actually stresses.
-  record.holdover_steps = attacked.holdover_steps;
-  record.holdover_rmse_m = attacked.holdover_rmse_m;
-
+  const platoon::PropagationMetrics& pm = result.metrics;
   record.shock_depth = pm.shock_depth;
   record.linf_amplification = pm.linf_amplification;
   record.safe_stop_vehicles = pm.safe_stop_vehicles;

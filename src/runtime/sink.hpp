@@ -62,8 +62,10 @@ struct TrialRecord {
   // denominators: TPR = tp / (tp + fn), FPR = fp / (fp + tn)).
   std::size_t true_positives = 0;
   std::size_t true_negatives = 0;
-  /// RMSE of the pipeline's holdover estimate against the true gap over the
-  /// steps where the controller ran on estimates (0 when none).
+  /// RMSE of the attacked follower's holdover estimates against the true
+  /// gap over the steps its pipeline substituted them (0 when none). With
+  /// the defense off the pipeline still runs, but the controller reads raw
+  /// radar instead.
   units::Meters holdover_rmse_m{0.0};
   std::size_t holdover_steps = 0;
   std::size_t safe_stop_steps = 0;
@@ -77,7 +79,8 @@ struct TrialRecord {
   double degradation_max = 0.0;
   // Propagation outcomes (platoon trials only; all zero on pair trials).
   /// Deepest follower at/behind the attacked one whose min gap fell below
-  /// half the initial gap, counted from the attacked vehicle (0 = none).
+  /// half the controller's standstill spacing, counted from the attacked
+  /// vehicle (0 = none).
   std::size_t shock_depth = 0;
   /// String-stability L-inf amplification of peak gap deviations.
   double linf_amplification = 0.0;

@@ -4,8 +4,13 @@
 // figures with root-MUSIC as in the paper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
 
+#include "core/follower.hpp"
 #include "core/scenario.hpp"
 
 namespace safe::core {
@@ -221,6 +226,89 @@ TEST(CarFollowing, TraceColumnsAreComplete) {
   const auto result = make_paper_scenario(o).run();
   EXPECT_EQ(result.trace.num_rows(), 20u);
   EXPECT_EQ(result.trace.num_columns(), cols.size());
+}
+
+/// The smallest post-step gap, with the pair scene's geometry replayed
+/// around a core::Follower and the gap folded here, not by the follower.
+units::Meters replayed_min_gap(const Scenario& s) {
+  const CarFollowingConfig& c = s.config;
+  std::unique_ptr<attack::AttackModel> attack =
+      s.attack ? s.attack->clone() : nullptr;
+  if (attack) attack->reset();
+  vehicle::VehicleState leader{.position_m = c.initial_gap_m,
+                               .velocity_mps = c.leader_speed_mps};
+  Follower follower(c, c.seed, s.schedule, c.faults.get(), leader,
+                    vehicle::VehicleState{
+                        .position_m = units::Meters{0.0},
+                        .velocity_mps = c.follower_speed_mps});
+  units::Meters min_gap = c.initial_gap_m;
+  bool collided = false;
+  for (std::int64_t k = 0; k < c.horizon_steps; ++k) {
+    const units::Seconds t = static_cast<double>(k) * c.sample_time_s;
+    if (!collided) {
+      leader =
+          vehicle::step(leader, s.leader->acceleration(t), c.sample_time_s);
+    }
+    (void)follower.step(k, t, leader, collided, {}, attack.get());
+    const units::Meters gap = vehicle::gap(leader, follower.state());
+    min_gap = units::min(min_gap, gap);
+    collided = collided || gap <= units::Meters{0.0};
+  }
+  return min_gap;
+}
+
+/// The run's outcome equals its own trace reduced the way the campaign
+/// reduced pair trials before the follower tallied them: holdover steps
+/// and RMSE over the `estimated` rows with a finite error, the worst
+/// `degradation`, the peak |true gap - initial gap|; and the min gap is the
+/// replayed scene's.
+CarFollowingResult expect_outcome_matches_trace(const Scenario& scenario) {
+  const CarFollowingResult result = scenario.run();
+  const auto& estimated = result.trace.column("estimated");
+  const auto& safe_gap = result.trace.column("safe_gap_m");
+  const auto& true_gap = result.trace.column("true_gap_m");
+  double sq_sum = 0.0;
+  std::size_t n = 0;
+  double peak_dev = 0.0;
+  for (std::size_t k = 0; k < estimated.size(); ++k) {
+    const double dev =
+        std::abs(true_gap[k] - scenario.config.initial_gap_m.value());
+    if (std::isfinite(dev)) peak_dev = std::max(peak_dev, dev);
+    if (estimated[k] <= 0.5) continue;
+    const double err = safe_gap[k] - true_gap[k];
+    if (!std::isfinite(err)) continue;
+    sq_sum += err * err;
+    ++n;
+  }
+  EXPECT_EQ(result.holdover_steps, n);
+  EXPECT_EQ(result.holdover_rmse_m().value(),
+            n > 0 ? std::sqrt(sq_sum / static_cast<double>(n)) : 0.0);
+  EXPECT_EQ(result.degradation_max, result.trace.column_max("degradation"));
+  EXPECT_EQ(result.peak_gap_deviation_m.value(), peak_dev);
+  EXPECT_EQ(result.min_gap_m, replayed_min_gap(scenario));
+  return result;
+}
+
+TEST(CarFollowing, OutcomeMatchesItsTraceUnderHardenedDelay) {
+  ScenarioOptions o = fast_options();
+  o.attack = AttackKind::kDelayInjection;
+  o.attack_start_s = units::Seconds{180.0};
+  o.pipeline = hardened_pipeline_options();
+  const CarFollowingResult result =
+      expect_outcome_matches_trace(make_paper_scenario(o));
+  EXPECT_GT(result.holdover_steps, 0u);
+  EXPECT_GT(result.degradation_max, 0.0);
+}
+
+TEST(CarFollowing, OutcomeMatchesItsTraceUnderDos) {
+  ScenarioOptions o = fast_options();
+  o.attack = AttackKind::kDosJammer;
+  o.defense_enabled = false;
+  const CarFollowingResult result =
+      expect_outcome_matches_trace(make_paper_scenario(o));
+  EXPECT_TRUE(result.collided);
+  EXPECT_LE(result.min_gap_m, units::Meters{0.0});
+  EXPECT_GT(result.holdover_steps, 0u);
 }
 
 // Detection-latency property: whenever the attack starts, detection happens

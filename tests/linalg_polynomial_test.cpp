@@ -451,37 +451,6 @@ TEST(FindRoots, WideMagnitudeSpread) {
                      1e-5);
 }
 
-TEST(CompanionMatrix, StructureMatchesDefinition) {
-  // z^3 + 2z^2 + 3z + 4.
-  Polynomial p({Complex{4.0}, Complex{3.0}, Complex{2.0}, Complex{1.0}});
-  const CMatrix m = companion_matrix(p);
-  ASSERT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m(1, 0), Complex(1.0, 0.0));
-  EXPECT_EQ(m(2, 1), Complex(1.0, 0.0));
-  EXPECT_EQ(m(0, 2), Complex(-4.0, 0.0));
-  EXPECT_EQ(m(1, 2), Complex(-3.0, 0.0));
-  EXPECT_EQ(m(2, 2), Complex(-2.0, 0.0));
-}
-
-TEST(CompanionMatrix, DegreeZeroThrows) {
-  EXPECT_THROW(companion_matrix(Polynomial({Complex{2.0}})),
-               std::invalid_argument);
-}
-
-TEST(CompanionMatrix, CharacteristicPolynomialProperty) {
-  // For this companion layout (ones on the subdiagonal, -coeffs in the last
-  // column), the Vandermonde vector [1, r, ...]^T is an eigenvector of C^T
-  // with eigenvalue r; C and C^T share eigenvalues.
-  const std::vector<Complex> roots{Complex{2.0}, Complex{-1.0, 1.0}};
-  const Polynomial p = Polynomial::from_roots(roots);
-  const CMatrix ct = companion_matrix(p).transpose();
-  for (const Complex& r : roots) {
-    CVector v{Complex{1.0}, r};
-    const CVector cv = ct * v;
-    EXPECT_LT(norm2(cv - r * v), 1e-10);
-  }
-}
-
 class RootFindingProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(RootFindingProperty, RandomRootsRecovered) {

@@ -1,6 +1,7 @@
 // Platoon simulation: the n=2 degeneracy contract (bit-identical to the
-// pair case study), attack targeting, multi-target scenes, cut-in events,
-// the string-wide collision freeze, and the propagation-metric reduction.
+// pair case study, outcome included), attack targeting, multi-target scenes,
+// cut-in events, the string-wide collision freeze, and the propagation and
+// merged-outcome reductions.
 //
 // All closed-loop tests use the periodogram estimator for speed; the
 // degeneracy contract holds for either estimator because the platoon loop
@@ -39,6 +40,38 @@ const std::pair<const char*, const char*> kPairedColumns[] = {
     {"degradation", "degradation1"},
 };
 
+/// Every field of two follower outcomes, bit for bit.
+void expect_same_outcome(const core::FollowerOutcome& a,
+                         const core::FollowerOutcome& b) {
+  EXPECT_EQ(a.min_gap_m, b.min_gap_m);
+  EXPECT_EQ(a.peak_gap_deviation_m, b.peak_gap_deviation_m);
+  EXPECT_EQ(a.holdover_steps, b.holdover_steps);
+  EXPECT_EQ(a.holdover_sq_sum_m2, b.holdover_sq_sum_m2);
+  EXPECT_EQ(a.degradation_max, b.degradation_max);
+  EXPECT_EQ(a.detection_step, b.detection_step);
+  EXPECT_EQ(a.detection_stats.challenges, b.detection_stats.challenges);
+  EXPECT_EQ(a.detection_stats.true_positives,
+            b.detection_stats.true_positives);
+  EXPECT_EQ(a.detection_stats.false_positives,
+            b.detection_stats.false_positives);
+  EXPECT_EQ(a.detection_stats.true_negatives,
+            b.detection_stats.true_negatives);
+  EXPECT_EQ(a.detection_stats.false_negatives,
+            b.detection_stats.false_negatives);
+  const core::HealthStats& ha = a.health_stats;
+  const core::HealthStats& hb = b.health_stats;
+  EXPECT_EQ(ha.rejected_nonfinite, hb.rejected_nonfinite);
+  EXPECT_EQ(ha.rejected_out_of_range, hb.rejected_out_of_range);
+  EXPECT_EQ(ha.rejected_innovation, hb.rejected_innovation);
+  EXPECT_EQ(ha.rejected_stuck, hb.rejected_stuck);
+  EXPECT_EQ(ha.innovation_resyncs, hb.innovation_resyncs);
+  EXPECT_EQ(ha.predictor_resets, hb.predictor_resets);
+  EXPECT_EQ(ha.safe_stop_entries, hb.safe_stop_entries);
+  EXPECT_EQ(ha.bridged_dropouts, hb.bridged_dropouts);
+  EXPECT_EQ(a.safe_stop_steps, b.safe_stop_steps);
+  EXPECT_EQ(a.nonfinite_controller_inputs, b.nonfinite_controller_inputs);
+}
+
 void expect_degenerates_to_pair(const core::ScenarioOptions& options) {
   const core::CarFollowingResult pair =
       core::make_paper_scenario(options).run();
@@ -62,19 +95,7 @@ void expect_degenerates_to_pair(const core::ScenarioOptions& options) {
   EXPECT_EQ(platoon.collided, pair.collided);
   EXPECT_EQ(platoon.collision_step, pair.collision_step);
   ASSERT_EQ(platoon.followers.size(), 1u);
-  const VehicleOutcome& f = platoon.followers.front();
-  EXPECT_EQ(f.min_gap_m, pair.min_gap_m);
-  EXPECT_EQ(f.detection_step, pair.detection_step);
-  EXPECT_EQ(f.detection_stats.true_positives,
-            pair.detection_stats.true_positives);
-  EXPECT_EQ(f.detection_stats.false_positives,
-            pair.detection_stats.false_positives);
-  EXPECT_EQ(f.detection_stats.true_negatives,
-            pair.detection_stats.true_negatives);
-  EXPECT_EQ(f.detection_stats.false_negatives,
-            pair.detection_stats.false_negatives);
-  EXPECT_EQ(f.safe_stop_steps, pair.safe_stop_steps);
-  EXPECT_EQ(f.nonfinite_controller_inputs, pair.nonfinite_controller_inputs);
+  expect_same_outcome(platoon.followers.front(), pair);
 }
 
 TEST(Platoon, TwoVehicleCleanRunDegeneratesToPairScene) {
@@ -169,7 +190,8 @@ TEST(Platoon, CleanMultiTargetSceneRaisesNoFalseAlarms) {
   const PlatoonResult result = make_paper_platoon(o).run();
 
   EXPECT_FALSE(result.collided);
-  EXPECT_EQ(result.metrics.detection_totals.false_positives, 0u);
+  EXPECT_EQ(string_outcome(result.followers).detection_stats.false_positives,
+            0u);
   EXPECT_EQ(result.metrics.shock_depth, 0u);
   for (const VehicleOutcome& v : result.followers) {
     EXPECT_GT(v.min_gap_m, units::Meters{4.5}) << v.index;
@@ -253,7 +275,7 @@ TEST(PlatoonMetrics, ShockDepthCountsFromTheAttackedVehicle) {
   const PropagationMetrics m =
       compute_propagation_metrics(followers, 2, units::Meters{2.5});
   EXPECT_EQ(m.shock_depth, 3u);  // follower 4 = attacked + 2 -> depth 3
-  EXPECT_EQ(m.min_gap_m, units::Meters{-0.5});
+  EXPECT_EQ(string_outcome(followers).min_gap_m, units::Meters{-0.5});
 }
 
 TEST(PlatoonMetrics, ShockAheadOfTheAttackedVehicleDoesNotCount) {
@@ -294,20 +316,37 @@ TEST(PlatoonMetrics, CascadeAndDetectionTallies) {
   }
   followers[0].detection_step = 42;
   followers[0].detection_stats.true_positives = 7;
+  followers[0].holdover_steps = 2;
+  followers[0].holdover_sq_sum_m2 = 8.0;
   followers[1].safe_stop_steps = 9;
+  followers[1].min_gap_m = units::Meters{3.0};
+  followers[1].health_stats.rejected_stuck = 4;
+  followers[2].detection_step = 40;
   followers[2].detection_stats.false_positives = 1;
   followers[2].nonfinite_controller_inputs = 2;
   followers[2].degradation_max = 3.0;
+  followers[2].holdover_steps = 2;
+  followers[2].holdover_sq_sum_m2 = 28.0;
 
   const PropagationMetrics m =
       compute_propagation_metrics(followers, 1, units::Meters{2.5});
-  EXPECT_EQ(m.detected_vehicles, 1u);
+  EXPECT_EQ(m.detected_vehicles, 2u);
   EXPECT_EQ(m.safe_stop_vehicles, 1u);
-  EXPECT_EQ(m.safe_stop_steps_total, 9u);
-  EXPECT_EQ(m.detection_totals.true_positives, 7u);
-  EXPECT_EQ(m.detection_totals.false_positives, 1u);
-  EXPECT_EQ(m.nonfinite_controller_inputs_total, 2u);
-  EXPECT_DOUBLE_EQ(m.degradation_max, 3.0);
+
+  // The string's roll-up is the followers' merged outcome.
+  const core::FollowerOutcome merged = string_outcome(followers);
+  EXPECT_EQ(merged.min_gap_m, units::Meters{3.0});
+  EXPECT_EQ(merged.detection_step, 40);
+  EXPECT_EQ(merged.safe_stop_steps, 9u);
+  EXPECT_EQ(merged.detection_stats.true_positives, 7u);
+  EXPECT_EQ(merged.detection_stats.false_positives, 1u);
+  EXPECT_EQ(merged.health_stats.rejected_stuck, 4u);
+  EXPECT_EQ(merged.nonfinite_controller_inputs, 2u);
+  EXPECT_DOUBLE_EQ(merged.degradation_max, 3.0);
+  EXPECT_EQ(merged.holdover_steps, 4u);
+  EXPECT_DOUBLE_EQ(merged.holdover_rmse_m().value(), 3.0);  // sqrt(36 / 4)
+
+  EXPECT_EQ(string_outcome({}).min_gap_m, units::Meters{0.0});
 }
 
 }  // namespace
