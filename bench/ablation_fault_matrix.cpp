@@ -151,8 +151,8 @@ int main(int argc, char** argv) {
     o.fault_spec = "dropout:start=60,len=0";
     const auto r = core::make_paper_scenario(o).run();
     std::printf("\nbudget probe: safe-stop steps %zu, degradation max %.0f\n",
-                r.safe_stop_steps, r.trace.column_max("degradation"));
-    check(r.trace.column_max("degradation") == 3.0,
+                r.safe_stop_steps, r.degradation_max);
+    check(r.degradation_max == 3.0,
           "unbounded holdover never entered DEGRADED_SAFE_STOP",
           "budget-probe");
     check(r.safe_stop_steps > 0, "safe-stop never commanded", "budget-probe");

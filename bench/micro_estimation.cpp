@@ -4,10 +4,12 @@
 // both as a bare 4096-point transform and as the radar runs it, the three
 // root-MUSIC kernels at the radar's order-16, 512-sample configuration (the
 // rooting also as the receiver pairs an epoch's two segments), a
-// periodogram radar epoch split into synthesis and the whole measure(), a
-// whole root-MUSIC measure(), and the epoch's Gaussian noise draws. The rows of the split-plane kernels
-// (root-MUSIC and the periodogram path) run at both lane widths (/lanes:2
-// SSE2, /lanes:4 AVX2; skipped without AVX2).
+// periodogram radar epoch split into synthesis and the whole measure(), the
+// power scans of a 4096-bin spectrum, a whole root-MUSIC measure(), and the
+// epoch's Gaussian noise draws. The rows of the split-plane kernels
+// (root-MUSIC and the periodogram path) run at each lane width (/lanes:2
+// SSE2, /lanes:4 AVX2, skipped without it); the periodogram rows also at
+// /lanes:8 (AVX-512F, skipped without it).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -122,8 +124,10 @@ BENCHMARK(BM_Periodogram512);
 /// True when this CPU runs the split-plane kernels at state.range(0) lanes;
 /// otherwise marks the row skipped.
 bool lanes_available(benchmark::State& state) {
-  if (state.range(0) == 4 && !linalg::lanes::avx2_supported()) {
-    state.SkipWithError("four lanes need AVX2");
+  if (!linalg::lanes::width_supported(
+          static_cast<std::size_t>(state.range(0)))) {
+    state.SkipWithError(state.range(0) == 8 ? "eight lanes need AVX-512F"
+                                            : "four lanes need AVX2");
     return false;
   }
   return true;
@@ -152,7 +156,11 @@ void BM_Fft512HannPaddedTo4096(benchmark::State& state) {
     benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_Fft512HannPaddedTo4096)->ArgName("lanes")->Arg(2)->Arg(4);
+BENCHMARK(BM_Fft512HannPaddedTo4096)
+    ->ArgName("lanes")
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8);
 
 // The spectral work of one periodogram-mode radar epoch: the up segment's
 // coherence statistic and beat from one shared spectrum, then the down
@@ -169,7 +177,32 @@ void BM_PeriodogramEpoch(benchmark::State& state) {
     benchmark::DoNotOptimize(dsp::estimate_dominant_tone(down, 1.0e6));
   }
 }
-BENCHMARK(BM_PeriodogramEpoch)->ArgName("lanes")->Arg(2)->Arg(4);
+BENCHMARK(BM_PeriodogramEpoch)->ArgName("lanes")->Arg(2)->Arg(4)->Arg(8);
+
+// The two power scans of one 4096-bin receiver spectrum: the summing scan
+// (scan_power: peak, in-order sum; four lanes at /lanes:4 and /lanes:8) that
+// summarize_periodogram runs, and the peak-only scan (scan_peak, at the
+// row's width) that a single-tone pick runs.
+void BM_ScanPower4096(benchmark::State& state) {
+  if (!lanes_available(state)) return;
+  const linalg::lanes::detail::ScopedWidth lanes(
+      static_cast<std::size_t>(state.range(0)));
+  auto x = bench_tone(512);
+  dsp::apply_window(x, dsp::make_window(dsp::WindowKind::kHann, x.size()));
+  dsp::SplitSpectrum spectrum;
+  dsp::fft_into(x, 4096, spectrum);
+  const bool peak_only = state.range(1) != 0;
+  for (auto _ : state) {
+    if (peak_only) {
+      benchmark::DoNotOptimize(dsp::scan_peak(spectrum));
+    } else {
+      benchmark::DoNotOptimize(dsp::scan_power(spectrum));
+    }
+  }
+}
+BENCHMARK(BM_ScanPower4096)
+    ->ArgNames({"lanes", "peak_only"})
+    ->ArgsProduct({{2, 4, 8}, {0, 1}});
 
 // The root-MUSIC kernels as the radar receiver runs them: one up segment
 // from RadarProcessor::synthesize (default configuration: 512 samples,
@@ -342,7 +375,11 @@ void BM_RadarMeasurePeriodogram(benchmark::State& state) {
     benchmark::DoNotOptimize(receiver.measure(scene));
   }
 }
-BENCHMARK(BM_RadarMeasurePeriodogram)->ArgName("lanes")->Arg(2)->Arg(4);
+BENCHMARK(BM_RadarMeasurePeriodogram)
+    ->ArgName("lanes")
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8);
 
 // A whole root-MUSIC epoch as the figure runs measure it, one echo at
 // thermal noise: synthesis, PAPR, both segments' covariance, eigensolve and

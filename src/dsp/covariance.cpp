@@ -146,10 +146,11 @@ template <std::size_t L>
 }
 #endif
 
-/// lag_sums at lanes::width().
+/// lag_sums at four lanes when lanes::width() is 4 or 8 (eight measured no
+/// faster), else at two.
 void lag_sums_at_width(const ComplexSignal& signal, CMatrix& r) {
 #if defined(__x86_64__)
-  if (lanes::width() == 4) {
+  if (lanes::width() >= 4) {
     four_lane_lag_sums(signal, r);
     return;
   }

@@ -168,31 +168,56 @@ void complex_fft_into(const ComplexSignal& x, std::size_t r,
 // --- split-plane kernels ----------------------------------------------------
 //
 // Each kernel is an always_inline template over the lane count L, written
-// once and instantiated at the end of this section twice: at two lanes in
-// the dispatching functions, and at four in [[gnu::target("avx2")]] entry
-// points (linalg/lanes.hpp).
+// once and instantiated at the end of this section three times: at two
+// lanes in the dispatching functions, at four in [[gnu::target("avx2")]]
+// entry points and at eight in [[gnu::target("avx512f")]] ones
+// (linalg/lanes.hpp). Every width runs the same butterflies in the same
+// order, so each returns the same bits.
 
 /// Bins per block that split_butterflies runs its early stages on: 8 KB of
 /// planes, which stay in L1 from one stage to the next.
 constexpr std::size_t kL1Bins = 512;
 
+/// ORs into `bits` the bits of x - x for each part x of v: they stay zero
+/// while every part is finite (x - x is +0) and not once one is NaN or
+/// infinite (x - x is NaN).
+template <std::size_t L>
+[[gnu::always_inline]] inline void or_nonfinite_bits(
+    typename lanes::Lanes<L>::Bits& bits, const lanes::SplitN<L>& v) {
+  using Bits = typename lanes::Lanes<L>::Bits;
+  bits |= reinterpret_cast<Bits>(v.re - v.re) |
+          reinterpret_cast<Bits>(v.im - v.im);
+}
+
+/// True when any lane of bits is nonzero.
+template <std::size_t L>
+[[gnu::always_inline]] inline bool any_bits(
+    const typename lanes::Lanes<L>::Bits& bits) {
+  std::uint64_t any = 0;
+  for (std::size_t lane = 0; lane < L; ++lane) any |= bits[lane];
+  return any != 0;
+}
+
 /// One radix-2 stage over the planes re/im[0, n), `half` butterflies per
-/// block, L at a time (two when half < L). Each butterfly forms v = hi * w
+/// block, L at a time (fewer when half < L). Each butterfly forms v = hi * w
 /// inline, (hr wr - hi wi, hr wi + hi wr), then u + v and u - v: the
 /// operations std::complex runs, in its order, except that a product whose
 /// two parts come out NaN does not go on to __muldc3. Such a product leaves
-/// a NaN in the output, so callers check it (maybe_nan).
-template <std::size_t L, bool kInverse>
-[[gnu::always_inline]] inline void butterfly_stage(double* re, double* im,
+/// a NaN in the output. With kCheck (the last stage) the stage also ORs the
+/// x - x bits of every output it stores (or_nonfinite_bits) and returns
+/// whether any is set: false only if every output is finite. Without it, it
+/// returns false.
+template <std::size_t L, bool kInverse, bool kCheck>
+[[gnu::always_inline]] inline bool butterfly_stage(double* re, double* im,
                                                    std::size_t n,
                                                    std::size_t half,
                                                    const FftPlan& plan) {
   if constexpr (L > 2) {
     if (half < L) {
-      butterfly_stage<2, kInverse>(re, im, n, half, plan);
-      return;
+      return butterfly_stage<L / 2, kInverse, kCheck>(re, im, n, half, plan);
     }
   }
+  typename lanes::Lanes<L>::Bits bits{};
   const double* wr = plan.twiddles.re() + half;
   const double* wi = plan.twiddles.im() + half;
   for (std::size_t i = 0; i < n; i += 2 * half) {
@@ -209,15 +234,44 @@ template <std::size_t L, bool kInverse>
       const lanes::SplitN<L> u = lanes::load<L>(lo_re + k, lo_im + k);
       const lanes::SplitN<L> v =
           lanes::mul(lanes::load<L>(hi_re + k, hi_im + k), w);
-      lanes::store(lo_re + k, lo_im + k, u + v);
-      lanes::store(hi_re + k, hi_im + k, u - v);
+      const lanes::SplitN<L> sum = u + v;
+      const lanes::SplitN<L> difference = u - v;
+      lanes::store(lo_re + k, lo_im + k, sum);
+      lanes::store(hi_re + k, hi_im + k, difference);
+      if constexpr (kCheck) {
+        or_nonfinite_bits<L>(bits, sum);
+        or_nonfinite_bits<L>(bits, difference);
+      }
     }
   }
+  if constexpr (kCheck) return any_bits<L>(bits);
+  return false;
 }
 
-/// complex_butterflies on split planes.
+/// False only if every bin of the n-bin planes is finite; an infinity also
+/// answers true, which merely sends the caller to its exact path. Only
+/// where no vector stage runs last: n <= 2, or a one-sample input padded.
+template <std::size_t L>
+[[gnu::always_inline]] inline bool maybe_nan(const double* re,
+                                             const double* im, std::size_t n) {
+  typename lanes::Lanes<L>::Bits bits{};
+  std::size_t i = 0;
+  for (; i + L <= n; i += L) {
+    or_nonfinite_bits<L>(bits, lanes::load<L>(re + i, im + i));
+  }
+  for (; i < n; ++i) {
+    if (!std::isfinite(re[i]) || !std::isfinite(im[i])) return true;
+  }
+  return any_bits<L>(bits);
+}
+
+/// complex_butterflies on split planes; true when the result may hold a NaN
+/// (the callers' cue to redo the transform with std::complex). The last
+/// stage checks its outputs as it stores them (butterfly_stage), so no
+/// separate pass reads the planes again; only planes that stage did not
+/// write get maybe_nan.
 template <std::size_t L, bool kInverse>
-[[gnu::always_inline]] inline void split_butterflies(double* re, double* im,
+[[gnu::always_inline]] inline bool split_butterflies(double* re, double* im,
                                                      std::size_t n,
                                                      std::size_t first_len,
                                                      const FftPlan& plan) {
@@ -245,47 +299,33 @@ template <std::size_t L, bool kInverse>
     // inputs, in another order.
     for (std::size_t b = 0; b < n; b += kL1Bins) {
       for (std::size_t l = len; l <= kL1Bins; l <<= 1U) {
-        butterfly_stage<L, kInverse>(re + b, im + b, kL1Bins, l / 2, plan);
+        butterfly_stage<L, kInverse, false>(re + b, im + b, kL1Bins, l / 2,
+                                            plan);
       }
     }
     len = std::max(len, 2 * kL1Bins);
   }
-  for (; len <= n; len <<= 1U) {
-    butterfly_stage<L, kInverse>(re, im, n, len / 2, plan);
+  if (len > n) return maybe_nan<L>(re, im, n);
+  for (; len < n; len <<= 1U) {
+    butterfly_stage<L, kInverse, false>(re, im, n, len / 2, plan);
   }
-}
-
-/// False only if every bin of the n-bin planes is finite. x - x is +0 for
-/// finite x and NaN otherwise, so OR-ing the bits of those differences
-/// flags a NaN (and an infinity, which merely sends the caller to its exact
-/// path).
-template <std::size_t L>
-[[gnu::always_inline]] inline bool maybe_nan(const double* re,
-                                             const double* im, std::size_t n) {
-  using Bits = typename lanes::Lanes<L>::Bits;
-  Bits bits{};
-  std::size_t i = 0;
-  for (; i + L <= n; i += L) {
-    const lanes::SplitN<L> v = lanes::load<L>(re + i, im + i);
-    bits |= reinterpret_cast<Bits>(v.re - v.re) |
-            reinterpret_cast<Bits>(v.im - v.im);
-  }
-  for (; i < n; ++i) {
-    if (!std::isfinite(re[i]) || !std::isfinite(im[i])) return true;
-  }
-  std::uint64_t any = 0;
-  for (std::size_t lane = 0; lane < L; ++lane) any |= bits[lane];
-  return any != 0;
+  return butterfly_stage<L, kInverse, true>(re, im, n, n / 2, plan);
 }
 
 /// Block bit_reversed[i] of r bins becomes x[i] plus block 0, for i from the
 /// last input down, so block 0 (i = 0) is overwritten last; L bins at a
-/// time.
+/// time (fewer when r < L).
 template <std::size_t L>
 [[gnu::always_inline]] inline void fill_blocks(const ComplexSignal& x,
                                                std::size_t r,
                                                const FftPlan& plan, double* re,
                                                double* im) {
+  if constexpr (L > 2) {
+    if (r < L) {
+      fill_blocks<L / 2>(x, r, plan, re, im);
+      return;
+    }
+  }
   for (std::size_t i = x.size(); i-- > 0;) {
     const std::size_t block = plan.bit_reversed[i];
     const lanes::SplitN<L> xi = lanes::splat<L>(x[i].real(), x[i].imag());
@@ -313,6 +353,7 @@ template <std::size_t L>
   im[0] = -0.0;
   std::fill(re + 1, re + r, 0.0);
   std::fill(im + 1, im + r, 0.0);
+  // Block 0's impulse response holds signed zeros only: nothing to check.
   split_butterflies<L, false>(re, im, r, 2, plan);
   if (r == 1) {
     for (std::size_t i = x.size(); i-- > 0;) {
@@ -320,13 +361,10 @@ template <std::size_t L>
       re[block] = x[i].real() + re[0];
       im[block] = x[i].imag() + im[0];
     }
-  } else if (r < L) {
-    fill_blocks<2>(x, r, plan, re, im);
   } else {
     fill_blocks<L>(x, r, plan, re, im);
   }
-  split_butterflies<L, false>(re, im, n, 2 * r, plan);
-  return maybe_nan<L>(re, im, n);
+  return split_butterflies<L, false>(re, im, n, 2 * r, plan);
 }
 
 /// The transform of the bit-reversed planes re/im[0, n) in place, the
@@ -336,18 +374,17 @@ template <std::size_t L>
                                                    std::size_t n,
                                                    const FftPlan& plan,
                                                    bool inverse) {
-  if (inverse) {
-    split_butterflies<L, true>(re, im, n, 2, plan);
-    // Complex *= double scales each part: (re / n, im / n) as re * (1 / n).
-    const double inv_n = 1.0 / static_cast<double>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      re[i] *= inv_n;
-      im[i] *= inv_n;
-    }
-  } else {
-    split_butterflies<L, false>(re, im, n, 2, plan);
+  if (!inverse) return split_butterflies<L, false>(re, im, n, 2, plan);
+  // Scaling by 1 / n (<= 1) keeps finite parts finite and non-finite ones
+  // non-finite, so the check of the unscaled outputs holds for the scaled.
+  const bool flagged = split_butterflies<L, true>(re, im, n, 2, plan);
+  // Complex *= double scales each part: (re / n, im / n) as re * (1 / n).
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    re[i] *= inv_n;
+    im[i] *= inv_n;
   }
-  return maybe_nan<L>(re, im, n);
+  return flagged;
 }
 
 #if defined(__x86_64__)
@@ -364,14 +401,33 @@ template <std::size_t L>
                                                 double* re, double* im) {
   return split_fft_into<4>(x, r, plan, re, im);
 }
+
+[[gnu::target("avx512f")]] bool eight_lane_transform(double* re, double* im,
+                                                     std::size_t n,
+                                                     const FftPlan& plan,
+                                                     bool inverse) {
+  return split_transform<8>(re, im, n, plan, inverse);
+}
+
+[[gnu::target("avx512f")]] bool eight_lane_fft_into(const ComplexSignal& x,
+                                                    std::size_t r,
+                                                    const FftPlan& plan,
+                                                    double* re, double* im) {
+  return split_fft_into<8>(x, r, plan, re, im);
+}
 #endif
 
 /// split_transform at lanes::width().
 bool transform_at_width(double* re, double* im, std::size_t n,
                         const FftPlan& plan, bool inverse) {
 #if defined(__x86_64__)
-  if (lanes::width() == 4) {
-    return four_lane_transform(re, im, n, plan, inverse);
+  switch (lanes::width()) {
+    case 8:
+      return eight_lane_transform(re, im, n, plan, inverse);
+    case 4:
+      return four_lane_transform(re, im, n, plan, inverse);
+    default:
+      break;
   }
 #endif
   return split_transform<2>(re, im, n, plan, inverse);
@@ -381,7 +437,14 @@ bool transform_at_width(double* re, double* im, std::size_t n,
 bool fft_into_at_width(const ComplexSignal& x, std::size_t r,
                        const FftPlan& plan, double* re, double* im) {
 #if defined(__x86_64__)
-  if (lanes::width() == 4) return four_lane_fft_into(x, r, plan, re, im);
+  switch (lanes::width()) {
+    case 8:
+      return eight_lane_fft_into(x, r, plan, re, im);
+    case 4:
+      return four_lane_fft_into(x, r, plan, re, im);
+    default:
+      break;
+  }
 #endif
   return split_fft_into<2>(x, r, plan, re, im);
 }

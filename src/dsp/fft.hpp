@@ -5,8 +5,11 @@
 // Each power-of-two size has one process-wide plan (bit-reversal table and
 // per-stage twiddles), built on first use and shared by every later
 // transform of that size. Every transform runs on split real/imaginary
-// planes, two or four butterflies per vector (linalg::lanes::width()), and
-// returns the bits the std::complex<double> butterfly loop returns.
+// planes, two, four or eight butterflies per vector (linalg::lanes::width():
+// SSE2, AVX2 or AVX-512F), and returns the bits the std::complex<double>
+// butterfly loop returns. The last butterfly stage checks its outputs for
+// NaN as it stores them; a transform that may hold one (where a product
+// might have needed __muldc3) is redone with std::complex.
 #pragma once
 
 #include <complex>
@@ -51,8 +54,8 @@ void fft_into(const ComplexSignal& x, std::size_t min_size, ComplexSignal& out);
 /// then they do.
 ///
 /// The real plane starts on a 64-byte boundary (the storage holds one cache
-/// line of slack), so from 8 bins up both planes do, and no four-lane
-/// vector straddles a cache line.
+/// line of slack), so from 8 bins up both planes do, and no vector of any
+/// width straddles a cache line.
 class SplitSpectrum {
  public:
   /// Sets the number of bins; their values are unspecified until written.

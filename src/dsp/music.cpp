@@ -168,7 +168,7 @@ CMatrix noise_projector(const ComplexSignal& signal, std::size_t num_sources,
   const std::size_t noise_dim = m - num_sources;
   CMatrix projector(m, m);
 #if defined(__x86_64__)
-  if (lanes::width() == 4) {
+  if (lanes::width() >= 4) {
     four_lane_project_noise(eig.eigenvectors, noise_dim, projector);
     return projector;
   }
@@ -177,12 +177,12 @@ CMatrix noise_projector(const ComplexSignal& signal, std::size_t num_sources,
   return projector;
 }
 
-/// null_powers at lanes::width().
+/// null_powers at four lanes when lanes::width() is 4 or 8, else at two.
 std::vector<double> null_powers_at_width(const CMatrix& c,
                                          const std::vector<double>& omegas) {
   std::vector<double> powers(omegas.size());
 #if defined(__x86_64__)
-  if (lanes::width() == 4) {
+  if (lanes::width() >= 4) {
     four_lane_null_powers(c, omegas, powers);
     return powers;
   }

@@ -85,24 +85,30 @@ ToneEstimate tone_at(std::size_t best, double best_power, std::size_t n,
   };
 }
 
-/// The strongest tone of a spectrum from its scan (none when no bin is above
-/// zero).
+/// A summing scan's strongest bin.
+PowerPeak peak_of(const PowerScan& scan) {
+  return PowerPeak{.peak_bin = scan.peak_bin, .peak = scan.peak};
+}
+
+/// The strongest tone of a spectrum from its strongest bin (none when no bin
+/// is above zero).
 std::optional<ToneEstimate> first_tone(const SplitSpectrum& spectrum,
-                                       const PowerScan& scan,
+                                       const PowerPeak& peak,
                                        double sample_rate_hz,
                                        const PeriodogramOptions& options) {
-  if (scan.peak_bin == spectrum.size()) return std::nullopt;
+  if (peak.peak_bin == spectrum.size()) return std::nullopt;
   const auto power = [&](std::size_t i) {
     return spectrum.re()[i] * spectrum.re()[i] +
            spectrum.im()[i] * spectrum.im()[i];
   };
-  return tone_at(scan.peak_bin, scan.peak, spectrum.size(), power,
+  return tone_at(peak.peak_bin, peak.peak, spectrum.size(), power,
                  sample_rate_hz, options);
 }
 
 /// Greedy peak picking over the periodogram of a `signal_size`-sample signal
-/// (see estimate_tones_periodogram). The first pick comes from the scan;
-/// later ones search the stored bin powers outside the guard bands.
+/// (see estimate_tones_periodogram). The first pick comes from a scan: the
+/// peak-only one for a single pick, else the one that stores the bin powers
+/// for later picks to search outside the guard bands.
 std::vector<ToneEstimate> pick_tones(const SplitSpectrum& spectrum,
                                      std::size_t signal_size,
                                      double sample_rate_hz, std::size_t count,
@@ -110,8 +116,9 @@ std::vector<ToneEstimate> pick_tones(const SplitSpectrum& spectrum,
   const std::size_t n = spectrum.size();
   RealSignal& power = workspace().power;
   if (count > 1) power.resize(n);
-  const PowerScan first =
-      scan_power(spectrum, count > 1 ? power.data() : nullptr);
+  const PowerPeak first = count > 1
+                              ? peak_of(scan_power(spectrum, power.data()))
+                              : scan_peak(spectrum);
   std::vector<ToneEstimate> tones;
   const auto tone = first_tone(spectrum, first, sample_rate_hz, options);
   if (!tone) return tones;
@@ -190,42 +197,60 @@ double mean_power(const ComplexSignal& signal) {
   return acc / static_cast<double>(signal.size());
 }
 
-PowerScan scan_power(const SplitSpectrum& spectrum, double* power) {
-  using Index = std::int64_t __attribute__((vector_size(16)));
+namespace {
+
+/// The one-pass scan of the bin powers |X|^2 at L doubles per vector:
+/// the strongest bin and, with kSum, the in-order sum and (when `power` is
+/// not null) every bin's power. Two vectors of L lanes take the bins in
+/// turn (bin mod 2L), each lane keeping the first bin of its largest power
+/// above zero; the two vectors keep two compare chains in flight.
+template <std::size_t L, bool kSum>
+[[gnu::always_inline]] inline PowerScan scan_lanes(
+    const SplitSpectrum& spectrum, double* power) {
+  using V = lanes::V<L>;
+  using Index = typename lanes::Lanes<L>::Index;
   const std::size_t n = spectrum.size();
   const double* re = spectrum.re();
   const double* im = spectrum.im();
   const auto none = static_cast<std::int64_t>(n);
-  // Four lanes take the bins in turn (bin mod 4), each keeping the first bin
-  // of its largest power above zero; two vectors of them keep two compare
-  // chains in flight.
-  lanes::V2 best[2] = {lanes::splat(0.0), lanes::splat(0.0)};
-  Index best_bin[2] = {{none, none}, {none, none}};
-  Index bin[2] = {{0, 1}, {2, 3}};
-  const Index step = {4, 4};
+  V best[2] = {};
+  Index best_bin[2] = {};
+  Index bin[2] = {};
+  Index step = {};
+  for (std::size_t lane = 0; lane < L; ++lane) {
+    for (std::size_t h = 0; h < 2; ++h) {
+      best_bin[h][lane] = none;
+      bin[h][lane] = static_cast<std::int64_t>(h * L + lane);
+    }
+    step[lane] = static_cast<std::int64_t>(2 * L);
+  }
   double sum = 0.0;
-  const auto visit = [&](std::size_t i, int h) {
-    const lanes::V2 r = lanes::load(re + i);
-    const lanes::V2 m = lanes::load(im + i);
-    const lanes::V2 p = r * r + m * m;
-    sum += p[0];
-    sum += p[1];
-    if (power != nullptr) lanes::store(power + i, p);
-    const Index better = p > best[h];
-    best[h] = better ? p : best[h];
-    best_bin[h] = better ? bin[h] : best_bin[h];
-    bin[h] += step;
-  };
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    visit(i, 0);
-    visit(i + 2, 1);
+  for (; i + 2 * L <= n; i += 2 * L) {
+    // Unrolled, so each chain's vectors stay in registers.
+#pragma GCC unroll 2
+    for (std::size_t h = 0; h < 2; ++h) {
+      V r;
+      V m;
+      lanes::load_plane<L>(r, re + i + h * L);
+      lanes::load_plane<L>(m, im + i + h * L);
+      const V p = r * r + m * m;
+      if constexpr (kSum) {
+#pragma GCC unroll 8
+        for (std::size_t lane = 0; lane < L; ++lane) sum += p[lane];
+        if (power != nullptr) lanes::store_plane<L>(power + i + h * L, p);
+      }
+      const Index better = p > best[h];
+      best[h] = better ? p : best[h];
+      best_bin[h] = better ? bin[h] : best_bin[h];
+      bin[h] += step;
+    }
   }
   // The largest power wins, and on a tie the lowest bin: the bin one strict
   // > scan from bin 0 keeps.
   PowerScan result{.peak_bin = n, .peak = 0.0, .sum = 0.0};
-  for (int h = 0; h < 2; ++h) {
-    for (int lane = 0; lane < 2; ++lane) {
+  for (std::size_t h = 0; h < 2; ++h) {
+    for (std::size_t lane = 0; lane < L; ++lane) {
       const double p = best[h][lane];
       const auto b = static_cast<std::size_t>(best_bin[h][lane]);
       if (p > result.peak || (p == result.peak && b < result.peak_bin)) {
@@ -236,8 +261,10 @@ PowerScan scan_power(const SplitSpectrum& spectrum, double* power) {
   }
   for (; i < n; ++i) {
     const double p = re[i] * re[i] + im[i] * im[i];
-    sum += p;
-    if (power != nullptr) power[i] = p;
+    if constexpr (kSum) {
+      sum += p;
+      if (power != nullptr) power[i] = p;
+    }
     if (p > result.peak) {
       result.peak = p;
       result.peak_bin = i;
@@ -245,6 +272,46 @@ PowerScan scan_power(const SplitSpectrum& spectrum, double* power) {
   }
   result.sum = sum;
   return result;
+}
+
+#if defined(__x86_64__)
+[[gnu::target("avx2")]] PowerScan four_lane_scan(const SplitSpectrum& spectrum,
+                                                 double* power) {
+  return scan_lanes<4, true>(spectrum, power);
+}
+
+[[gnu::target("avx2")]] PowerPeak four_lane_peak(
+    const SplitSpectrum& spectrum) {
+  return peak_of(scan_lanes<4, false>(spectrum, nullptr));
+}
+
+[[gnu::target("avx512f")]] PowerPeak eight_lane_peak(
+    const SplitSpectrum& spectrum) {
+  return peak_of(scan_lanes<8, false>(spectrum, nullptr));
+}
+#endif
+
+}  // namespace
+
+PowerScan scan_power(const SplitSpectrum& spectrum, double* power) {
+#if defined(__x86_64__)
+  if (lanes::width() >= 4) return four_lane_scan(spectrum, power);
+#endif
+  return scan_lanes<2, true>(spectrum, power);
+}
+
+PowerPeak scan_peak(const SplitSpectrum& spectrum) {
+#if defined(__x86_64__)
+  switch (lanes::width()) {
+    case 8:
+      return eight_lane_peak(spectrum);
+    case 4:
+      return four_lane_peak(spectrum);
+    default:
+      break;
+  }
+#endif
+  return peak_of(scan_lanes<2, false>(spectrum, nullptr));
 }
 
 double peak_to_average_power(const ComplexSignal& signal,
@@ -265,7 +332,8 @@ PeriodogramSummary summarize_periodogram(const ComplexSignal& signal,
   const PowerScan scan = scan_power(spectrum);
   return PeriodogramSummary{
       .peak_to_average = peak_to_average(scan, spectrum.size()),
-      .dominant_tone = first_tone(spectrum, scan, sample_rate_hz, options),
+      .dominant_tone =
+          first_tone(spectrum, peak_of(scan), sample_rate_hz, options),
   };
 }
 

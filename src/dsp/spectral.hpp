@@ -66,8 +66,20 @@ struct PowerScan {
 
 /// Computes each bin's power as std::norm does, the strongest bin and the
 /// in-order sum, in one pass. Writes the powers to `power`
-/// (spectrum.size() entries) unless it is null.
+/// (spectrum.size() entries) unless it is null. Runs four bins per vector
+/// when lanes::width() is 4 or 8 (the in-order sum reads every lane, which
+/// costs more than eight lanes save), else two.
 PowerScan scan_power(const SplitSpectrum& spectrum, double* power = nullptr);
+
+/// The strongest bin alone, as PowerScan defines it.
+struct PowerPeak {
+  std::size_t peak_bin = 0;
+  double peak = 0.0;
+};
+
+/// scan_power(spectrum)'s peak_bin and peak, bit for bit, without the sum:
+/// the scan a single-tone pick runs, at lanes::width() bins per vector.
+PowerPeak scan_peak(const SplitSpectrum& spectrum);
 
 /// What the radar receiver reads from one segment's periodogram.
 struct PeriodogramSummary {

@@ -94,15 +94,16 @@ template <std::size_t L>
 
 /// A and V as split real/imaginary planes of contiguous columns: column c
 /// starts at offset c * ld, with ld = n rounded up to a multiple of
-/// lanes::kMaxWidth, so a rotation runs whole vectors of either width. The
-/// imaginary planes are empty for a real matrix.
+/// lanes::kMaxMusicWidth, so a rotation runs whole vectors of either width.
+/// The imaginary planes are empty for a real matrix.
 template <typename T>
 struct JacobiPlanes {
   static constexpr bool kComplex = !std::is_same_v<T, double>;
 
   explicit JacobiPlanes(const Matrix<T>& a)
       : n(a.rows()),
-        ld((n + lanes::kMaxWidth - 1) / lanes::kMaxWidth * lanes::kMaxWidth),
+        ld((n + lanes::kMaxMusicWidth - 1) / lanes::kMaxMusicWidth *
+           lanes::kMaxMusicWidth),
         a_re(n * ld, 0.0),
         a_im(kComplex ? n * ld : 0, 0.0),
         v_re(n * ld, 0.0),
@@ -243,12 +244,13 @@ template <std::size_t L, typename T>
     double negligible, std::size_t max_sweeps);
 #endif
 
-/// jacobi_sweeps at lanes::width().
+/// jacobi_sweeps at four lanes when lanes::width() is 4 or 8 (eight measured
+/// no faster), else at two.
 template <typename T>
 std::size_t sweeps_at_width(JacobiPlanes<T>& m, double threshold2,
                             double negligible, std::size_t max_sweeps) {
 #if defined(__x86_64__)
-  if (lanes::width() == 4) {
+  if (lanes::width() >= 4) {
     return four_lane_sweeps(m, threshold2, negligible, max_sweeps);
   }
 #endif
@@ -264,9 +266,9 @@ std::size_t sweeps_at_width(JacobiPlanes<T>& m, double threshold2,
 /// Throws std::invalid_argument on a non-square input.
 ///
 /// A and V are held as split real/imaginary planes of contiguous columns,
-/// so a rotation updates columns p and q of A and of V lanes::width()
-/// entries per vector; the rows p and q of A it also writes are their
-/// conjugates, scattered afterwards. Every entry goes through the
+/// so a rotation updates columns p and q of A and of V two or four entries
+/// per vector (sweeps_at_width); the rows p and q of A it also writes are
+/// their conjugates, scattered afterwards. Every entry goes through the
 /// operations of the textbook cyclic sweep in the same order, so results
 /// are bit-identical to it at either width (tests/oracles.hpp keeps that
 /// loop as the oracle).

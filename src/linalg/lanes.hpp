@@ -1,10 +1,11 @@
-// Double vectors for the split-plane kernels: two lanes (SSE2) or four
-// (AVX2).
+// Double vectors for the split-plane kernels: two lanes (SSE2), four (AVX2)
+// or eight (AVX-512F).
 //
-// The FFT and the root-MUSIC kernels (covariance, Jacobi, noise projector,
-// null-power ranking, Durand-Kerner Horner chains) run the IEEE operations
-// that std::complex<double> arithmetic compiles to, in the same order, on
-// independent values at a time (GCC/Clang vector extension).
+// The FFT, the periodogram's power scans and the root-MUSIC kernels
+// (covariance, Jacobi, noise projector, null-power ranking, Durand-Kerner
+// Horner chains) run the IEEE operations that std::complex<double>
+// arithmetic compiles to, in the same order, on independent values at a
+// time (GCC/Clang vector extension).
 // Real and imaginary parts live in separate vectors, so a lane's bits never
 // depend on the lane count.
 //
@@ -18,21 +19,33 @@
 // scalar code produces.
 //
 // Width. Two lanes are the x86-64 baseline and need no build flag. Four
-// lanes need AVX2, which only some CPUs have, so the four-lane code is
-// compiled inside `[[gnu::target("avx2")]]` entry points and run only when
-// width() says this CPU has AVX2; the width is never a build flag or an
-// option. No target with FMA (fma, avx512f, x86-64-v3, -march=native) is
-// ever enabled: GCC would then fuse a product into a sum and move bits.
+// lanes need AVX2 and eight AVX-512F, which only some CPUs have, so that
+// code is compiled inside `[[gnu::target("avx2")]]` and
+// `[[gnu::target("avx512f")]]` entry points and run only when width() says
+// this CPU has the extension; the width is never a build flag or an option.
+// AVX-512F encodes fused multiply-adds, so `avx512f` is allowed on
+// eight-lane entry points only, where -ffp-contract=off keeps GCC from
+// fusing a product into a sum and the lint.no_fused_multiply_add test
+// disassembles every library to prove it. No other target with FMA (fma,
+// x86-64-v3, -march=native) is ever enabled.
+//
+// Each kernel names the widths it instantiates. The FFT runs at every
+// width. The periodogram's peak-only scan does too, while its summing scan
+// stops at four: extracting eight lanes for the in-order sum costs more
+// than it saves. The root-MUSIC kernels stop at four (their dispatch is
+// `width() >= 4`, so eight lanes run them at four, never two): at eight
+// they measured no faster.
 //
 // A kernel body is written once as an always_inline template over the lane
-// count and instantiated in both entry points. No function takes or returns
-// a bare four-lane vector: a 32-byte vector passes in a register only with
-// AVX, so GCC's -Wpsabi fires on such a function compiled without it (an
-// error under -Werror), and clang refuses the call outright when caller and
-// callee targets differ. The four-lane helpers below therefore trade in
-// SplitN structs, by reference or as a return value; a lambda over bare
-// four-lane vectors inside an entry point is a separate function without
-// the target, and trips the same diagnostic.
+// count and instantiated in each entry point. No function takes or returns
+// a bare four- or eight-lane vector: a 32-byte vector passes in a register
+// only with AVX (a 64-byte one only with AVX-512F), so GCC's -Wpsabi fires
+// on such a function compiled without it (an error under -Werror), and
+// clang refuses the call outright when caller and callee targets differ.
+// The wide helpers below therefore trade in SplitN structs, by reference or
+// as a return value; a lambda over bare wide vectors inside an entry point
+// is a separate function without the target, and trips the same
+// diagnostic.
 #pragma once
 
 #include <cmath>
@@ -43,9 +56,11 @@
 
 namespace safe::linalg::lanes {
 
-/// The vector types of each width. Explicit specializations, because GCC 12
-/// silently drops `vector_size(8 * L)` on a dependent alias template, which
-/// would make the four-lane vector a lone double (sizeof 8).
+/// The vector types of each width: doubles, their bits, and a signed lane
+/// index (what comparing two double vectors yields). Explicit
+/// specializations, because GCC 12 silently drops `vector_size(8 * L)` on a
+/// dependent alias template, which would make the wide vector a lone double
+/// (sizeof 8).
 template <std::size_t L>
 struct Lanes;
 
@@ -53,12 +68,21 @@ template <>
 struct Lanes<2> {
   using V = double __attribute__((vector_size(16)));
   using Bits = std::uint64_t __attribute__((vector_size(16)));
+  using Index = std::int64_t __attribute__((vector_size(16)));
 };
 
 template <>
 struct Lanes<4> {
   using V = double __attribute__((vector_size(32)));
   using Bits = std::uint64_t __attribute__((vector_size(32)));
+  using Index = std::int64_t __attribute__((vector_size(32)));
+};
+
+template <>
+struct Lanes<8> {
+  using V = double __attribute__((vector_size(64)));
+  using Bits = std::uint64_t __attribute__((vector_size(64)));
+  using Index = std::int64_t __attribute__((vector_size(64)));
 };
 
 template <std::size_t L>
@@ -66,10 +90,11 @@ using V = typename Lanes<L>::V;
 using V2 = V<2>;
 
 static_assert(sizeof(V<4>) == 4 * sizeof(double));
+static_assert(sizeof(V<8>) == 8 * sizeof(double));
 
-/// The widest lane count: planes padded by a multiple of it serve either
-/// width.
-inline constexpr std::size_t kMaxWidth = 4;
+/// The widest lane count the root-MUSIC kernels run at: their planes,
+/// padded by a multiple of it, serve every width they run.
+inline constexpr std::size_t kMaxMusicWidth = 4;
 
 inline V2 splat(double x) { return V2{x, x}; }
 
@@ -154,14 +179,20 @@ inline bool maybe_nan(const SplitN<L>& v) {
   return std::isnan(sum);
 }
 
-/// True when this CPU runs AVX2 code (libgcc's check includes the OS saving
-/// the 256-bit registers).
-inline bool avx2_supported() {
+/// True when this CPU runs the kernels at `lanes` doubles per vector: 2
+/// always, 4 with AVX2, 8 with AVX-512F (libgcc's checks include the OS
+/// saving the wide registers). Eight lanes also run the kernels that stop
+/// at four, so they need AVX2 as well, which every AVX-512F CPU has.
+inline bool width_supported(std::size_t lanes) {
+  if (lanes == 2) return true;
 #if defined(__x86_64__)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
+  if (lanes == 4) return __builtin_cpu_supports("avx2");
+  if (lanes == 8) {
+    return __builtin_cpu_supports("avx2") &&
+           __builtin_cpu_supports("avx512f");
+  }
 #endif
+  return false;
 }
 
 namespace detail {
@@ -169,22 +200,25 @@ namespace detail {
 inline thread_local std::size_t forced_width = 0;
 }  // namespace detail
 
-/// Doubles per vector for the kernels built at both widths: 4 on a CPU with
-/// AVX2, else 2. Decided on first use and fixed for the life of the process.
+/// Doubles per vector for the split-plane kernels: 8 on a CPU with
+/// AVX-512F, else 4 with AVX2, else 2. Decided on first use and fixed for
+/// the life of the process.
 inline std::size_t width() {
-  static const std::size_t detected = avx2_supported() ? 4 : 2;
+  static const std::size_t detected = width_supported(8)   ? 8
+                                      : width_supported(4) ? 4
+                                                           : 2;
   return detail::forced_width != 0 ? detail::forced_width : detected;
 }
 
 namespace detail {
 
 /// While alive, width() answers `lanes` on the constructing thread. Only for
-/// tests and benches that run both widths on one machine; throws
+/// tests and benches that run several widths on one machine; throws
 /// std::invalid_argument for a width this CPU cannot run.
 class ScopedWidth {
  public:
   explicit ScopedWidth(std::size_t lanes) : previous_(forced_width) {
-    if (lanes != 2 && !(lanes == 4 && avx2_supported())) {
+    if (!width_supported(lanes)) {
       throw std::invalid_argument("lanes: width not available on this CPU");
     }
     forced_width = lanes;

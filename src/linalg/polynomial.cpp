@@ -18,7 +18,7 @@ constexpr double kLeadingTrimTol = 1e-300;
 
 using lanes::Split;
 
-/// Horner chains run interleaved, lanes::width() per vector.
+/// Horner chains run interleaved, two or four per vector.
 constexpr std::size_t kChainVectors = 4;
 
 /// Durand-Kerner iterates as split planes, padded past the degree so the
@@ -28,8 +28,8 @@ class RootPlanes {
  public:
   explicit RootPlanes(std::size_t n)
       : n_(n),
-        re_(n + lanes::kMaxWidth * kChainVectors, 0.0),
-        im_(n + lanes::kMaxWidth * kChainVectors, 0.0) {}
+        re_(n + lanes::kMaxMusicWidth * kChainVectors, 0.0),
+        im_(n + lanes::kMaxMusicWidth * kChainVectors, 0.0) {}
 
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] std::size_t size() const { return re_.size(); }
@@ -112,13 +112,14 @@ template <std::size_t L>
 }
 #endif
 
-/// horner_chains at lanes::width(): the one AVX2 call of a Durand-Kerner
-/// sweep. The product loop of a sweep stays in code built without AVX2,
-/// where it measured faster.
+/// horner_chains at four lanes when lanes::width() is 4 or 8 (eight measured
+/// no faster), else at two: the one AVX2 call of a Durand-Kerner sweep. The
+/// product loop of a sweep stays in code built without AVX2, where it
+/// measured faster.
 void evaluate_all(const Coefficients& c, const RootPlanes& z, double* out_re,
                   double* out_im) {
 #if defined(__x86_64__)
-  if (lanes::width() == 4) {
+  if (lanes::width() >= 4) {
     four_lane_horner_chains(c, z, out_re, out_im);
     return;
   }

@@ -139,10 +139,14 @@ TEST(FftPlanFourLanes, MatchesReferenceLoopBitForBitAtEveryPowerOfTwo) {
   at_width(4, every_power_of_two_matches_reference);
 }
 
+TEST(FftPlanEightLanes, MatchesReferenceLoopBitForBitAtEveryPowerOfTwo) {
+  at_width(8, every_power_of_two_matches_reference);
+}
+
 void zero_padded_transforms_match_reference() {
   // Non-power-of-two lengths and powers of two, padded by factors 1..8192;
   // the minimum sizes 8, 16 and 32 pad short signals by r = 2, 4 and 8, so
-  // the four-lane stages start partway through a small transform.
+  // the four- and eight-lane stages start partway through a small transform.
   // Hann-windowed with negative end samples, index 0 (and the last index)
   // is exactly (-0, -0): the window's endpoints are +0.
   unsigned seed = 1;
@@ -175,6 +179,10 @@ TEST(FftPlan, ZeroPaddedTransformMatchesReferenceLoop) {
 
 TEST(FftPlanFourLanes, ZeroPaddedTransformMatchesReferenceLoop) {
   at_width(4, zero_padded_transforms_match_reference);
+}
+
+TEST(FftPlanEightLanes, ZeroPaddedTransformMatchesReferenceLoop) {
+  at_width(8, zero_padded_transforms_match_reference);
 }
 
 TEST(FftPlan, ConcurrentFirstUseOfUncachedSizes) {
@@ -261,11 +269,15 @@ void expect_transforms_match_reference(const ComplexSignal& x,
   }
 }
 
+/// The sizes span each place the NaN check runs: n <= 2 (and one sample
+/// padded) have no vector stage and take the separate check; from n = 4 the
+/// last butterfly stage checks its own outputs, at 2048 after stages run
+/// one L1 block at a time.
 void non_finite_samples_match_reference() {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   unsigned seed = 40;
-  for (const std::size_t n : {1U, 2U, 4U, 8U, 16U, 32U, 64U, 512U}) {
+  for (const std::size_t n : {1U, 2U, 4U, 8U, 16U, 32U, 64U, 512U, 2048U}) {
     for (const Complex bad : {Complex{kInf, 0.0}, Complex{-kInf, kInf},
                               Complex{0.0, -kInf}, Complex{nan, 0.0},
                               Complex{1.0, nan}, Complex{kInf, nan}}) {
@@ -292,6 +304,10 @@ TEST(SplitFftFourLanes, InfiniteAndNanSamplesMatchReferenceLoop) {
   at_width(4, non_finite_samples_match_reference);
 }
 
+TEST(SplitFftEightLanes, InfiniteAndNanSamplesMatchReferenceLoop) {
+  at_width(8, non_finite_samples_match_reference);
+}
+
 void overflowing_sums_match_reference() {
   // Finite samples near the top of the range: the first sums overflow to
   // infinity, and a later product of an infinite value with a twiddle that
@@ -304,7 +320,7 @@ void overflowing_sums_match_reference() {
                           Complex{1.0, 0.0};
   ASSERT_TRUE(std::isinf(product.real()) && std::isinf(product.imag()));
 
-  for (const std::size_t n : {4U, 8U, 16U, 32U, 512U}) {
+  for (const std::size_t n : {4U, 8U, 16U, 32U, 512U, 2048U}) {
     expect_transforms_match_reference(
         ComplexSignal(n, huge), "constant 1e308, n = " + std::to_string(n));
     ComplexSignal x = random_signal(n, static_cast<unsigned>(n) + 5);
@@ -326,6 +342,10 @@ TEST(SplitFft, OverflowingSumsTakeTheLibraryProductPath) {
 
 TEST(SplitFftFourLanes, OverflowingSumsTakeTheLibraryProductPath) {
   at_width(4, overflowing_sums_match_reference);
+}
+
+TEST(SplitFftEightLanes, OverflowingSumsTakeTheLibraryProductPath) {
+  at_width(8, overflowing_sums_match_reference);
 }
 
 TEST(Fft, NextPow2) {
@@ -634,6 +654,8 @@ SplitSpectrum split_spectrum(const std::vector<double>& re,
   return s;
 }
 
+/// Checks scan_power against the composed statistics, and the peak-only
+/// scan_peak against scan_power's peak_bin and peak.
 void expect_scan_matches_composed(const SplitSpectrum& spectrum,
                                   const std::string& what) {
   const ComposedStatistics c = compose(spectrum);
@@ -647,11 +669,19 @@ void expect_scan_matches_composed(const SplitSpectrum& spectrum,
   for (std::size_t i = 0; i < power.size(); ++i) {
     EXPECT_TRUE(same_value(power[i], c.power[i])) << what << ", bin " << i;
   }
+  const PowerPeak peak = scan_peak(spectrum);
+  EXPECT_EQ(peak.peak_bin, scan.peak_bin) << what << ", peak-only scan";
+  EXPECT_TRUE(same_value(peak.peak, scan.peak)) << what << ", peak-only scan";
 }
 
-TEST(PowerScan, TiedStrongestBinsKeepTheFirst) {
+// Each scan test runs at two lanes, and its twins at four and eight: the
+// summing scan runs four lanes at either, the peak-only scan each width. The
+// sizes include ones that are not a multiple of 16 (two vectors of eight
+// lanes), so bins fall past the last whole step.
+
+void tied_strongest_bins_keep_the_first() {
   // Every pair of tied bins, in every lane position of the scan.
-  for (const std::size_t n : {2U, 3U, 4U, 8U, 16U}) {
+  for (const std::size_t n : {2U, 3U, 4U, 8U, 16U, 17U, 33U}) {
     for (std::size_t a = 0; a < n; ++a) {
       for (std::size_t b = a + 1; b < n; ++b) {
         std::vector<double> re(n, 0.5), im(n, -0.25);
@@ -663,17 +693,31 @@ TEST(PowerScan, TiedStrongestBinsKeepTheFirst) {
             "n = " + std::to_string(n) + ", tie at " + std::to_string(a) +
                 " and " + std::to_string(b));
         EXPECT_EQ(scan_power(split_spectrum(re, im)).peak_bin, a);
+        EXPECT_EQ(scan_peak(split_spectrum(re, im)).peak_bin, a);
       }
     }
   }
   // A flat spectrum: bin 0 wins.
   std::vector<double> re(4096, 1.0), im(4096, 0.0);
   EXPECT_EQ(scan_power(split_spectrum(re, im)).peak_bin, 0U);
+  EXPECT_EQ(scan_peak(split_spectrum(re, im)).peak_bin, 0U);
 }
 
-TEST(PowerScan, NanBinsAreSkippedButPoisonTheSum) {
+TEST(PowerScan, TiedStrongestBinsKeepTheFirst) {
+  at_width(2, tied_strongest_bins_keep_the_first);
+}
+
+TEST(PowerScanFourLanes, TiedStrongestBinsKeepTheFirst) {
+  at_width(4, tied_strongest_bins_keep_the_first);
+}
+
+TEST(PowerScanEightLanes, TiedStrongestBinsKeepTheFirst) {
+  at_width(8, tied_strongest_bins_keep_the_first);
+}
+
+void nan_bins_are_skipped_but_poison_the_sum() {
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const std::size_t n : {1U, 2U, 5U, 8U, 64U}) {
+  for (const std::size_t n : {1U, 2U, 5U, 8U, 19U, 35U, 64U}) {
     for (std::size_t at = 0; at < n; ++at) {
       std::vector<double> re(n), im(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -695,24 +739,52 @@ TEST(PowerScan, NanBinsAreSkippedButPoisonTheSum) {
   }
 }
 
-TEST(PowerScan, ZeroAndSingleBinSpectra) {
-  for (const std::size_t n : {1U, 2U, 4U, 4096U}) {
+TEST(PowerScan, NanBinsAreSkippedButPoisonTheSum) {
+  at_width(2, nan_bins_are_skipped_but_poison_the_sum);
+}
+
+TEST(PowerScanFourLanes, NanBinsAreSkippedButPoisonTheSum) {
+  at_width(4, nan_bins_are_skipped_but_poison_the_sum);
+}
+
+TEST(PowerScanEightLanes, NanBinsAreSkippedButPoisonTheSum) {
+  at_width(8, nan_bins_are_skipped_but_poison_the_sum);
+}
+
+void zero_and_single_bin_spectra() {
+  for (const std::size_t n : {1U, 2U, 4U, 23U, 4096U}) {
     std::vector<double> re(n, 0.0), im(n, -0.0);
     const SplitSpectrum zero = split_spectrum(re, im);
     expect_scan_matches_composed(zero, "zero, n = " + std::to_string(n));
     EXPECT_EQ(scan_power(zero).peak_bin, n);
     EXPECT_EQ(scan_power(zero).sum, 0.0);
+    EXPECT_EQ(scan_peak(zero).peak_bin, n);
+    EXPECT_EQ(scan_peak(zero).peak, 0.0);
   }
   expect_scan_matches_composed(split_spectrum({-2.5}, {1e-3}), "one bin");
   expect_scan_matches_composed(split_spectrum({1e200}, {1e200}),
                                "one overflowing bin");
   EXPECT_EQ(scan_power(split_spectrum({-2.5}, {1e-3})).peak_bin, 0U);
+  EXPECT_EQ(scan_peak(split_spectrum({-2.5}, {1e-3})).peak_bin, 0U);
 }
 
-TEST(PowerScan, RandomSpectraMatchComposedStatistics) {
+TEST(PowerScan, ZeroAndSingleBinSpectra) {
+  at_width(2, zero_and_single_bin_spectra);
+}
+
+TEST(PowerScanFourLanes, ZeroAndSingleBinSpectra) {
+  at_width(4, zero_and_single_bin_spectra);
+}
+
+TEST(PowerScanEightLanes, ZeroAndSingleBinSpectra) {
+  at_width(8, zero_and_single_bin_spectra);
+}
+
+void random_spectra_match_composed_statistics() {
   std::mt19937 rng(12);
   std::normal_distribution<double> dist(0.0, 1.0);
-  for (const std::size_t n : {1U, 2U, 3U, 4U, 6U, 7U, 32U, 33U, 4096U}) {
+  for (const std::size_t n :
+       {1U, 2U, 3U, 4U, 6U, 7U, 15U, 17U, 32U, 33U, 47U, 4095U, 4096U}) {
     std::vector<double> re(n), im(n);
     for (std::size_t i = 0; i < n; ++i) {
       re[i] = dist(rng);
@@ -721,6 +793,52 @@ TEST(PowerScan, RandomSpectraMatchComposedStatistics) {
     expect_scan_matches_composed(split_spectrum(re, im),
                                  "random, n = " + std::to_string(n));
   }
+}
+
+TEST(PowerScan, RandomSpectraMatchComposedStatistics) {
+  at_width(2, random_spectra_match_composed_statistics);
+}
+
+TEST(PowerScanFourLanes, RandomSpectraMatchComposedStatistics) {
+  at_width(4, random_spectra_match_composed_statistics);
+}
+
+TEST(PowerScanEightLanes, RandomSpectraMatchComposedStatistics) {
+  at_width(8, random_spectra_match_composed_statistics);
+}
+
+void every_size_to_64_with_a_late_tie() {
+  // Random powers with the strongest value repeated in the last bin: each
+  // size puts the first peak and the tie in another lane or in the tail.
+  std::mt19937 rng(21);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  for (std::size_t n = 1; n <= 64; ++n) {
+    std::vector<double> re(n), im(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      re[i] = dist(rng);
+      im[i] = dist(rng);
+    }
+    const std::size_t strongest = n / 3;
+    re[strongest] = 2.0;
+    im[strongest] = -1.5;
+    re[n - 1] = -2.0;
+    im[n - 1] = 1.5;
+    expect_scan_matches_composed(split_spectrum(re, im),
+                                 "late tie, n = " + std::to_string(n));
+    EXPECT_EQ(scan_peak(split_spectrum(re, im)).peak_bin, strongest);
+  }
+}
+
+TEST(PowerScan, EverySizeToSixtyFourWithALateTie) {
+  at_width(2, every_size_to_64_with_a_late_tie);
+}
+
+TEST(PowerScanFourLanes, EverySizeToSixtyFourWithALateTie) {
+  at_width(4, every_size_to_64_with_a_late_tie);
+}
+
+TEST(PowerScanEightLanes, EverySizeToSixtyFourWithALateTie) {
+  at_width(8, every_size_to_64_with_a_late_tie);
 }
 
 // --- periodogram functions against their composed reference -----------------

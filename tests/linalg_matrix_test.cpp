@@ -1,4 +1,4 @@
-// Unit tests for the dense matrix/vector core.
+// Unit tests for the dense matrix/vector core and the lane width.
 #include "linalg/matrix.hpp"
 
 #include <gtest/gtest.h>
@@ -6,6 +6,9 @@
 #include <complex>
 #include <random>
 #include <sstream>
+#include <stdexcept>
+
+#include "linalg/lanes.hpp"
 
 namespace safe::linalg {
 namespace {
@@ -246,6 +249,29 @@ TEST_P(MatrixAlgebraProperty, DistributiveLaw) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatrixAlgebraProperty,
                          ::testing::Range(0u, 12u));
+
+TEST(Lanes, ScopedWidthForcesOnlyWidthsThisCpuRuns) {
+  // Unforced, width() is the widest width this CPU runs.
+  const std::size_t detected = lanes::width();
+  EXPECT_EQ(detected, lanes::width_supported(8)   ? 8U
+                      : lanes::width_supported(4) ? 4U
+                                                  : 2U);
+  for (const std::size_t lanes_wanted : {2U, 4U, 8U}) {
+    if (lanes::width_supported(lanes_wanted)) {
+      const lanes::detail::ScopedWidth forced(lanes_wanted);
+      EXPECT_EQ(lanes::width(), lanes_wanted);
+    } else {
+      EXPECT_THROW(lanes::detail::ScopedWidth{lanes_wanted},
+                   std::invalid_argument)
+          << lanes_wanted << " lanes";
+    }
+    EXPECT_EQ(lanes::width(), detected);
+  }
+  for (const std::size_t bad : {0U, 1U, 3U, 16U}) {
+    EXPECT_THROW(lanes::detail::ScopedWidth{bad}, std::invalid_argument)
+        << bad << " lanes";
+  }
+}
 
 }  // namespace
 }  // namespace safe::linalg

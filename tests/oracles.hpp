@@ -30,8 +30,9 @@ using Complex = std::complex<double>;
 /// Runs `body` with the split-plane kernels at `lanes` doubles per vector,
 /// or skips the test on a CPU that cannot run that width.
 inline void at_width(std::size_t lanes, const std::function<void()>& body) {
-  if (lanes == 4 && !linalg::lanes::avx2_supported()) {
-    GTEST_SKIP() << "four lanes need AVX2, which this CPU lacks";
+  if (!linalg::lanes::width_supported(lanes)) {
+    GTEST_SKIP() << lanes << " lanes need an extension this CPU lacks "
+                 << "(AVX2 for four, AVX-512F for eight)";
   }
   const linalg::lanes::detail::ScopedWidth width(lanes);
   body();
