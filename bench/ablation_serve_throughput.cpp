@@ -84,8 +84,9 @@ int main(int argc, char** argv) {
       break;
     }
     if (!point.report.ok()) ok = false;
-    for (const std::string& error : point.report.errors) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
+    for (const serve::SessionError& error : point.report.session_errors) {
+      std::fprintf(stderr, "error: session %zu [%s] %s\n", error.session,
+                   serve::to_string(error.kind), error.detail.c_str());
     }
     std::printf("%12zu %12llu %12.0f %10.2f %10.2f %10.2f\n", connections,
                 static_cast<unsigned long long>(
@@ -128,7 +129,7 @@ int main(int argc, char** argv) {
     load.spec.horizon_steps = steps;
     load.master_seed = 99;
     load.verify = true;
-    load.retry_attempts = 40;
+    load.retry.max_attempts = 40;
     load.retry.initial_backoff_ns = 5'000'000;
     load.retry.max_backoff_ns = 100'000'000;
     try {
@@ -138,8 +139,10 @@ int main(int argc, char** argv) {
       ok = false;
     }
     if (!degraded.ok()) ok = false;
-    for (const std::string& error : degraded.errors) {
-      std::fprintf(stderr, "degraded error: %s\n", error.c_str());
+    for (const serve::SessionError& error : degraded.session_errors) {
+      std::fprintf(stderr, "degraded error: session %zu [%s] %s\n",
+                   error.session, serve::to_string(error.kind),
+                   error.detail.c_str());
     }
     std::printf("\nDegraded network (%s, seed %llu):\n", chaos_spec.c_str(),
                 static_cast<unsigned long long>(chaos_seed));

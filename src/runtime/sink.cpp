@@ -7,6 +7,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "telemetry/telemetry.hpp"
+
 namespace safe::runtime {
 
 namespace {
@@ -22,29 +24,6 @@ void append_double(std::string& out, double v) {
   char buf[32];
   const auto result = std::to_chars(buf, buf + sizeof(buf), v);
   out.append(buf, result.ptr);
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 /// Nearest-rank quantile of an ascending-sorted vector.
@@ -97,7 +76,7 @@ std::string to_jsonl(const TrialRecord& r) {
   out += "\",\"attack\":\"";
   out += attack_name(r.attack);
   out += "\",\"attack_spec\":";
-  append_escaped(out, r.attack_spec);
+  telemetry::append_escaped_json(out, r.attack_spec);
   out += ",\"onset_s\":";
   append_double(out, r.attack_start_s.value());
   out += ",\"end_s\":";
@@ -105,9 +84,9 @@ std::string to_jsonl(const TrialRecord& r) {
   out += ",\"jammer_w\":";
   append_double(out, r.jammer_power_w);
   out += ",\"fault\":";
-  append_escaped(out, r.fault_spec);
+  telemetry::append_escaped_json(out, r.fault_spec);
   out += ",\"detector\":";
-  append_escaped(out, r.detector_spec);
+  telemetry::append_escaped_json(out, r.detector_spec);
   out += ",\"defense\":";
   out += r.defense_enabled ? "true" : "false";
   out += ",\"max_holdover\":";
@@ -151,7 +130,7 @@ std::string to_jsonl(const TrialRecord& r) {
   out += ",\"degradation_max\":";
   append_double(out, r.degradation_max);
   out += ",\"platoon\":";
-  append_escaped(out, r.platoon_spec);
+  telemetry::append_escaped_json(out, r.platoon_spec);
   out += ",\"platoon_size\":";
   out += std::to_string(r.platoon_size);
   out += ",\"attacked_index\":";
@@ -165,7 +144,7 @@ std::string to_jsonl(const TrialRecord& r) {
   out += ",\"detected_vehicles\":";
   out += std::to_string(r.detected_vehicles);
   out += ",\"error\":";
-  append_escaped(out, r.error);
+  telemetry::append_escaped_json(out, r.error);
   out += "}";
   return out;
 }

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -19,6 +20,14 @@
 namespace safe::serve {
 
 namespace {
+
+/// Cap on one ::send, so a full socket buffer stalls one bounded write
+/// instead of the whole remaining trace.
+constexpr std::size_t kMaxSendChunk = 16 * 1024;
+
+/// stream() ACKs after this many accepted estimates, so the server can trim
+/// its replay buffer. A session shorter than this is never ACKed mid-stream.
+constexpr std::size_t kAckEvery = 32;
 
 int poll_one(int fd, short events, int timeout_ms) {
   pollfd p{.fd = fd, .events = events, .revents = 0};
@@ -92,6 +101,22 @@ void SessionClient::send_raw(const std::vector<std::uint8_t>& bytes) {
   }
 }
 
+bool SessionClient::read_some() {
+  std::uint8_t buffer[16384];
+  const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), MSG_DONTWAIT);
+  if (n > 0) {
+    decoder_.feed(buffer, static_cast<std::size_t>(n));
+    return true;
+  }
+  if (n == 0) {
+    reason_ = "connection closed by server";
+    return false;
+  }
+  if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) return true;
+  reason_ = std::string("recv failed: ") + errno_string(errno);
+  return false;
+}
+
 std::optional<Frame> SessionClient::recv_frame(std::uint64_t deadline_ns) {
   const std::uint64_t deadline_abs = telemetry::now_ns() + deadline_ns;
   while (true) {
@@ -108,20 +133,9 @@ std::optional<Frame> SessionClient::recv_frame(std::uint64_t deadline_ns) {
       return std::nullopt;
     }
     const int revents = poll_one(fd_, POLLIN, timeout);
-    if ((revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-    std::uint8_t buffer[16384];
-    const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), 0);
-    if (n > 0) {
-      decoder_.feed(buffer, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n == 0) {
-      reason_ = "connection closed by server";
+    if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0 && !read_some()) {
       return std::nullopt;
     }
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    reason_ = std::string("recv failed: ") + errno_string(errno);
-    return std::nullopt;
   }
 }
 
@@ -165,112 +179,154 @@ SessionClient::OpenReply SessionClient::open_session(
 }
 
 SessionClient::StreamResult SessionClient::stream(
-    const std::vector<MeasurementFrame>& measurements,
-    std::uint64_t deadline_ns) {
+    std::span<const MeasurementFrame> measurements, std::uint64_t deadline_ns,
+    std::optional<std::int64_t> send_from) {
   StreamResult result;
+  const auto end_with = [&result](StreamEnd end, std::string detail) {
+    result.end = end;
+    result.complete = end == StreamEnd::kComplete;
+    result.detail = std::move(detail);
+  };
+  if (measurements.empty()) {
+    end_with(StreamEnd::kComplete, {});
+    return result;
+  }
   if (fd_ < 0) {
-    result.transport_error = "stream on closed client";
+    end_with(StreamEnd::kTransport, "stream on closed client");
     return result;
   }
 
-  // Pre-encode the whole trace into one buffer and remember where each
-  // frame ends, so a frame's send timestamp is taken when its final byte
-  // leaves the socket.
+  // Pre-encode the measurements to send into one buffer and remember where
+  // each frame ends, so a frame's send timestamp is taken when its final
+  // byte leaves the socket. ACKs are appended behind them.
+  const std::int64_t first_step = measurements.front().step;
   std::vector<std::uint8_t> out;
   std::vector<std::size_t> frame_end;
   std::vector<std::int64_t> frame_step;
-  frame_end.reserve(measurements.size());
-  frame_step.reserve(measurements.size());
   for (const MeasurementFrame& m : measurements) {
+    if (m.step < send_from.value_or(first_step)) continue;
     const std::vector<std::uint8_t> bytes = encode(m);
     out.insert(out.end(), bytes.begin(), bytes.end());
     frame_end.push_back(out.size());
     frame_step.push_back(m.step);
   }
   std::unordered_map<std::int64_t, std::uint64_t> send_ns;
-  send_ns.reserve(measurements.size());
+  send_ns.reserve(frame_step.size());
 
   const std::uint64_t deadline_abs = telemetry::now_ns() + deadline_ns;
   std::size_t sent = 0;
   std::size_t next_stamp = 0;
-  const std::size_t expected = measurements.size();
+  std::size_t since_ack = 0;
+  bool link_up = true;
 
-  const auto pump_decoder = [&]() -> bool {  // false = stream ended
-    while (true) {
-      const std::optional<Frame> frame = decoder_.next();
-      if (!frame.has_value()) break;
+  // Handles every complete frame in the decoder. Returns false once one of
+  // them ended the stream (end_with says how).
+  const auto drain = [&]() -> bool {
+    while (std::optional<Frame> frame = decoder_.next()) {
       std::string error;
       switch (frame->type) {
         case FrameType::kEstimate: {
           EstimateFrame estimate;
           if (!decode(*frame, estimate, &error)) {
-            result.transport_error = "bad ESTIMATE: " + error;
+            end_with(StreamEnd::kTransport, "bad ESTIMATE: " + error);
             return false;
           }
-          const std::uint64_t now = telemetry::now_ns();
-          const auto it = send_ns.find(estimate.step);
-          result.latencies_ns.push_back(
-              it == send_ns.end() ? 0 : now - it->second);
+          const std::size_t held = result.estimates.size();
+          const std::int64_t owed = held < measurements.size()
+                                        ? measurements[held].step
+                                        : measurements.back().step + 1;
+          if (estimate.step < owed) {
+            ++result.duplicates;
+            break;
+          }
+          if (estimate.step != owed || held == measurements.size()) {
+            end_with(StreamEnd::kProtocol,
+                     "estimate step " + std::to_string(estimate.step) +
+                         " while step " + std::to_string(owed) + " is owed");
+            return false;
+          }
+          if (const auto it = send_ns.find(estimate.step);
+              it != send_ns.end()) {
+            result.latencies_ns.push_back(telemetry::now_ns() - it->second);
+          }
           result.estimates.push_back(estimate);
           result.estimate_frames.push_back(encode(estimate));
+          if (++since_ack == kAckEvery) {
+            since_ack = 0;
+            const std::vector<std::uint8_t> ack =
+                encode(AckFrame{.last_step = estimate.step});
+            out.insert(out.end(), ack.begin(), ack.end());
+          }
           break;
         }
         case FrameType::kChallengeResult: {
           ChallengeResultFrame challenge;
           if (!decode(*frame, challenge, &error)) {
-            result.transport_error = "bad CHALLENGE_RESULT: " + error;
+            end_with(StreamEnd::kTransport, "bad CHALLENGE_RESULT: " + error);
             return false;
           }
-          result.challenges.push_back(challenge);
+          if (challenge.step < first_step) {
+            ++result.duplicates;
+          } else {
+            result.challenges.push_back(challenge);
+          }
           break;
         }
         case FrameType::kStatus: {
           StatusFrame status;
           if (!decode(*frame, status, &error)) {
-            result.transport_error = "bad STATUS: " + error;
+            end_with(StreamEnd::kTransport, "bad STATUS: " + error);
             return false;
           }
-          result.status = status;
-          return false;  // draining / slow consumer / idle timeout ends it
+          end_with(StreamEnd::kStatus, std::string(to_string(status.code)) +
+                                           ": " + status.message);
+          result.status = std::move(status);
+          return false;
         }
         case FrameType::kError: {
           ErrorFrame err;
           if (!decode(*frame, err, &error)) {
-            result.transport_error = "bad ERROR: " + error;
+            end_with(StreamEnd::kTransport, "bad ERROR: " + error);
             return false;
           }
-          result.error = err;
+          end_with(StreamEnd::kError,
+                   std::string(to_string(err.code)) + ": " + err.message);
           return false;
         }
         default:
-          result.transport_error =
-              std::string("unexpected frame ") + to_string(frame->type);
+          end_with(StreamEnd::kProtocol,
+                   std::string("unexpected frame ") + to_string(frame->type));
           return false;
       }
     }
     if (decoder_.failed()) {
-      result.transport_error = "decode failed: " + decoder_.error();
+      end_with(StreamEnd::kTransport, "decode failed: " + decoder_.error());
       return false;
     }
     return true;
   };
 
-  while (result.estimates.size() < expected) {
-    if (!pump_decoder()) return result;
-    if (result.estimates.size() >= expected) break;
-
+  while (drain()) {
+    if (result.estimates.size() == measurements.size()) {
+      end_with(StreamEnd::kComplete, {});
+      break;
+    }
+    if (!link_up) {
+      end_with(StreamEnd::kTransport, reason_);
+      break;
+    }
     const int timeout = remaining_ms(deadline_abs);
     if (timeout == 0) {
-      result.transport_error = "timed out mid-stream";
-      return result;
+      end_with(StreamEnd::kDeadline, "timed out mid-stream");
+      break;
     }
+
     short events = POLLIN;
     if (sent < out.size()) events = static_cast<short>(events | POLLOUT);
     const int revents = poll_one(fd_, events, timeout);
-
     if ((revents & POLLOUT) != 0 && sent < out.size()) {
-      const ssize_t n =
-          ::send(fd_, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
+      const std::size_t chunk = std::min(out.size() - sent, kMaxSendChunk);
+      const ssize_t n = ::send(fd_, out.data() + sent, chunk, MSG_NOSIGNAL);
       if (n > 0) {
         sent += static_cast<std::size_t>(n);
         const std::uint64_t now = telemetry::now_ns();
@@ -281,29 +337,14 @@ SessionClient::StreamResult SessionClient::stream(
         }
       } else if (n < 0 && errno != EINTR && errno != EAGAIN &&
                  errno != EWOULDBLOCK) {
-        result.transport_error =
-            std::string("send failed: ") + errno_string(errno);
-        return result;
+        reason_ = std::string("send failed: ") + errno_string(errno);
+        link_up = false;
       }
     }
-    if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-      std::uint8_t buffer[16384];
-      const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), MSG_DONTWAIT);
-      if (n > 0) {
-        decoder_.feed(buffer, static_cast<std::size_t>(n));
-      } else if (n == 0) {
-        if (!pump_decoder()) return result;
-        result.transport_error = "connection closed mid-stream";
-        return result;
-      } else if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
-        result.transport_error =
-            std::string("recv failed: ") + errno_string(errno);
-        return result;
-      }
+    if (link_up && (revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+      link_up = read_some();
     }
   }
-
-  result.complete = result.estimates.size() == expected;
   return result;
 }
 

@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "runtime/seed.hpp"
-#include "serve/client.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace safe::serve {
@@ -34,6 +33,7 @@ SessionErrorKind classify(StreamFailure failure) {
     case StreamFailure::kTransport: return SessionErrorKind::kTransport;
     case StreamFailure::kAttemptsExhausted:
       return SessionErrorKind::kRetriesExhausted;
+    case StreamFailure::kOverloaded: return SessionErrorKind::kOverloaded;
     case StreamFailure::kNone: break;
   }
   return SessionErrorKind::kIncompleteStream;
@@ -128,12 +128,8 @@ LoadReport run_load(const LoadOptions& options) {
     if (failed) ++report.sessions_failed;
     ++report.error_counts[static_cast<std::size_t>(kind)];
     if (report.session_errors.size() < 16) {
-      report.session_errors.push_back(
-          SessionError{.session = index, .kind = kind, .detail = detail});
-    }
-    if (report.errors.size() < 8) {
-      report.errors.push_back("loadgen-" + std::to_string(index) + ": [" +
-                              to_string(kind) + "] " + std::move(detail));
+      report.session_errors.push_back(SessionError{
+          .session = index, .kind = kind, .detail = std::move(detail)});
     }
   };
 
@@ -164,105 +160,37 @@ LoadReport run_load(const LoadOptions& options) {
     if (!run.traced) return;
     const std::string client_id = "loadgen-" + std::to_string(index);
 
-    if (options.retry_attempts > 0) {
-      RetryPolicy policy = options.retry;
-      policy.max_attempts = options.retry_attempts;
-      policy.jitter_seed = runtime::derive_seed(
-          options.master_seed, runtime::SeedStream::kRetry,
-          static_cast<std::uint64_t>(index));
-      ResilientClient resilient(options.host, options.port, policy);
-      ResilientResult result =
-          resilient.run(run.spec, client_id, run.trace, options.deadline_ns);
-      {
-        std::lock_guard<std::mutex> guard(merge_mutex);
-        report.frames_sent += run.trace.size();
-        report.estimates_received += result.estimates.size();
-        report.challenges_received += result.challenges.size();
-        if (result.complete) ++report.sessions_completed;
-        report.reconnects += result.reconnects;
-        report.resumes += result.resumes;
-        report.restarts += result.restarts;
-        report.overload_backoffs += result.overload_backoffs;
-        report.duplicates_discarded += result.duplicates_discarded;
-        report.replayed_frames += result.replayed_frames;
-        all_latencies.insert(all_latencies.end(), result.latencies_ns.begin(),
-                             result.latencies_ns.end());
-      }
-      run.complete = result.complete;
-      if (options.verify) {
-        run.estimate_frames = std::move(result.estimate_frames);
-      }
-      if (!result.complete) {
-        record_error(index, classify(result.failure),
-                     std::string(to_string(result.failure)) +
-                         (result.failure_detail.empty()
-                              ? ""
-                              : ": " + result.failure_detail));
-      }
-      return;
-    }
-
-    SessionClient client;
-    try {
-      client.connect(options.host, options.port);
-    } catch (const std::exception& e) {
-      record_error(index, SessionErrorKind::kConnectRefused, e.what());
-      return;
-    }
-    const SessionClient::OpenReply open =
-        client.open_session(hello_from(run.spec, client_id),
-                            options.deadline_ns);
-    if (!open.ok) {
-      SessionErrorKind kind = SessionErrorKind::kHandshakeRejected;
-      std::string why;
-      if (open.has_error) {
-        why = open.error.message;
-      } else if (!open.transport_error.empty()) {
-        kind = SessionErrorKind::kTransport;
-        why = open.transport_error;
-      } else {
-        if (open.status.code == StatusCode::kOverloaded) {
-          kind = SessionErrorKind::kOverloaded;
-        }
-        why = std::string(to_string(open.status.code)) + ": " +
-              open.status.message;
-      }
-      record_error(index, kind, "handshake failed: " + why);
-      return;
-    }
-
-    SessionClient::StreamResult stream =
-        client.stream(run.trace, options.deadline_ns);
+    RetryPolicy policy = options.retry;
+    policy.jitter_seed = runtime::derive_seed(
+        options.master_seed, runtime::SeedStream::kRetry,
+        static_cast<std::uint64_t>(index));
+    ResilientClient client(options.host, options.port, policy);
+    ResilientResult result =
+        client.run(run.spec, client_id, run.trace, options.deadline_ns);
     {
       std::lock_guard<std::mutex> guard(merge_mutex);
       report.frames_sent += run.trace.size();
-      report.estimates_received += stream.estimates.size();
-      report.challenges_received += stream.challenges.size();
-      all_latencies.insert(all_latencies.end(), stream.latencies_ns.begin(),
-                           stream.latencies_ns.end());
-      if (stream.complete) ++report.sessions_completed;
+      report.estimates_received += result.estimates.size();
+      report.challenges_received += result.challenges.size();
+      if (result.complete) ++report.sessions_completed;
+      report.reconnects += result.reconnects;
+      report.resumes += result.resumes;
+      report.restarts += result.restarts;
+      report.overload_backoffs += result.overload_backoffs;
+      report.duplicates_discarded += result.duplicates_discarded;
+      report.replayed_frames += result.replayed_frames;
+      all_latencies.insert(all_latencies.end(), result.latencies_ns.begin(),
+                           result.latencies_ns.end());
     }
-    run.complete = stream.complete;
-    if (options.verify) run.estimate_frames = std::move(stream.estimate_frames);
-    if (stream.complete) return;
-    SessionErrorKind kind = SessionErrorKind::kIncompleteStream;
-    std::string why = stream.transport_error;
-    if (!why.empty()) {
-      kind = why.find("timed out") != std::string::npos
-                 ? SessionErrorKind::kDeadlineExceeded
-                 : SessionErrorKind::kTransport;
-    } else if (stream.error.has_value()) {
-      kind = SessionErrorKind::kServerError;
-      why = "server ERROR: " + stream.error->message;
-    } else if (stream.status.has_value()) {
-      kind = stream.status->code == StatusCode::kOverloaded
-                 ? SessionErrorKind::kOverloaded
-                 : SessionErrorKind::kServerStatus;
-      why = std::string("server STATUS ") + to_string(stream.status->code) +
-            ": " + stream.status->message;
+    run.complete = result.complete;
+    if (options.verify) run.estimate_frames = std::move(result.estimate_frames);
+    if (!result.complete) {
+      record_error(index, classify(result.failure),
+                   std::string(to_string(result.failure)) +
+                       (result.failure_detail.empty()
+                            ? ""
+                            : ": " + result.failure_detail));
     }
-    if (why.empty()) why = "incomplete stream";
-    record_error(index, kind, why);
   });
   report.elapsed_ns = telemetry::now_ns() - start_ns;
 
@@ -303,20 +231,6 @@ LoadReport run_load(const LoadOptions& options) {
 }
 
 std::string to_json(const LoadReport& report) {
-  const auto escape = [](std::ostringstream& out, const std::string& text) {
-    out << "\"";
-    for (const char c : text) {
-      if (c == '"' || c == '\\') {
-        out << '\\' << c;
-      } else if (c == '\n') {
-        out << "\\n";
-      } else {
-        out << c;
-      }
-    }
-    out << "\"";
-  };
-
   std::ostringstream out;
   out << "{";
   out << "\"sessions_attempted\":" << report.sessions_attempted;
@@ -356,16 +270,10 @@ std::string to_json(const LoadReport& report) {
   for (std::size_t i = 0; i < report.session_errors.size(); ++i) {
     if (i > 0) out << ",";
     const SessionError& error = report.session_errors[i];
+    std::string detail;
+    telemetry::append_escaped_json(detail, error.detail);
     out << "{\"session\":" << error.session << ",\"kind\":\""
-        << to_string(error.kind) << "\",\"detail\":";
-    escape(out, error.detail);
-    out << "}";
-  }
-  out << "]";
-  out << ",\"errors\":[";
-  for (std::size_t i = 0; i < report.errors.size(); ++i) {
-    if (i > 0) out << ",";
-    escape(out, report.errors[i]);
+        << to_string(error.kind) << "\",\"detail\":" << detail << "}";
   }
   out << "]}";
   return out.str();

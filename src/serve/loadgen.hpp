@@ -9,12 +9,14 @@
 // stream phase alone: every trace is built before the clock starts and
 // verified after it stops, and those phases are reported separately.
 //
-// With retry_attempts > 0 each session runs through a ResilientClient
-// instead of a bare SessionClient: disconnects and overload sheds are
-// survived via RESUME + backoff, and the report carries the resilience
-// counters (reconnects, resumes, restarts, replays). Failures are recorded
-// under a structured taxonomy (SessionErrorKind) so a chaos soak can
-// distinguish connect-refused from deadline-exceeded from verify-mismatch.
+// Every session runs through a ResilientClient with `retry.max_attempts`
+// connection attempts (default one): with more, disconnects and overload
+// sheds are survived via RESUME + backoff, and the report carries the
+// resilience counters (reconnects, resumes, restarts, replays). Either way a
+// completed session sends the final ACK, so the server releases it on close.
+// Failures are recorded under a structured taxonomy (SessionErrorKind) so a
+// chaos soak can distinguish connect-refused from deadline-exceeded from
+// verify-mismatch.
 #pragma once
 
 #include <array>
@@ -30,14 +32,14 @@ namespace safe::serve {
 
 /// Structured failure classification for one load-generator session.
 enum class SessionErrorKind : std::uint8_t {
-  kConnectRefused = 0,   ///< TCP connect failed (every attempt)
+  kConnectRefused = 0,   ///< TCP connect failed on a one-attempt session
   kHandshakeRejected,    ///< server answered HELLO/RESUME with a fatal ERROR
   kOverloaded,           ///< shed with STATUS kOverloaded and never admitted
   kDeadlineExceeded,     ///< per-session deadline expired
   kVerifyMismatch,       ///< estimate bytes differ from the offline reference
   kTransport,            ///< socket/decoder failure mid-stream
   kServerError,          ///< fatal mid-stream ERROR frame
-  kServerStatus,         ///< non-retryable STATUS (e.g. draining)
+  kServerStatus,         ///< STATUS other than overloaded (e.g. draining)
   kIncompleteStream,     ///< stream ended short without a better reason
   kTraceGeneration,      ///< local scenario simulation threw
   kRetriesExhausted,     ///< retry budget spent before completion
@@ -65,10 +67,8 @@ struct LoadOptions {
   std::uint64_t master_seed = 1;
   bool verify = false;  ///< byte-compare estimates vs run_offline()
   std::uint64_t deadline_ns = 60'000'000'000ULL;  ///< per-session budget
-  /// 0 = plain single-connection clients (legacy). > 0 = resilient clients
-  /// with this many connection attempts per session; `retry` supplies the
-  /// backoff shape (its jitter_seed is re-derived per session index).
-  std::size_t retry_attempts = 0;
+  /// Connection attempts per session and the backoff between them (its
+  /// jitter_seed is re-derived per session index).
   RetryPolicy retry{};
 };
 
@@ -94,7 +94,7 @@ struct LoadReport {
   std::uint64_t latency_p99_ns = 0;
   std::uint64_t latency_max_ns = 0;
 
-  // Resilience aggregates (all zero in legacy mode).
+  // Resilience aggregates (all zero when no session needed a retry).
   std::uint64_t reconnects = 0;
   std::uint64_t resumes = 0;
   std::uint64_t restarts = 0;
@@ -106,8 +106,6 @@ struct LoadReport {
   std::array<std::uint64_t, kSessionErrorKindCount> error_counts{};
   /// First few structured failures (per-session), for diagnostics.
   std::vector<SessionError> session_errors;
-  /// Same failures as flat strings (legacy diagnostics surface).
-  std::vector<std::string> errors;
 
   [[nodiscard]] bool ok() const {
     return sessions_failed == 0 && verify_mismatched_frames == 0 &&

@@ -1,16 +1,17 @@
 // Retrying session client with resumption and exactly-once delivery
 // accounting (DESIGN.md §13).
 //
-// ResilientClient wraps SessionClient in a reconnect state machine: on a
-// disconnect or an explicit STATUS kOverloaded shed it backs off
-// (exponential with SplitMix64 jitter), reconnects, and sends
-// RESUME(token, last_step). The server replays retained frames after
-// last_step; the client discards any estimate at or below the last step it
-// already accepted, so every step is delivered exactly once no matter how
-// many times the stream is cut. When a resume is rejected (kResumeUnknown /
+// ResilientClient is the retry policy around SessionClient: each attempt
+// connects, sends HELLO (a fresh session) or RESUME(token, last step held),
+// and streams the steps still owed through SessionClient::stream(), which
+// discards replayed estimates it already holds, so every step is delivered
+// exactly once no matter how many times the stream is cut. A disconnect or a
+// STATUS kOverloaded shed is retried after a backoff (exponential, doubling,
+// with SplitMix64 jitter). When a resume is rejected (kResumeUnknown /
 // kResumeGap) the session restarts from scratch — a fresh pipeline is still
 // byte-identical to the offline reference, so the parity contract holds
-// either way.
+// either way. On completion it sends the final ACK, which lets the server
+// destroy the delivered session on close.
 #pragma once
 
 #include <cstdint>
@@ -26,27 +27,27 @@ namespace safe::serve {
 /// Reconnect/backoff policy. Jitter is deterministic per (seed) — two runs
 /// with the same seed draw the same jitter sequence.
 struct RetryPolicy {
-  std::size_t max_attempts = 8;  ///< total connection attempts per session
+  /// Total connection attempts per session; 0 counts as 1.
+  std::size_t max_attempts = 1;
   std::uint64_t initial_backoff_ns = 25'000'000ULL;  ///< 25 ms
   std::uint64_t max_backoff_ns = 1'000'000'000ULL;   ///< 1 s
-  double multiplier = 2.0;
   std::uint64_t jitter_seed = 1;
-  /// ACK cadence: acknowledge received estimates every N steps so the
-  /// server can trim its replay buffer.
-  std::size_t ack_every = 32;
 };
 
-/// Why a resilient run gave up (kNone on success).
+/// Why a resilient run gave up (kNone on success). Each kind names what
+/// ended the last attempt; kAttemptsExhausted replaces a retryable kind only
+/// once a retry was made.
 enum class StreamFailure : std::uint8_t {
   kNone = 0,
-  kConnect,            ///< every attempt failed to connect
+  kConnect,            ///< the TCP connect failed
   kHandshake,          ///< server rejected HELLO with a fatal ERROR
-  kResumeRejected,     ///< server rejected RESUME with a fatal ERROR
+  kResumeRejected,     ///< server rejected RESUME with an ERROR
   kDeadline,           ///< overall deadline expired
-  kServerStatus,       ///< non-retryable STATUS (e.g. draining)
+  kServerStatus,       ///< STATUS other than overloaded (e.g. draining)
   kServerError,        ///< mid-stream fatal ERROR frame
-  kTransport,          ///< unrecoverable transport/protocol failure
+  kTransport,          ///< transport or protocol failure
   kAttemptsExhausted,  ///< retry budget spent before completion
+  kOverloaded,         ///< shed with STATUS kOverloaded
 };
 
 [[nodiscard]] const char* to_string(StreamFailure failure);
@@ -58,7 +59,7 @@ struct ResilientResult {
   std::vector<std::vector<std::uint8_t>> estimate_frames;
   std::vector<ChallengeResultFrame> challenges;
   /// Send-to-receive latencies for estimates whose measurement was sent on
-  /// the connection that delivered them (replayed frames have no stamp).
+  /// the connection that delivered them (replayed frames have none).
   std::vector<std::uint64_t> latencies_ns;
   std::uint64_t session_token = 0;
 

@@ -232,6 +232,22 @@ void append_double_json(std::string& out, double v) {
   out.append(buf, result.ptr);
 }
 
+const char* kind_name(MetricKind kind) {
+  switch (kind) {
+    case MetricKind::kCounter: return "counter";
+    case MetricKind::kGaugeMax: return "gauge_max";
+    case MetricKind::kHistogram: return "histogram";
+  }
+  return "unknown";
+}
+
+const char* stability_name(Stability stability) {
+  return stability == Stability::kDeterministic ? "deterministic"
+                                                : "scheduling_dependent";
+}
+
+}  // namespace
+
 void append_escaped_json(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
@@ -254,22 +270,6 @@ void append_escaped_json(std::string& out, std::string_view s) {
   }
   out += '"';
 }
-
-const char* kind_name(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter: return "counter";
-    case MetricKind::kGaugeMax: return "gauge_max";
-    case MetricKind::kHistogram: return "histogram";
-  }
-  return "unknown";
-}
-
-const char* stability_name(Stability stability) {
-  return stability == Stability::kDeterministic ? "deterministic"
-                                                : "scheduling_dependent";
-}
-
-}  // namespace
 
 // --- runtime switches ------------------------------------------------------
 

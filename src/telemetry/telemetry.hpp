@@ -210,6 +210,11 @@ struct MetricsSnapshot {
                                    bool deterministic_only = false);
 void write_metrics_jsonl(std::ostream& out);
 
+/// Appends `s` to `out` as a quoted JSON string: `"` and `\` escaped,
+/// newline, tab and carriage return by name, every other control byte as
+/// \u00XX. The one escaper behind every JSON line the repo writes.
+void append_escaped_json(std::string& out, std::string_view s);
+
 /// Valid Chrome trace_event JSON ({"traceEvents":[...]}): thread_name
 /// metadata, "X" spans, and "i" instants, sorted by timestamp. Loadable in
 /// chrome://tracing and Perfetto.

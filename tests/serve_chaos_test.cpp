@@ -175,7 +175,10 @@ TEST(ChaosProxy, PassthroughPreservesByteParity) {
   load.master_seed = 52;
   load.verify = true;
   const LoadReport report = run_load(load);
-  for (const std::string& error : report.errors) ADD_FAILURE() << error;
+  for (const SessionError& error : report.session_errors) {
+    ADD_FAILURE() << "session " << error.session << " ["
+                  << to_string(error.kind) << "] " << error.detail;
+  }
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.sessions_verified, 4u);
   EXPECT_GE(proxy.proxy().stats().accepted, 2u);
@@ -223,7 +226,7 @@ TEST(ChaosProxy, SoakWithDisconnectsJitterAndResplitKeepsParity) {
   load.spec = quick_spec(kLoadSeed);
   load.master_seed = kLoadSeed;
   load.verify = true;
-  load.retry_attempts = 40;
+  load.retry.max_attempts = 40;
   load.retry.initial_backoff_ns = 5'000'000;  // keep the soak fast
   load.retry.max_backoff_ns = 100'000'000;
   const LoadReport report = run_load(load);

@@ -147,7 +147,7 @@ TEST(ServeDetect, PreV3ClientsAreStillAccepted) {
     // A pre-v3 session runs the CRA default and still matches the offline
     // reference byte for byte.
     const auto result = client.stream(trace);
-    ASSERT_TRUE(result.complete) << result.transport_error;
+    ASSERT_TRUE(result.complete) << result.detail;
     const std::vector<EstimateFrame> reference = run_offline(spec, trace);
     ASSERT_EQ(reference.size(), result.estimate_frames.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -185,7 +185,7 @@ TEST(ServeDetect, ConcurrentSessionsOnDifferentBackendsMatchOffline) {
     }
     const auto result = client.stream(trace);
     outcome.complete = result.complete;
-    outcome.error = result.transport_error;
+    outcome.error = result.detail;
     outcome.estimate_frames = result.estimate_frames;
   };
 

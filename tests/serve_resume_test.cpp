@@ -4,7 +4,11 @@
 // and delivered (finished + final-ACKed) sessions reject resumption, and
 // admission/deadline overload
 // control sheds with STATUS kOverloaded while keeping sessions resumable.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
@@ -16,6 +20,7 @@
 
 #include "runtime/thread_pool.hpp"
 #include "serve/client.hpp"
+#include "serve/loadgen.hpp"
 #include "serve/server.hpp"
 #include "serve/trace_source.hpp"
 #include "serve/wire.hpp"
@@ -77,7 +82,7 @@ std::uint64_t stream_prefix_then_disconnect(
   const std::vector<MeasurementFrame> prefix(
       trace.begin(), trace.begin() + static_cast<std::ptrdiff_t>(steps));
   const auto result = client.stream(prefix);
-  EXPECT_TRUE(result.complete) << result.transport_error;
+  EXPECT_TRUE(result.complete) << result.detail;
   EXPECT_EQ(result.estimates.size(), steps);
   if (estimate_frames != nullptr) *estimate_frames = result.estimate_frames;
   client.close();
@@ -143,7 +148,7 @@ TEST(ServeResume, ResumeAfterDisconnectContinuesWithByteParity) {
 
   const std::vector<MeasurementFrame> rest(trace.begin() + 30, trace.end());
   const auto result = resumed.stream(rest);
-  ASSERT_TRUE(result.complete) << result.transport_error;
+  ASSERT_TRUE(result.complete) << result.detail;
   ASSERT_EQ(result.estimates.size(), rest.size());
 
   // The stitched stream is byte-identical to the offline pipeline: the
@@ -190,7 +195,7 @@ TEST(ServeResume, ResumeReplaysUnackedEstimates) {
 
   const std::vector<MeasurementFrame> rest(trace.begin() + 30, trace.end());
   const auto result = resumed.stream(rest);
-  ASSERT_TRUE(result.complete) << result.transport_error;
+  ASSERT_TRUE(result.complete) << result.detail;
   for (std::size_t i = 0; i < result.estimate_frames.size(); ++i) {
     EXPECT_EQ(result.estimate_frames[i], encode(reference[30 + i]))
         << "step " << (30 + i);
@@ -431,6 +436,74 @@ TEST(ServeOverload, AdmissionControlShedsHelloWhileBatchesInFlight) {
   EXPECT_TRUE(admitted);
 }
 
+// A load run with one connection attempt per session (no --retries) reports
+// each failure under its own kind: a refused connect, a HELLO rejected with
+// ERROR, and a HELLO shed with STATUS kOverloaded.
+TEST(ServeOverload, OneAttemptLoadKeepsEachFailureKind) {
+  const auto one_session = [](std::uint16_t port, const TraceSpec& spec) {
+    LoadOptions load;
+    load.port = port;
+    load.connections = 1;
+    load.sessions = 1;
+    load.spec = spec;
+    load.deadline_ns = kRecvDeadlineNs;
+    return run_load(load);
+  };
+  const auto expect_kind = [](const LoadReport& report,
+                              SessionErrorKind kind) {
+    EXPECT_FALSE(report.ok());
+    EXPECT_EQ(report.sessions_failed, 1u);
+    EXPECT_EQ(report.error_counts[static_cast<std::size_t>(kind)], 1u);
+    ASSERT_EQ(report.session_errors.size(), 1u);
+    EXPECT_EQ(report.session_errors[0].kind, kind)
+        << to_string(report.session_errors[0].kind) << ": "
+        << report.session_errors[0].detail;
+  };
+
+  {
+    // A bound socket that never listens: connects to its port are refused,
+    // and no other listener can take the port while it is held.
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), len), 0);
+    ASSERT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    const LoadReport report = one_session(ntohs(addr.sin_port), quick_spec(40));
+    ::close(fd);
+    expect_kind(report, SessionErrorKind::kConnectRefused);
+  }
+  {
+    ServerHarness harness;
+    TraceSpec spec = quick_spec(41);
+    spec.detector_spec = "nope";
+    expect_kind(one_session(harness.port(), spec),
+                SessionErrorKind::kHandshakeRejected);
+  }
+  {
+    ServerOptions options;
+    options.admission_max_batches = 1;
+    WedgedServer wedged(options);
+    const TraceSpec spec = quick_spec(42);
+    const std::vector<MeasurementFrame> trace = make_measurement_trace(spec);
+    SessionClient occupant;
+    occupant.connect("127.0.0.1", wedged.server->port());
+    ASSERT_TRUE(occupant.open_session(hello_from(spec, "occupant")).ok);
+    for (std::size_t i = 0; i < 4; ++i) occupant.send_raw(encode(trace[i]));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (wedged.server->stats().frames_in < 4 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_GE(wedged.server->stats().frames_in, 4u);
+    expect_kind(one_session(wedged.server->port(), spec),
+                SessionErrorKind::kOverloaded);
+  }
+}
+
 TEST(ServeOverload, FrameDeadlineShedsButSessionStaysResumable) {
   ServerOptions options;
   options.frame_deadline_ns = 100'000'000ULL;  // 100 ms
@@ -510,7 +583,7 @@ TEST(ServeOverload, FrameDeadlineShedsButSessionStaysResumable) {
   const std::vector<MeasurementFrame> rest(
       trace.begin() + static_cast<std::ptrdiff_t>(processed), trace.end());
   const auto result = resumed->stream(rest);
-  ASSERT_TRUE(result.complete) << result.transport_error;
+  ASSERT_TRUE(result.complete) << result.detail;
   for (std::size_t i = 0; i < result.estimate_frames.size(); ++i) {
     const std::size_t step = static_cast<std::size_t>(processed) + i;
     EXPECT_EQ(result.estimate_frames[i], encode(reference[step]))

@@ -70,7 +70,7 @@ TEST(ServeServer, SingleSessionMatchesOfflinePipelineByteForByte) {
   EXPECT_NE(open.status.session_token, 0u);
 
   const auto result = client.stream(trace);
-  ASSERT_TRUE(result.complete) << result.transport_error;
+  ASSERT_TRUE(result.complete) << result.detail;
   ASSERT_EQ(result.estimates.size(), trace.size());
 
   const std::vector<EstimateFrame> reference = run_offline(spec, trace);
@@ -93,7 +93,10 @@ TEST(ServeServer, ConcurrentSessionsAllVerify) {
   load.master_seed = 21;
   load.verify = true;
   const LoadReport report = run_load(load);
-  for (const std::string& error : report.errors) ADD_FAILURE() << error;
+  for (const SessionError& error : report.session_errors) {
+    ADD_FAILURE() << "session " << error.session << " ["
+                  << to_string(error.kind) << "] " << error.detail;
+  }
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.sessions_completed, 8u);
   EXPECT_EQ(report.sessions_verified, 8u);
@@ -357,8 +360,16 @@ TEST(ServeServer, StatsAccountForCleanRun) {
     load.spec = quick_spec(5);
     const LoadReport report = run_load(load);
     EXPECT_TRUE(report.ok());
+    // Each session ends when its client closes; the server notices on its
+    // next loop pass.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    do {
+      counters = harness.server().session_counters();
+      if (counters.closed + counters.detached == 2) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    } while (std::chrono::steady_clock::now() < deadline);
     stats = harness.server().stats();
-    counters = harness.server().session_counters();
   }
   EXPECT_EQ(stats.accepted, 2u);
   EXPECT_EQ(stats.decode_errors, 0u);
@@ -366,6 +377,25 @@ TEST(ServeServer, StatsAccountForCleanRun) {
   EXPECT_EQ(stats.frames_in, 120u);  // 2 sessions x 60 steps
   EXPECT_EQ(counters.opened, 2u);
   EXPECT_EQ(counters.rejected, 0u);
+  // Both clients sent the final ACK, so the server destroys each finished
+  // session on close instead of parking it for resumption.
+  EXPECT_EQ(counters.closed, 2u);
+  EXPECT_EQ(counters.detached, 0u);
+}
+
+TEST(LoadReportJson, EscapesControlCharactersInErrorDetails) {
+  LoadReport report;
+  report.session_errors.push_back(
+      SessionError{.session = 3,
+                   .kind = SessionErrorKind::kTraceGeneration,
+                   .detail = "drop\tout\r\x01" "end"});
+  const std::string json = to_json(report);
+  EXPECT_NE(json.find(R"("detail":"drop\tout\r\u0001end")"),
+            std::string::npos)
+      << json;
+  EXPECT_TRUE(std::none_of(json.begin(), json.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x20;
+  })) << json;
 }
 
 }  // namespace

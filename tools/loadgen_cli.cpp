@@ -11,11 +11,12 @@
 //
 // --verify byte-compares every received ESTIMATE frame against the offline
 // core::pipeline reference (the serving parity contract); --json prints the
-// machine-readable report to stdout. --retries N runs each session through
-// the resilient client (session resumption + exponential backoff), which is
-// what a chaos soak behind chaos_cli needs to complete. Exit status is
-// non-zero when any session failed, any stream was incomplete, or any
-// verified frame mismatched.
+// machine-readable report to stdout. --retries N gives each session N
+// connection attempts (default 1): past the first, a cut or shed session
+// reconnects, resumes and backs off exponentially, which is what a chaos soak
+// behind chaos_cli needs to complete. Exit status is non-zero when any
+// session failed, any stream was incomplete, or any verified frame
+// mismatched.
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -50,8 +51,9 @@ namespace {
                "  --seed         master seed for per-session trace seeds\n"
                "  --verify       byte-compare estimates vs offline pipeline\n"
                "  --json         machine-readable report on stdout\n"
-               "  --retries      connection attempts per session; > 0 turns\n"
-               "                 on the resilient client (resume + backoff)\n";
+               "  --retries      connection attempts per session (default\n"
+               "                 1); past the first, a session resumes\n"
+               "                 with backoff\n";
   std::exit(2);
 }
 
@@ -122,7 +124,7 @@ int run(int argc, char** argv) {
       } else if (arg == "--verify") {
         options.verify = true;
       } else if (arg == "--retries") {
-        options.retry_attempts = spec::flag_uint(arg, next());
+        options.retry.max_attempts = spec::flag_uint(arg, next());
       } else if (arg == "--json") {
         json = true;
       } else {
@@ -157,7 +159,7 @@ int run(int argc, char** argv) {
                static_cast<double>(report.latency_p50_ns) / 1e6,
                static_cast<double>(report.latency_p95_ns) / 1e6,
                static_cast<double>(report.latency_p99_ns) / 1e6);
-  if (options.retry_attempts > 0) {
+  if (options.retry.max_attempts > 1) {
     std::fprintf(stderr,
                  "loadgen: resilience — %llu reconnect(s), %llu resume(s), "
                  "%llu restart(s), %llu overload backoff(s), %llu frame(s) "
@@ -178,8 +180,10 @@ int run(int argc, char** argv) {
                  static_cast<unsigned long long>(
                      report.verify_mismatched_frames));
   }
-  for (const std::string& error : report.errors) {
-    std::fprintf(stderr, "loadgen: error: %s\n", error.c_str());
+  for (const serve::SessionError& error : report.session_errors) {
+    std::fprintf(stderr, "loadgen: error: session %zu [%s] %s\n",
+                 error.session, serve::to_string(error.kind),
+                 error.detail.c_str());
   }
   return report.ok() ? 0 : 1;
 }
