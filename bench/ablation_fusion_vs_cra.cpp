@@ -14,7 +14,7 @@
 #include <random>
 
 #include "cra/challenge.hpp"
-#include "cra/detector.hpp"
+#include "detect/backends.hpp"
 #include "sensors/fusion_detector.hpp"
 
 namespace {
@@ -38,7 +38,7 @@ PhaseResult run_phase(bool attack_radar, bool attack_lidar, double noise_sigma,
       {.disagreement_threshold_m = safe::units::Meters{fusion_threshold},
        .required_consecutive = 2});
   const auto schedule = cra::paper_challenge_schedule(horizon);
-  cra::ChallengeResponseDetector cra_radar;
+  detect::CraBackend cra_radar;
 
   PhaseResult result;
   for (int k = 0; k < horizon; ++k) {
@@ -61,9 +61,11 @@ PhaseResult run_phase(bool attack_radar, bool attack_lidar, double noise_sigma,
 
     // CRA on the radar: at challenge slots a spoofer (which replays
     // continuously) produces a non-zero output.
-    const bool challenge = schedule.is_challenge(k);
-    const bool radar_nonzero = !challenge || (attacked && attack_radar);
-    const auto cd = cra_radar.observe(k, challenge, radar_nonzero);
+    detect::Observation obs;
+    obs.step = k;
+    obs.challenge_slot = schedule.is_challenge(k);
+    obs.receiver_nonzero = !obs.challenge_slot || (attacked && attack_radar);
+    const detect::Verdict cd = cra_radar.observe(obs);
     if (cd.attack_started && result.cra_detect_step < 0) {
       result.cra_detect_step = k;
     }

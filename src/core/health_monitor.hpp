@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <string>
 
-#include "estimation/chi_square.hpp"
+#include "estimation/innovation_gate.hpp"
 #include "units/units.hpp"
 
 namespace safe::core {

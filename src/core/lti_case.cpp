@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "detect/backends.hpp"
 #include "estimation/rls_predictor.hpp"
 
 namespace safe::core {
@@ -54,7 +55,7 @@ LtiCaseResult LtiSecureCase::run() {
   const std::size_t q = config_.model.c.rows();
   sim::LtiSystem plant(config_.model, config_.initial_state,
                        config_.measurement_noise_stddev, config_.seed);
-  cra::ChallengeResponseDetector detector;
+  detect::CraBackend detector;
 
   // Long holdovers amplify intercept noise in the differenced AR model;
   // slow forgetting keeps the learned drift rate near zero.
@@ -110,8 +111,12 @@ LtiCaseResult LtiSecureCase::run() {
       receiver_nonzero = true;
     }
 
-    const auto decision =
-        detector.observe_scored(k, challenge, receiver_nonzero, attack_active);
+    detect::Observation obs;
+    obs.step = k;
+    obs.challenge_slot = challenge;
+    obs.receiver_nonzero = receiver_nonzero;
+    const detect::Verdict decision =
+        detector.observe_scored(obs, attack_active);
 
     if (decision.attack_started && snapshot_step >= 0 &&
         config_.defense_enabled) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "detect/backends.hpp"
 #include "estimation/rls_predictor.hpp"
 
 namespace safe::core {
@@ -38,7 +39,7 @@ ParkingSimulation::ParkingSimulation(
 
 ParkingResult ParkingSimulation::run() {
   sensors::TofSensor sensor(config_.sensor, config_.seed);
-  cra::ChallengeResponseDetector detector;
+  detect::CraBackend detector;
   estimation::RlsArPredictor predictor;
   std::size_t trained = 0;
   double last_trusted = config_.initial_clearance_m.value();
@@ -96,8 +97,12 @@ ParkingResult ParkingSimulation::run() {
     }
 
     const auto meas = sensor.measure(scene);
-    const auto decision = detector.observe_scored(
-        k, challenge, meas.nonzero_output(), attack_active);
+    detect::Observation obs;
+    obs.step = k;
+    obs.challenge_slot = challenge;
+    obs.receiver_nonzero = meas.nonzero_output();
+    const detect::Verdict decision =
+        detector.observe_scored(obs, attack_active);
 
     if (decision.attack_started && snapshot_step >= 0 &&
         config_.defense_enabled) {

@@ -1,25 +1,17 @@
-// Challenge-response attack detector (Algorithm 2, lines 7-9).
+// Challenge-response attack detection (Algorithm 2, lines 7-9): its option
+// and the detection statistics every detector backend keeps.
 //
 // At every challenge slot the detector compares the receiver's output with
 // the expected silence: a non-zero output means an attacker (jammer or
 // replayer) is radiating. Attack *clearance* is the dual check: once under
 // attack, a challenge slot that comes back silent means the attacker has
-// stopped, ending the estimation holdover.
+// stopped, ending the estimation holdover. The state machine is the `cra`
+// detector backend (detect::CraBackend).
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <vector>
+#include <cstddef>
 
 namespace safe::cra {
-
-/// Detector verdict for one step.
-struct DetectionDecision {
-  bool challenge_slot = false;   ///< Step was a probe-suppressed slot.
-  bool under_attack = false;     ///< Detector state after this step.
-  bool attack_started = false;   ///< This step transitioned clean -> attack.
-  bool attack_cleared = false;   ///< This step transitioned attack -> clean.
-};
 
 /// Cumulative detector statistics (ground truth supplied by the caller).
 struct DetectionStats {
@@ -37,48 +29,6 @@ struct DetectorOptions {
   /// between measured and estimated inputs every challenge. M >= 2 debounces
   /// that oscillation at the cost of M-1 extra holdover challenges.
   std::size_t clear_after_silent_challenges = 1;
-};
-
-class ChallengeResponseDetector {
- public:
-  ChallengeResponseDetector() = default;
-  explicit ChallengeResponseDetector(const DetectorOptions& options);
-
-  /// Processes the receiver output of step k. `challenge_slot` says whether
-  /// the probe was suppressed; `receiver_nonzero` is Val(y') != 0 from the
-  /// radar (coherent echo or power alarm).
-  DetectionDecision observe(std::int64_t step, bool challenge_slot,
-                            bool receiver_nonzero);
-
-  /// Same as observe, additionally scoring against ground truth for FP/FN
-  /// accounting (only challenge slots are scored; the detector makes no
-  /// claims elsewhere).
-  DetectionDecision observe_scored(std::int64_t step, bool challenge_slot,
-                                   bool receiver_nonzero,
-                                   bool attack_actually_active);
-
-  [[nodiscard]] bool under_attack() const { return under_attack_; }
-
-  /// Step at which the current (or last) attack was first detected.
-  [[nodiscard]] std::optional<std::int64_t> detection_step() const {
-    return detection_step_;
-  }
-
-  [[nodiscard]] const DetectionStats& stats() const { return stats_; }
-
-  /// Silent challenges seen in a row while under attack (debounce progress).
-  [[nodiscard]] std::size_t consecutive_silent_challenges() const {
-    return consecutive_silent_;
-  }
-
-  void reset();
-
- private:
-  DetectorOptions options_;
-  bool under_attack_ = false;
-  std::size_t consecutive_silent_ = 0;
-  std::optional<std::int64_t> detection_step_;
-  DetectionStats stats_;
 };
 
 }  // namespace safe::cra

@@ -3,12 +3,12 @@
 // by a keyed PRBS, and the detector checks that suppressed sub-slots of the
 // *received* baseband are silent.
 //
-// This is finer-grained than the epoch-level CRA in cra/detector.hpp: a
-// replay attacker with reaction latency L samples keeps radiating for L
-// samples into every suppressed sub-slot, so detection probability is
-// governed by the attacker's sampling speed — which makes the paper's
-// Section 7 limitation ("detection fails when an adversary can sample
-// faster than the defender") directly measurable.
+// This is finer-grained than the epoch-level CRA (the `cra` detector
+// backend in src/detect): a replay attacker with reaction latency L samples
+// keeps radiating for L samples into every suppressed sub-slot, so
+// detection probability is governed by the attacker's sampling speed —
+// which makes the paper's Section 7 limitation ("detection fails when an
+// adversary can sample faster than the defender") directly measurable.
 #pragma once
 
 #include <cstdint>

@@ -6,15 +6,19 @@
 // attacks with no transmitter modification at all, at the cost of threshold
 // tuning and stealth blind spots. DetectorBackend abstracts the per-step
 // detection decision so the pipeline, the serving layer, and the campaign
-// engine can swap mechanisms per run — and the ROC bench can compare them.
+// engine can swap mechanisms per run.
+//
+// Every backend runs the one declare/clear debounce kept here: an attack is
+// declared after `consecutive` alarmed evaluations in a row and cleared
+// after `clear` quiet ones. A backend only decides which instants it
+// evaluates, which of them are alarmed, and which it scores.
 //
 // Contract: the pipeline calls observe() (or observe_scored()) exactly once
 // per sample instant, before any holdover/health bookkeeping, and consumes
-// the Verdict exactly as it consumed cra::DetectionDecision — so with the
-// CRA backend the pipeline's outputs are bit-identical to the pre-backend
-// code path.
+// the Verdict's state and edges.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -37,45 +41,81 @@ struct Observation {
   units::MetersPerSecond relative_velocity{0.0};  ///< Reported range rate.
 };
 
-/// Detector verdict for one step. The first four fields mirror
-/// cra::DetectionDecision so the pipeline's state machine is unchanged;
-/// confidence and cause feed telemetry and the ROC bench.
+/// Detector verdict for one step.
 struct Verdict {
   bool challenge_slot = false;   ///< Step was a probe-suppressed slot.
   bool under_attack = false;     ///< Detector state after this step.
   bool attack_started = false;   ///< This step transitioned clean -> attack.
   bool attack_cleared = false;   ///< This step transitioned attack -> clean.
-  double confidence = 0.0;       ///< [0, 1]; backend-specific meaning.
   const char* cause = "";        ///< Static tag for transition telemetry.
 };
 
 class DetectorBackend {
  public:
   virtual ~DetectorBackend() = default;
+  DetectorBackend(const DetectorBackend&) = delete;
+  DetectorBackend& operator=(const DetectorBackend&) = delete;
+  DetectorBackend(DetectorBackend&&) = delete;
+  DetectorBackend& operator=(DetectorBackend&&) = delete;
 
   /// Consumes one sample instant and returns the detection verdict.
-  virtual Verdict observe(const Observation& obs) = 0;
+  Verdict observe(const Observation& obs) { return decide(obs, std::nullopt); }
 
   /// Same as observe(), additionally scoring against ground truth for
   /// TPR/FPR accounting. Each backend scores the instants where it actually
-  /// makes a claim (CRA: challenge slots; residual detectors: evaluated
-  /// echo epochs; fusion: every step).
-  virtual Verdict observe_scored(const Observation& obs,
-                                 bool attack_actually_active) = 0;
+  /// makes a claim (CRA: challenge slots; residual detectors: power alarms
+  /// and echo epochs once warmed or attacked; fusion: every step).
+  Verdict observe_scored(const Observation& obs, bool attack_actually_active) {
+    return decide(obs, attack_actually_active);
+  }
 
-  [[nodiscard]] virtual bool under_attack() const = 0;
+  [[nodiscard]] bool under_attack() const { return under_attack_; }
 
   /// Step at which the current (or last) attack was first detected.
-  [[nodiscard]] virtual std::optional<std::int64_t> detection_step()
-      const = 0;
+  [[nodiscard]] std::optional<std::int64_t> detection_step() const {
+    return detection_step_;
+  }
 
   /// Cumulative scoring counters (populated by observe_scored only).
-  [[nodiscard]] virtual const cra::DetectionStats& stats() const = 0;
+  [[nodiscard]] const cra::DetectionStats& stats() const { return stats_; }
 
-  /// Canonical backend name ("cra", "chi2", "ar", "fusion").
+  /// Canonical backend name ("cra", "chi2", "ar", "fusion(...)").
   [[nodiscard]] virtual std::string name() const = 0;
 
-  virtual void reset() = 0;
+  /// Returns to the freshly built state; overrides reset their own state
+  /// and then this.
+  virtual void reset();
+
+ protected:
+  /// `cause` tags every verdict. Throws std::invalid_argument when either
+  /// count is 0.
+  DetectorBackend(std::size_t consecutive, std::size_t clear,
+                  const char* cause);
+
+  /// The verdict of an instant the backend does not evaluate: no edge.
+  [[nodiscard]] Verdict hold(const Observation& obs) const;
+
+  /// The debounce: counts one evaluated instant toward declaration (while
+  /// clean) or clearance (while attacked); an alarm while attacked restarts
+  /// the clearance count.
+  Verdict debounce(const Observation& obs, bool alarmed);
+
+  /// Adds one claim, checked against the ground truth, to stats().
+  void score(bool claimed, bool attack_actually_active);
+
+ private:
+  /// The one observe entry; `attack_actually_active` is set when scoring.
+  virtual Verdict decide(const Observation& obs,
+                         std::optional<bool> attack_actually_active) = 0;
+
+  std::size_t consecutive_;
+  std::size_t clear_;
+  const char* cause_;
+  bool under_attack_ = false;
+  std::size_t alarms_ = 0;  ///< Alarmed evaluations in a row while clean.
+  std::size_t quiet_ = 0;   ///< Quiet evaluations in a row while attacked.
+  std::optional<std::int64_t> detection_step_;
+  cra::DetectionStats stats_;
 };
 
 using DetectorBackendPtr = std::unique_ptr<DetectorBackend>;

@@ -1,7 +1,6 @@
 #include "detect/backends.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -11,9 +10,25 @@ namespace safe::detect {
 
 namespace {
 
-// Backend-agnostic detection metrics; the CRA backend keeps emitting the
-// cra.* series through the wrapped detector instead, so default-config
-// telemetry is unchanged.
+// The CRA backend keeps the paper's cra.* series (detection events,
+// per-challenge scoring); every other backend reports under detect.*. Each
+// set registers on first use, so a run never exports the other's zeros.
+// All jobs-invariant.
+struct CraMetrics {
+  telemetry::MetricId challenges = telemetry::counter("cra.challenges");
+  telemetry::MetricId detections = telemetry::counter("cra.detections");
+  telemetry::MetricId clears = telemetry::counter("cra.clears");
+  telemetry::MetricId false_positives =
+      telemetry::counter("cra.false_positives");
+  telemetry::MetricId false_negatives =
+      telemetry::counter("cra.false_negatives");
+};
+
+const CraMetrics& cra_metrics() {
+  static const CraMetrics m;
+  return m;
+}
+
 struct DetectMetrics {
   telemetry::MetricId detections = telemetry::counter("detect.detections");
   telemetry::MetricId clears = telemetry::counter("detect.clears");
@@ -25,199 +40,27 @@ const DetectMetrics& detect_metrics() {
   return m;
 }
 
-void note_detected(const char* backend, std::int64_t step) {
-  telemetry::add(detect_metrics().detections);
-  telemetry::instant_event("detect.attack_detected", "detect",
-                           telemetry::TraceArgs{}
-                               .text("backend", backend)
-                               .integer("step", step)
-                               .take());
+/// Counts a verdict's edge and marks it in the trace, tagged by backend.
+void note_edges(const Verdict& v, const char* backend, std::int64_t step) {
+  if (!v.attack_started && !v.attack_cleared) return;
+  const DetectMetrics& m = detect_metrics();
+  telemetry::add(v.attack_started ? m.detections : m.clears);
+  telemetry::instant_event(
+      v.attack_started ? "detect.attack_detected" : "detect.attack_cleared",
+      "detect",
+      telemetry::TraceArgs{}
+          .text("backend", backend)
+          .integer("step", step)
+          .take());
 }
 
-void note_cleared(const char* backend, std::int64_t step) {
-  telemetry::add(detect_metrics().clears);
-  telemetry::instant_event("detect.attack_cleared", "detect",
-                           telemetry::TraceArgs{}
-                               .text("backend", backend)
-                               .integer("step", step)
-                               .take());
-}
-
-void score(cra::DetectionStats& stats, bool claimed, bool active) {
-  ++stats.challenges;
-  if (claimed && active) {
-    ++stats.true_positives;
-  } else if (claimed && !active) {
-    ++stats.false_positives;
-  } else if (!claimed && active) {
-    ++stats.false_negatives;
-  } else {
-    ++stats.true_negatives;
-  }
-}
-
-estimation::InnovationGateOptions gate_options(double threshold,
-                                               std::size_t window,
-                                               double forgetting) {
+estimation::InnovationGateOptions gate_options(const ResidualOptions& o) {
   estimation::InnovationGateOptions gate;
-  gate.threshold = threshold;
-  gate.min_samples = window;
-  gate.variance_forgetting = forgetting;
+  gate.threshold = o.threshold;
+  gate.min_samples = o.window;
+  gate.variance_forgetting = o.variance_forgetting;
   return gate;
 }
-
-}  // namespace
-
-// --- CraBackend ------------------------------------------------------------
-
-CraBackend::CraBackend(const cra::DetectorOptions& options)
-    : detector_(options) {}
-
-namespace {
-
-Verdict from_decision(const cra::DetectionDecision& decision) {
-  Verdict v;
-  v.challenge_slot = decision.challenge_slot;
-  v.under_attack = decision.under_attack;
-  v.attack_started = decision.attack_started;
-  v.attack_cleared = decision.attack_cleared;
-  v.confidence = decision.under_attack ? 1.0 : 0.0;
-  v.cause = "cra-detection";
-  return v;
-}
-
-}  // namespace
-
-Verdict CraBackend::observe(const Observation& obs) {
-  return from_decision(
-      detector_.observe(obs.step, obs.challenge_slot, obs.receiver_nonzero));
-}
-
-Verdict CraBackend::observe_scored(const Observation& obs,
-                                   bool attack_actually_active) {
-  return from_decision(detector_.observe_scored(obs.step, obs.challenge_slot,
-                                                obs.receiver_nonzero,
-                                                attack_actually_active));
-}
-
-// --- ChiSquareBackend ------------------------------------------------------
-
-ChiSquareBackend::ChiSquareBackend(const ChiSquareBackendOptions& options)
-    : options_(options),
-      gate_distance_(gate_options(options.threshold, options.window,
-                                  options.variance_forgetting)),
-      gate_velocity_(gate_options(options.threshold, options.window,
-                                  options.variance_forgetting)) {
-  if (!(options_.threshold > 0.0)) {
-    throw std::invalid_argument("ChiSquareBackend: threshold must be > 0");
-  }
-  if (options_.required_consecutive == 0 || options_.clear_after_quiet == 0) {
-    throw std::invalid_argument(
-        "ChiSquareBackend: consecutive and clear counts must be >= 1");
-  }
-}
-
-ChiSquareBackend::Sample ChiSquareBackend::evaluate(const Observation& obs) {
-  Sample sample;
-  if (obs.challenge_slot) return sample;  // no probe, nothing to test
-
-  if (options_.alarm_on_power && obs.receiver_nonzero && !obs.coherent_echo) {
-    // Received power with no coherent echo at a probing epoch: the jamming
-    // signature. No residual statistic needed.
-    sample.evaluated = true;
-    sample.alarmed = true;
-    sample.confidence = 1.0;
-    return sample;
-  }
-  if (!obs.coherent_echo) return sample;  // dropout: no claim either way
-
-  if (has_last_) {
-    const double e_d = obs.distance.value() - last_distance_.value();
-    const double e_v =
-        obs.relative_velocity.value() - last_velocity_.value();
-    const double stat = std::max(
-        e_d * e_d / gate_distance_.variance(),
-        e_v * e_v / gate_velocity_.variance());
-    const bool warmed = gate_distance_.samples() >= options_.window;
-    const bool out_d = gate_distance_.observe(e_d);
-    const bool out_v = gate_velocity_.observe(e_v);
-    // While clean, claims need a warmed-up variance; while attacked, quiet
-    // samples must count toward clearance even during warm-up.
-    sample.evaluated = warmed || under_attack_;
-    sample.alarmed = warmed && (out_d || out_v);
-    sample.confidence =
-        warmed ? std::min(1.0, stat / options_.threshold) : 0.0;
-  }
-  last_distance_ = obs.distance;
-  last_velocity_ = obs.relative_velocity;
-  has_last_ = true;
-  return sample;
-}
-
-Verdict ChiSquareBackend::observe(const Observation& obs) {
-  const Sample sample = evaluate(obs);
-  Verdict v;
-  v.challenge_slot = obs.challenge_slot;
-  v.cause = "chi2-residual";
-  if (sample.evaluated) {
-    telemetry::add(detect_metrics().evaluated);
-    if (!under_attack_) {
-      consecutive_alarms_ = sample.alarmed ? consecutive_alarms_ + 1 : 0;
-      if (consecutive_alarms_ >= options_.required_consecutive) {
-        under_attack_ = true;
-        detection_step_ = obs.step;
-        consecutive_alarms_ = 0;
-        consecutive_quiet_ = 0;
-        v.attack_started = true;
-        note_detected("chi2", obs.step);
-      }
-    } else {
-      consecutive_quiet_ = sample.alarmed ? 0 : consecutive_quiet_ + 1;
-      if (consecutive_quiet_ >= options_.clear_after_quiet) {
-        under_attack_ = false;
-        consecutive_quiet_ = 0;
-        v.attack_cleared = true;
-        note_cleared("chi2", obs.step);
-      }
-    }
-  }
-  v.under_attack = under_attack_;
-  v.confidence = under_attack_ ? 1.0 : sample.confidence;
-  return v;
-}
-
-Verdict ChiSquareBackend::observe_scored(const Observation& obs,
-                                         bool attack_actually_active) {
-  const bool claim_before = under_attack_;
-  const bool warmed = gate_distance_.samples() >= options_.window;
-  Verdict v = observe(obs);
-  // Score only the instants a claim was actually made: power-alarm epochs
-  // and warmed-up echo epochs (plus everything while attacked — clearance
-  // holds are claims too).
-  if (obs.challenge_slot) return v;
-  const bool power_path =
-      options_.alarm_on_power && obs.receiver_nonzero && !obs.coherent_echo;
-  const bool echo_path = obs.coherent_echo && (warmed || claim_before);
-  if (power_path || echo_path) {
-    score(stats_, v.under_attack, attack_actually_active);
-  }
-  return v;
-}
-
-void ChiSquareBackend::reset() {
-  gate_distance_.reset();
-  gate_velocity_.reset();
-  has_last_ = false;
-  under_attack_ = false;
-  consecutive_alarms_ = 0;
-  consecutive_quiet_ = 0;
-  detection_step_.reset();
-  stats_ = cra::DetectionStats{};
-}
-
-// --- ArResidualBackend -----------------------------------------------------
-
-namespace {
 
 estimation::RlsArOptions ar_options(std::size_t order) {
   estimation::RlsArOptions options;
@@ -225,154 +68,196 @@ estimation::RlsArOptions ar_options(std::size_t order) {
   return options;
 }
 
-}  // namespace
-
-ArResidualBackend::ArResidualBackend(const ArResidualBackendOptions& options)
-    : options_(options),
-      trusted_distance_(ar_options(options.order)),
-      trusted_velocity_(ar_options(options.order)),
-      live_distance_(ar_options(options.order)),
-      live_velocity_(ar_options(options.order)),
-      gate_distance_(gate_options(options.threshold, options.window,
-                                  options.variance_forgetting)),
-      gate_velocity_(gate_options(options.threshold, options.window,
-                                  options.variance_forgetting)) {
-  if (!(options_.threshold > 0.0)) {
-    throw std::invalid_argument("ArResidualBackend: threshold must be > 0");
-  }
-  if (options_.required_consecutive == 0 || options_.clear_after_quiet == 0) {
-    throw std::invalid_argument(
-        "ArResidualBackend: consecutive and clear counts must be >= 1");
-  }
-}
-
-double ArResidualBackend::peek(const estimation::RlsArPredictor& p) {
-  // predict_next() advances the free-run state; peeking through a clone
-  // keeps the model anchored at the last observed sample.
+/// One-step prediction without mutating the predictor: predict_next()
+/// advances the free-run state, so peek through a clone that stays anchored
+/// at the last observed sample.
+double peek(const estimation::RlsArPredictor& p) {
   return p.clone()->predict_next();
 }
 
-ArResidualBackend::Sample ArResidualBackend::evaluate(const Observation& obs) {
-  Sample sample;
-  if (obs.challenge_slot) return sample;
+}  // namespace
 
-  if (options_.alarm_on_power && obs.receiver_nonzero && !obs.coherent_echo) {
-    sample.evaluated = true;
-    sample.alarmed = true;
-    sample.confidence = 1.0;
-    return sample;
+// --- CraBackend ------------------------------------------------------------
+
+CraBackend::CraBackend(const cra::DetectorOptions& options)
+    : DetectorBackend(1, options.clear_after_silent_challenges,
+                      "cra-detection") {}
+
+Verdict CraBackend::decide(const Observation& obs,
+                           std::optional<bool> attack_actually_active) {
+  if (!obs.challenge_slot) return hold(obs);
+  const Verdict v = debounce(obs, obs.receiver_nonzero);
+  if (v.attack_started || v.attack_cleared) {
+    const CraMetrics& m = cra_metrics();
+    telemetry::add(v.attack_started ? m.detections : m.clears);
+    telemetry::instant_event(
+        v.attack_started ? "cra.attack_detected" : "cra.attack_cleared",
+        "cra", telemetry::TraceArgs{}.integer("step", obs.step).take());
   }
-  if (!obs.coherent_echo) return sample;
+  if (attack_actually_active) {
+    const bool active = *attack_actually_active;
+    score(obs.receiver_nonzero, active);
+    const CraMetrics& m = cra_metrics();
+    telemetry::add(m.challenges);
+    if (obs.receiver_nonzero != active) {
+      telemetry::add(obs.receiver_nonzero ? m.false_positives
+                                          : m.false_negatives);
+    }
+  }
+  return v;
+}
 
+// --- ResidualBackend -------------------------------------------------------
+
+ResidualBackend::TrustedLiveAr::TrustedLiveAr(std::size_t order)
+    : trusted_distance(ar_options(order)),
+      trusted_velocity(ar_options(order)),
+      live_distance(ar_options(order)),
+      live_velocity(ar_options(order)) {}
+
+ResidualBackend::ResidualBackend(Model model, const ResidualOptions& options)
+    : DetectorBackend(options.required_consecutive, options.clear_after_quiet,
+                      model == Model::kFirstDifference ? "chi2-residual"
+                                                       : "ar-residual"),
+      options_(options),
+      gate_distance_(gate_options(options)),
+      gate_velocity_(gate_options(options)),
+      model_(FirstDifference{}) {
+  if (model == Model::kAutoregressive) {
+    model_.emplace<TrustedLiveAr>(options.order);
+  }
+  if (!(options_.threshold > 0.0)) {
+    throw std::invalid_argument("ResidualBackend: threshold must be > 0");
+  }
+}
+
+ResidualOptions ResidualBackend::defaults(Model model) {
+  ResidualOptions options;
+  if (model == Model::kAutoregressive) {
+    options.threshold = 9.21;
+    options.required_consecutive = 3;
+  }
+  return options;
+}
+
+const char* ResidualBackend::tag() const {
+  return std::holds_alternative<FirstDifference>(model_) ? "chi2" : "ar";
+}
+
+bool ResidualBackend::gate(double e_d, double e_v) {
+  const bool out_d = gate_distance_.observe(e_d);
+  const bool out_v = gate_velocity_.observe(e_v);
+  return out_d || out_v;
+}
+
+ResidualBackend::Sample ResidualBackend::evaluate(const Observation& obs) {
+  if (obs.challenge_slot) return {};  // no probe, nothing to test
+  // Received power with no coherent echo at a probing epoch: the jamming
+  // signature. No residual statistic needed.
+  if (power_alarm(obs)) return {.evaluated = true, .alarmed = true};
+  if (!obs.coherent_echo) return {};  // dropout: no claim either way
   const double y_d = obs.distance.value();
   const double y_v = obs.relative_velocity.value();
+  if (auto* ar = std::get_if<TrustedLiveAr>(&model_)) {
+    return autoregress(*ar, y_d, y_v);
+  }
+  return difference(std::get<FirstDifference>(model_), y_d, y_v);
+}
 
-  if (!under_attack_) {
-    const double e_d = y_d - peek(trusted_distance_);
-    const double e_v = y_v - peek(trusted_velocity_);
-    const double stat =
-        std::max(e_d * e_d / gate_distance_.variance(),
-                 e_v * e_v / gate_velocity_.variance());
-    const bool warmed = gate_distance_.samples() >= options_.window;
-    const bool out_d = gate_distance_.observe(e_d);
-    const bool out_v = gate_velocity_.observe(e_v);
-    sample.evaluated = warmed;
-    sample.alarmed = out_d || out_v;
-    sample.confidence =
-        warmed ? std::min(1.0, stat / options_.threshold) : 0.0;
+ResidualBackend::Sample ResidualBackend::difference(FirstDifference& model,
+                                                    double y_d, double y_v) {
+  Sample sample;
+  if (model.has_last) {
+    const bool was_warmed = warmed();
+    const bool outlier = gate(y_d - model.last_distance.value(),
+                              y_v - model.last_velocity.value());
+    // While clean, claims need a warmed-up variance; while attacked, quiet
+    // samples must count toward clearance even during warm-up.
+    sample.evaluated = was_warmed || under_attack();
+    sample.alarmed = was_warmed && outlier;
+  }
+  model.last_distance = units::Meters{y_d};
+  model.last_velocity = units::MetersPerSecond{y_v};
+  model.has_last = true;
+  return sample;
+}
+
+ResidualBackend::Sample ResidualBackend::autoregress(TrustedLiveAr& model,
+                                                     double y_d, double y_v) {
+  Sample sample;
+  if (!under_attack()) {
+    sample.evaluated = warmed();
+    sample.alarmed = gate(y_d - peek(model.trusted_distance),
+                          y_v - peek(model.trusted_velocity));
     if (!sample.alarmed) {
       // Only clean samples train the trusted model: an alarmed sample is
       // quarantined so a stealthy ramp cannot drag the reference along.
-      trusted_distance_.observe(y_d);
-      trusted_velocity_.observe(y_v);
+      model.trusted_distance.observe(y_d);
+      model.trusted_velocity.observe(y_v);
     }
   } else {
     // Clearance check: the delivered stream is "quiet" when it is again
     // self-consistent under the live model that kept tracking it.
-    const double q_d = y_d - peek(live_distance_);
-    const double q_v = y_v - peek(live_velocity_);
-    const double stat =
-        std::max(q_d * q_d / gate_distance_.variance(),
-                 q_v * q_v / gate_velocity_.variance());
+    const double q_d = y_d - peek(model.live_distance);
+    const double q_v = y_v - peek(model.live_velocity);
+    const double stat = std::max(q_d * q_d / gate_distance_.variance(),
+                                 q_v * q_v / gate_velocity_.variance());
     sample.evaluated = true;
     sample.alarmed = stat > options_.threshold;
-    sample.confidence = std::min(1.0, stat / options_.threshold);
   }
-  live_distance_.observe(y_d);
-  live_velocity_.observe(y_v);
+  model.live_distance.observe(y_d);
+  model.live_velocity.observe(y_v);
   return sample;
 }
 
-Verdict ArResidualBackend::observe(const Observation& obs) {
+Verdict ResidualBackend::decide(const Observation& obs,
+                                std::optional<bool> attack_actually_active) {
+  // Scored: power-alarm epochs, and echo epochs once the gate is warmed or
+  // an attack is declared (clearance holds are claims too), both as they
+  // stood before this instant.
+  const bool scored =
+      attack_actually_active && !obs.challenge_slot &&
+      (power_alarm(obs) ||
+       (obs.coherent_echo && (warmed() || under_attack())));
   const Sample sample = evaluate(obs);
-  Verdict v;
-  v.challenge_slot = obs.challenge_slot;
-  v.cause = "ar-residual";
+  Verdict v = hold(obs);
   if (sample.evaluated) {
     telemetry::add(detect_metrics().evaluated);
-    if (!under_attack_) {
-      consecutive_alarms_ = sample.alarmed ? consecutive_alarms_ + 1 : 0;
-      if (consecutive_alarms_ >= options_.required_consecutive) {
-        under_attack_ = true;
-        detection_step_ = obs.step;
-        consecutive_alarms_ = 0;
-        consecutive_quiet_ = 0;
-        v.attack_started = true;
-        note_detected("ar", obs.step);
-      }
-    } else {
-      consecutive_quiet_ = sample.alarmed ? 0 : consecutive_quiet_ + 1;
-      if (consecutive_quiet_ >= options_.clear_after_quiet) {
-        under_attack_ = false;
-        consecutive_quiet_ = 0;
-        v.attack_cleared = true;
-        note_cleared("ar", obs.step);
-        // Re-acquire: the trusted model adopts the live one, which has been
-        // tracking the (now clean again) delivered stream throughout.
-        trusted_distance_ = live_distance_;
-        trusted_velocity_ = live_velocity_;
-      }
+    v = debounce(obs, sample.alarmed);
+    note_edges(v, tag(), obs.step);
+    auto* ar = std::get_if<TrustedLiveAr>(&model_);
+    if (v.attack_cleared && ar != nullptr) {
+      // Re-acquire: the trusted model adopts the live one, which has been
+      // tracking the (now clean again) delivered stream throughout.
+      ar->trusted_distance = ar->live_distance;
+      ar->trusted_velocity = ar->live_velocity;
     }
   }
-  v.under_attack = under_attack_;
-  v.confidence = under_attack_ ? 1.0 : sample.confidence;
+  if (scored) score(v.under_attack, *attack_actually_active);
   return v;
 }
 
-Verdict ArResidualBackend::observe_scored(const Observation& obs,
-                                          bool attack_actually_active) {
-  const bool claim_before = under_attack_;
-  const bool warmed = gate_distance_.samples() >= options_.window;
-  Verdict v = observe(obs);
-  if (obs.challenge_slot) return v;
-  const bool power_path =
-      options_.alarm_on_power && obs.receiver_nonzero && !obs.coherent_echo;
-  const bool echo_path = obs.coherent_echo && (warmed || claim_before);
-  if (power_path || echo_path) {
-    score(stats_, v.under_attack, attack_actually_active);
-  }
-  return v;
-}
-
-void ArResidualBackend::reset() {
-  trusted_distance_.reset();
-  trusted_velocity_.reset();
-  live_distance_.reset();
-  live_velocity_.reset();
+void ResidualBackend::reset() {
   gate_distance_.reset();
   gate_velocity_.reset();
-  under_attack_ = false;
-  consecutive_alarms_ = 0;
-  consecutive_quiet_ = 0;
-  detection_step_.reset();
-  stats_ = cra::DetectionStats{};
+  if (auto* ar = std::get_if<TrustedLiveAr>(&model_)) {
+    ar->trusted_distance.reset();
+    ar->trusted_velocity.reset();
+    ar->live_distance.reset();
+    ar->live_velocity.reset();
+  } else {
+    model_ = FirstDifference{};
+  }
+  DetectorBackend::reset();
 }
 
 // --- FusionBackend ---------------------------------------------------------
 
 FusionBackend::FusionBackend(std::vector<DetectorBackendPtr> children,
                              std::size_t quorum)
-    : children_(std::move(children)), quorum_(quorum) {
+    : DetectorBackend(1, 1, "fusion-vote"),
+      children_(std::move(children)),
+      quorum_(quorum) {
   if (children_.empty()) {
     throw std::invalid_argument("FusionBackend: needs at least one child");
   }
@@ -394,54 +279,22 @@ std::string FusionBackend::name() const {
   return joined;
 }
 
-Verdict FusionBackend::tally(const Observation& obs, std::size_t votes) {
-  Verdict v;
-  v.challenge_slot = obs.challenge_slot;
-  v.cause = "fusion-vote";
-  const bool now = votes >= quorum_;
-  if (now && !under_attack_) {
-    v.attack_started = true;
-    detection_step_ = obs.step;
-    note_detected("fusion", obs.step);
-  } else if (!now && under_attack_) {
-    v.attack_cleared = true;
-    note_cleared("fusion", obs.step);
-  }
-  under_attack_ = now;
-  v.under_attack = now;
-  v.confidence =
-      static_cast<double>(votes) / static_cast<double>(children_.size());
-  return v;
-}
-
-Verdict FusionBackend::observe(const Observation& obs) {
+Verdict FusionBackend::decide(const Observation& obs,
+                              std::optional<bool> attack_actually_active) {
+  // Children observe unscored: the fusion's vote is the claim under test.
   std::size_t votes = 0;
   for (const auto& child : children_) {
-    const Verdict cv = child->observe(obs);
-    if (cv.under_attack) ++votes;
+    if (child->observe(obs).under_attack) ++votes;
   }
-  return tally(obs, votes);
-}
-
-Verdict FusionBackend::observe_scored(const Observation& obs,
-                                      bool attack_actually_active) {
-  // Children observe unscored: the fusion's vote is the claim under test,
-  // and it makes one every step.
-  std::size_t votes = 0;
-  for (const auto& child : children_) {
-    const Verdict cv = child->observe(obs);
-    if (cv.under_attack) ++votes;
-  }
-  const Verdict v = tally(obs, votes);
-  score(stats_, v.under_attack, attack_actually_active);
+  const Verdict v = debounce(obs, votes >= quorum_);
+  note_edges(v, "fusion", obs.step);
+  if (attack_actually_active) score(v.under_attack, *attack_actually_active);
   return v;
 }
 
 void FusionBackend::reset() {
   for (const auto& child : children_) child->reset();
-  under_attack_ = false;
-  detection_step_.reset();
-  stats_ = cra::DetectionStats{};
+  DetectorBackend::reset();
 }
 
 }  // namespace safe::detect

@@ -18,19 +18,18 @@ struct BuildResult {
 
 /// The result of a build_* function: the check, plus the backend when it
 /// passed and one is wanted.
-template <typename Backend, typename Options>
+template <typename Backend, typename... Args>
 BuildResult built(const spec::Params& params, bool want_detector,
-                  const Options& options) {
+                  const Args&... args) {
   BuildResult result{params.finish(), nullptr};
   if (result.check.ok() && want_detector) {
-    result.detector = std::make_unique<Backend>(options);
+    result.detector = std::make_unique<Backend>(args...);
   }
   return result;
 }
 
 /// The residual-gate keys chi2 and ar share.
-template <typename Options>
-void take_gate(spec::Params& params, Options& options) {
+void take_gate(spec::Params& params, ResidualOptions& options) {
   params.number("threshold", options.threshold);
   params.require(options.threshold > 0.0, "`threshold` must be > 0");
   params.integer("window", options.window, 1);
@@ -107,16 +106,16 @@ BuildResult build(const std::string& text,
     params.integer("clear", options.clear_after_silent_challenges, 1);
     return built<CraBackend>(params, want_detector, options);
   }
-  if (backend == "chi2") {
-    ChiSquareBackendOptions options;
+  if (backend == "chi2" || backend == "ar") {
+    const ResidualBackend::Model model =
+        backend == "chi2" ? ResidualBackend::Model::kFirstDifference
+                          : ResidualBackend::Model::kAutoregressive;
+    ResidualOptions options = ResidualBackend::defaults(model);
+    if (model == ResidualBackend::Model::kAutoregressive) {
+      params.integer("order", options.order, 1, 16);
+    }
     take_gate(params, options);
-    return built<ChiSquareBackend>(params, want_detector, options);
-  }
-  if (backend == "ar") {
-    ArResidualBackendOptions options;
-    params.integer("order", options.order, 1, 16);
-    take_gate(params, options);
-    return built<ArResidualBackend>(params, want_detector, options);
+    return built<ResidualBackend>(params, want_detector, model, options);
   }
   if (backend == "fusion") {
     return build_fusion(params, cra_defaults, want_detector);

@@ -1,7 +1,6 @@
 #include "runtime/sink.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <ostream>
@@ -12,19 +11,6 @@
 namespace safe::runtime {
 
 namespace {
-
-/// Shortest round-trip decimal form of `v` (std::to_chars), so that equal
-/// doubles always serialize to equal bytes.
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    // JSON has no Inf/NaN literals; null keeps the line parseable.
-    out += "null";
-    return;
-  }
-  char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, result.ptr);
-}
 
 /// Nearest-rank quantile of an ascending-sorted vector.
 double quantile(const std::vector<double>& sorted, double q) {
@@ -78,11 +64,11 @@ std::string to_jsonl(const TrialRecord& r) {
   out += "\",\"attack_spec\":";
   telemetry::append_escaped_json(out, r.attack_spec);
   out += ",\"onset_s\":";
-  append_double(out, r.attack_start_s.value());
+  telemetry::append_double_json(out, r.attack_start_s.value());
   out += ",\"end_s\":";
-  append_double(out, r.attack_end_s.value());
+  telemetry::append_double_json(out, r.attack_end_s.value());
   out += ",\"jammer_w\":";
-  append_double(out, r.jammer_power_w);
+  telemetry::append_double_json(out, r.jammer_power_w);
   out += ",\"fault\":";
   telemetry::append_escaped_json(out, r.fault_spec);
   out += ",\"detector\":";
@@ -100,9 +86,9 @@ std::string to_jsonl(const TrialRecord& r) {
   out += ",\"detection_step\":";
   out += std::to_string(r.detection_step);
   out += ",\"latency_s\":";
-  append_double(out, r.detection_latency_s.value());
+  telemetry::append_double_json(out, r.detection_latency_s.value());
   out += ",\"min_gap_m\":";
-  append_double(out, r.min_gap_m.value());
+  telemetry::append_double_json(out, r.min_gap_m.value());
   out += ",\"fp\":";
   out += std::to_string(r.false_positives);
   out += ",\"fn\":";
@@ -112,7 +98,7 @@ std::string to_jsonl(const TrialRecord& r) {
   out += ",\"tn\":";
   out += std::to_string(r.true_negatives);
   out += ",\"holdover_rmse_m\":";
-  append_double(out, r.holdover_rmse_m.value());
+  telemetry::append_double_json(out, r.holdover_rmse_m.value());
   out += ",\"holdover_steps\":";
   out += std::to_string(r.holdover_steps);
   out += ",\"safe_stop_steps\":";
@@ -128,7 +114,7 @@ std::string to_jsonl(const TrialRecord& r) {
   out += ",\"resets\":";
   out += std::to_string(r.predictor_resets);
   out += ",\"degradation_max\":";
-  append_double(out, r.degradation_max);
+  telemetry::append_double_json(out, r.degradation_max);
   out += ",\"platoon\":";
   telemetry::append_escaped_json(out, r.platoon_spec);
   out += ",\"platoon_size\":";
@@ -138,7 +124,7 @@ std::string to_jsonl(const TrialRecord& r) {
   out += ",\"shock_depth\":";
   out += std::to_string(r.shock_depth);
   out += ",\"linf_amp\":";
-  append_double(out, r.linf_amplification);
+  telemetry::append_double_json(out, r.linf_amplification);
   out += ",\"safe_stop_vehicles\":";
   out += std::to_string(r.safe_stop_vehicles);
   out += ",\"detected_vehicles\":";

@@ -21,6 +21,9 @@ std::uint64_t percentile(std::vector<std::uint64_t>& sorted, double q) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
+/// The kind of an incomplete session. ResilientClient::run gives every
+/// incomplete result a failure (a stream ends complete only once it holds
+/// every estimate of its window), so kNone never reaches here.
 SessionErrorKind classify(StreamFailure failure) {
   switch (failure) {
     case StreamFailure::kConnect: return SessionErrorKind::kConnectRefused;
@@ -30,13 +33,14 @@ SessionErrorKind classify(StreamFailure failure) {
     case StreamFailure::kDeadline: return SessionErrorKind::kDeadlineExceeded;
     case StreamFailure::kServerStatus: return SessionErrorKind::kServerStatus;
     case StreamFailure::kServerError: return SessionErrorKind::kServerError;
-    case StreamFailure::kTransport: return SessionErrorKind::kTransport;
     case StreamFailure::kAttemptsExhausted:
       return SessionErrorKind::kRetriesExhausted;
     case StreamFailure::kOverloaded: return SessionErrorKind::kOverloaded;
-    case StreamFailure::kNone: break;
+    case StreamFailure::kNone:
+    case StreamFailure::kTransport:
+      break;
   }
-  return SessionErrorKind::kIncompleteStream;
+  return SessionErrorKind::kTransport;
 }
 
 /// Byte-compares received estimate frames against the offline reference.
@@ -98,7 +102,6 @@ const char* to_string(SessionErrorKind kind) {
     case SessionErrorKind::kTransport: return "transport";
     case SessionErrorKind::kServerError: return "server-error";
     case SessionErrorKind::kServerStatus: return "server-status";
-    case SessionErrorKind::kIncompleteStream: return "incomplete-stream";
     case SessionErrorKind::kTraceGeneration: return "trace-generation";
     case SessionErrorKind::kRetriesExhausted: return "retries-exhausted";
   }

@@ -40,18 +40,17 @@ enum class SessionErrorKind : std::uint8_t {
   kTransport,            ///< socket/decoder failure mid-stream
   kServerError,          ///< fatal mid-stream ERROR frame
   kServerStatus,         ///< STATUS other than overloaded (e.g. draining)
-  kIncompleteStream,     ///< stream ended short without a better reason
   kTraceGeneration,      ///< local scenario simulation threw
   kRetriesExhausted,     ///< retry budget spent before completion
 };
 
-inline constexpr std::size_t kSessionErrorKindCount = 11;
+inline constexpr std::size_t kSessionErrorKindCount = 10;
 
 [[nodiscard]] const char* to_string(SessionErrorKind kind);
 
 struct SessionError {
   std::size_t session = 0;
-  SessionErrorKind kind = SessionErrorKind::kIncompleteStream;
+  SessionErrorKind kind = SessionErrorKind::kTransport;
   std::string detail;
 };
 

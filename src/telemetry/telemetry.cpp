@@ -220,18 +220,6 @@ void append_trace_event(TraceEvent event) {
 
 // --- canonical JSON fragments ----------------------------------------------
 
-/// Shortest round-trip decimal form (std::to_chars); non-finite doubles
-/// serialize as null so every emitted line stays parseable JSON.
-void append_double_json(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
-  out.append(buf, result.ptr);
-}
-
 const char* kind_name(MetricKind kind) {
   switch (kind) {
     case MetricKind::kCounter: return "counter";
@@ -247,6 +235,16 @@ const char* stability_name(Stability stability) {
 }
 
 }  // namespace
+
+void append_double_json(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, result.ptr);
+}
 
 void append_escaped_json(std::string& out, std::string_view s) {
   out += '"';

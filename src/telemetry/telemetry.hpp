@@ -210,6 +210,11 @@ struct MetricsSnapshot {
                                    bool deterministic_only = false);
 void write_metrics_jsonl(std::ostream& out);
 
+/// Appends `v` in shortest round-trip decimal form (std::to_chars), so
+/// equal doubles always serialize to equal bytes; non-finite values append
+/// null, keeping the line parseable JSON.
+void append_double_json(std::string& out, double v);
+
 /// Appends `s` to `out` as a quoted JSON string: `"` and `\` escaped,
 /// newline, tab and carriage return by name, every other control byte as
 /// \u00XX. The one escaper behind every JSON line the repo writes.

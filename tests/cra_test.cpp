@@ -4,8 +4,8 @@
 #include <memory>
 
 #include "cra/challenge.hpp"
-#include "cra/detector.hpp"
 #include "cra/modulator.hpp"
+#include "detect/backends.hpp"
 
 namespace safe::cra {
 namespace {
@@ -89,18 +89,28 @@ TEST(ProbeModulator, NullScheduleThrows) {
   EXPECT_THROW(ProbeModulator(nullptr), std::invalid_argument);
 }
 
+// The CRA detector backend (Algorithm 2, lines 7-9), driven through the
+// observations the pipeline builds.
+detect::Observation at(std::int64_t step, bool challenge, bool nonzero) {
+  detect::Observation obs;
+  obs.step = step;
+  obs.challenge_slot = challenge;
+  obs.receiver_nonzero = nonzero;
+  return obs;
+}
+
 TEST(Detector, SilentChallengeKeepsClean) {
-  ChallengeResponseDetector det;
-  const auto d = det.observe(15, /*challenge=*/true, /*nonzero=*/false);
+  detect::CraBackend det;
+  const auto d = det.observe(at(15, /*challenge=*/true, /*nonzero=*/false));
   EXPECT_FALSE(d.under_attack);
   EXPECT_FALSE(d.attack_started);
   EXPECT_FALSE(det.detection_step().has_value());
 }
 
 TEST(Detector, NonZeroChallengeOutputDetectsAttack) {
-  ChallengeResponseDetector det;
-  det.observe(15, true, false);
-  const auto d = det.observe(182, true, true);
+  detect::CraBackend det;
+  det.observe(at(15, true, false));
+  const auto d = det.observe(at(182, true, true));
   EXPECT_TRUE(d.attack_started);
   EXPECT_TRUE(d.under_attack);
   ASSERT_TRUE(det.detection_step().has_value());
@@ -108,21 +118,21 @@ TEST(Detector, NonZeroChallengeOutputDetectsAttack) {
 }
 
 TEST(Detector, NonChallengeStepsNeverChangeState) {
-  ChallengeResponseDetector det;
+  detect::CraBackend det;
   // Nonzero outputs at normal steps are expected (real echoes) and must not
   // trigger: this is what makes CRA false-positive-free.
   for (std::int64_t k = 0; k < 100; ++k) {
-    const auto d = det.observe(k, false, true);
+    const auto d = det.observe(at(k, false, true));
     EXPECT_FALSE(d.under_attack);
   }
   EXPECT_FALSE(det.detection_step().has_value());
 }
 
 TEST(Detector, SilentChallengeWhileUnderAttackClears) {
-  ChallengeResponseDetector det;
-  det.observe(182, true, true);
+  detect::CraBackend det;
+  det.observe(at(182, true, true));
   EXPECT_TRUE(det.under_attack());
-  const auto d = det.observe(305, true, false);
+  const auto d = det.observe(at(305, true, false));
   EXPECT_TRUE(d.attack_cleared);
   EXPECT_FALSE(det.under_attack());
   // Detection step of the past attack is retained for reporting.
@@ -131,21 +141,21 @@ TEST(Detector, SilentChallengeWhileUnderAttackClears) {
 }
 
 TEST(Detector, RedetectsAfterClear) {
-  ChallengeResponseDetector det;
-  det.observe(10, true, true);
-  det.observe(20, true, false);
-  const auto d = det.observe(30, true, true);
+  detect::CraBackend det;
+  det.observe(at(10, true, true));
+  det.observe(at(20, true, false));
+  const auto d = det.observe(at(30, true, true));
   EXPECT_TRUE(d.attack_started);
   EXPECT_EQ(*det.detection_step(), 30);
 }
 
 TEST(Detector, ScoredStatsCountConfusionMatrix) {
-  ChallengeResponseDetector det;
-  det.observe_scored(1, true, false, false);   // TN
-  det.observe_scored(2, true, true, true);     // TP
-  det.observe_scored(3, false, true, true);    // not a challenge: unscored
-  det.observe_scored(4, true, false, true);    // FN
-  det.observe_scored(5, true, true, false);    // FP (efter clear attempt)
+  detect::CraBackend det;
+  det.observe_scored(at(1, true, false), false);   // TN
+  det.observe_scored(at(2, true, true), true);     // TP
+  det.observe_scored(at(3, false, true), true);    // not a challenge: unscored
+  det.observe_scored(at(4, true, false), true);    // FN
+  det.observe_scored(at(5, true, true), false);    // FP (after clear attempt)
   const DetectionStats& s = det.stats();
   EXPECT_EQ(s.challenges, 4u);
   EXPECT_EQ(s.true_negatives, 1u);
@@ -155,8 +165,8 @@ TEST(Detector, ScoredStatsCountConfusionMatrix) {
 }
 
 TEST(Detector, ResetClearsEverything) {
-  ChallengeResponseDetector det;
-  det.observe_scored(182, true, true, true);
+  detect::CraBackend det;
+  det.observe_scored(at(182, true, true), true);
   det.reset();
   EXPECT_FALSE(det.under_attack());
   EXPECT_FALSE(det.detection_step().has_value());

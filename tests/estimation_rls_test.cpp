@@ -5,7 +5,7 @@
 #include <limits>
 #include <random>
 
-#include "estimation/chi_square.hpp"
+#include "estimation/innovation_gate.hpp"
 #include "estimation/rls.hpp"
 #include "estimation/rls_predictor.hpp"
 #include "linalg/qr.hpp"
