@@ -25,10 +25,10 @@
 #include <string>
 
 #include "core/health_monitor.hpp"
+#include "core/holdover.hpp"
 #include "cra/detector.hpp"
 #include "cra/modulator.hpp"
 #include "detect/backend.hpp"
-#include "estimation/series_predictor.hpp"
 #include "radar/processor.hpp"
 
 namespace safe::core {
@@ -139,35 +139,17 @@ class SafeMeasurementPipeline {
   [[nodiscard]] detect::Observation make_observation(
       std::int64_t step, const radar::RadarMeasurement& measurement) const;
 
-  /// Trusted-history bookkeeping shared between live and snapshot state.
-  struct TrustedState {
-    std::size_t trained_samples = 0;
-    bool had_target = false;
-    units::Meters last_distance{0.0};
-    units::MetersPerSecond last_velocity{0.0};
-  };
-
-  void take_snapshot(std::int64_t step);
-  void restore_snapshot(std::int64_t detection_step);
-
-  /// Free-runs both predictors one step with divergence protection; updates
-  /// `out` and the trusted state.
-  void hold_over(SafeMeasurement& out, bool can_estimate);
+  /// One holdover step with divergence protection; fills `out`.
+  void hold_over(SafeMeasurement& out);
 
   cra::ProbeModulator modulator_;
   detect::DetectorBackendPtr detector_;
-  estimation::SeriesPredictorPtr distance_predictor_;
-  estimation::SeriesPredictorPtr velocity_predictor_;
+  /// Two channels: range (clamped at zero) and range rate.
+  Holdover holdover_;
   PipelineOptions options_;
-  TrustedState state_;
   HealthMonitor health_;
   DegradationState degradation_ = DegradationState::kClean;
   std::size_t silent_run_ = 0;  ///< Consecutive unexpected-silence epochs.
-
-  estimation::SeriesPredictorPtr snapshot_distance_;
-  estimation::SeriesPredictorPtr snapshot_velocity_;
-  TrustedState snapshot_state_;
-  std::optional<std::int64_t> snapshot_step_;
 };
 
 /// Builds the paper's default pipeline: RLS-AR predictors on both channels
