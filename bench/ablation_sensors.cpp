@@ -57,7 +57,8 @@ ParkingAttack dos(double power) {
 
 int main() {
   std::printf(
-      "Park-assist under attack, per sensor modality (stop target 0.35 m)\n\n");
+      "Park-assist under attack, per sensor modality (stop target 0.35 m; "
+      "lidar 0.6 m, outside its 0.5 m blind zone)\n\n");
   std::printf("%-11s %-22s %-9s %12s %10s %9s %4s %4s\n", "sensor", "case",
               "defense", "final [m]", "outcome", "detected@", "FP", "FN");
 
@@ -73,6 +74,8 @@ int main() {
     lidar.defense_enabled = defended;
     lidar.sensor = sensors::lidar_parameters();
     lidar.initial_clearance_m = units::Meters{8.0};
+    lidar.stop_distance_m = units::Meters{0.6};
+    run_case(lidar, std::nullopt, "lidar", "clean");
     run_case(lidar, spoof(), "lidar", "spoof +1 m");
   }
 

@@ -39,6 +39,7 @@ int main() {
   core::ParkingConfig lidar_cfg;
   lidar_cfg.sensor = sensors::lidar_parameters();
   lidar_cfg.initial_clearance_m = units::Meters{8.0};
+  lidar_cfg.stop_distance_m = units::Meters{0.6};  // lidar is blind < 0.5 m
   core::ParkingSimulation lidar_sim(lidar_cfg, schedule, spoof);
   const auto lidar_run = lidar_sim.run();
   std::cout << "defended  : final clearance "

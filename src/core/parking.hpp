@@ -36,6 +36,8 @@ struct ParkingAttack {
 struct ParkingConfig {
   sensors::TofSensorParameters sensor = sensors::ultrasonic_parameters();
   units::Meters initial_clearance_m{4.0};
+  /// At least the sensor's minimum range (lidar: 0.5 m), else the
+  /// constructor throws.
   units::Meters stop_distance_m{0.35};
   double approach_gain = 0.8;      ///< v_cmd = gain * (d - stop), 1/s.
   units::MetersPerSecond max_speed_mps{0.6};
@@ -58,6 +60,9 @@ struct ParkingResult {
 
 class ParkingSimulation {
  public:
+  /// Throws std::invalid_argument on a null schedule, a stop distance
+  /// outside [sensor minimum range, initial clearance), a bad time base or
+  /// a bad controller.
   ParkingSimulation(ParkingConfig config,
                     std::shared_ptr<const cra::ChallengeSchedule> schedule,
                     std::optional<ParkingAttack> attack);

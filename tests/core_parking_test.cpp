@@ -44,6 +44,11 @@ TEST(Parking, ConstructionValidation) {
   cfg.approach_gain = 0.0;
   EXPECT_THROW(ParkingSimulation(cfg, parking_schedule(), std::nullopt),
                std::invalid_argument);
+  // The lidar is blind inside 0.5 m: the default 0.35 m stop is unreachable.
+  cfg = ParkingConfig{};
+  cfg.sensor = sensors::lidar_parameters();
+  EXPECT_THROW(ParkingSimulation(cfg, parking_schedule(), std::nullopt),
+               std::invalid_argument);
 }
 
 TEST(Parking, CleanApproachStopsAtTargetDistance) {
@@ -100,6 +105,7 @@ TEST(Parking, LidarProfileWorksToo) {
   ParkingConfig cfg;
   cfg.sensor = sensors::lidar_parameters();
   cfg.initial_clearance_m = units::Meters{8.0};
+  cfg.stop_distance_m = units::Meters{0.6};  // outside the 0.5 m blind zone
   ParkingSimulation sim(cfg, parking_schedule(), spoof(40.0, 200.0, 2.0));
   const auto r = sim.run();
   EXPECT_FALSE(r.collided);
