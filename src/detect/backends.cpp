@@ -197,13 +197,15 @@ ResidualBackend::Sample ResidualBackend::autoregress(TrustedLiveAr& model,
     }
   } else {
     // Clearance check: the delivered stream is "quiet" when it is again
-    // self-consistent under the live model that kept tracking it.
+    // self-consistent under the live model that kept tracking it. As in
+    // chi2, an evaluation before the gates warm up counts as quiet: they
+    // are not fed while attacked, so their variance would stay at its floor.
     const double q_d = y_d - peek(model.live_distance);
     const double q_v = y_v - peek(model.live_velocity);
     const double stat = std::max(q_d * q_d / gate_distance_.variance(),
                                  q_v * q_v / gate_velocity_.variance());
     sample.evaluated = true;
-    sample.alarmed = stat > options_.threshold;
+    sample.alarmed = warmed() && stat > options_.threshold;
   }
   model.live_distance.observe(y_d);
   model.live_velocity.observe(y_v);

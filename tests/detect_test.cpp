@@ -8,6 +8,7 @@
 #include <cmath>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -237,6 +238,51 @@ TEST(ArResidualBackend, DetectsAJumpAgainstTheTrustedModel) {
   const auto started = detector->observe(echo(k + 1, base + 39.5, -0.5));
   EXPECT_TRUE(started.under_attack);
   EXPECT_TRUE(started.attack_started);
+}
+
+TEST(ArResidualBackend, AttackDeclaredBeforeWarmUpClearsOnACleanRamp) {
+  // Jammed probe epochs at steps 0-2, before any echo, declare at step 2
+  // while the gates have absorbed nothing. Like chi2, a clearance evaluation
+  // before warm-up counts as quiet, so the clean ramp clears the attack
+  // within `clear` (2) evaluations instead of alarming against the gates'
+  // variance floor for the rest of the stream.
+  auto detector = make_detector("ar");
+  Observation jam;
+  jam.receiver_nonzero = true;
+  for (std::int64_t k = 0; k < 3; ++k) {
+    jam.step = k;
+    static_cast<void>(detector->observe_scored(jam, true));
+  }
+  ASSERT_TRUE(detector->under_attack());
+  EXPECT_EQ(detector->detection_step(), std::optional<std::int64_t>{2});
+
+  // The clean ramp of mixed_stream(), with its deterministic wiggle.
+  const auto ramp = [](std::int64_t k, double offset = 0.0) {
+    return echo(k,
+                150.0 - 0.25 * static_cast<double>(k) + offset +
+                    static_cast<double>((k * 37) % 11 - 5) * 0.02,
+                -0.25 + static_cast<double>((k * 53) % 7 - 3) * 0.01);
+  };
+  std::int64_t k = 3;
+  bool cleared = false;
+  for (; k < 5; ++k) {
+    cleared = detector->observe_scored(ramp(k), false).attack_cleared;
+  }
+  EXPECT_TRUE(cleared);
+  const std::size_t false_positives = detector->stats().false_positives;
+  for (; k < 200; ++k) {
+    EXPECT_FALSE(detector->observe_scored(ramp(k), false).under_attack)
+        << "step " << k;
+  }
+  EXPECT_EQ(detector->stats().false_positives, false_positives);
+
+  // A held +30 m jump is still declared.
+  bool declared = false;
+  for (const std::int64_t end = k + 3; k < end; ++k) {
+    declared = declared ||
+               detector->observe_scored(ramp(k, 30.0), true).attack_started;
+  }
+  EXPECT_TRUE(declared);
 }
 
 TEST(FusionBackend, RequiresQuorumAndValidatesConstruction) {
