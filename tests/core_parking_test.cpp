@@ -100,6 +100,24 @@ TEST(Parking, BlinderDefendedStopsSafely) {
   EXPECT_EQ(r.detection_stats.false_negatives, 0u);
 }
 
+TEST(Parking, DefendedBlindPingHoldsTheLastHeldEstimate) {
+  // The blinder over pings 13-70 drives the defended car into the obstacle
+  // at ping 69. Ping 71 is a silent challenge that holds over; ping 72 is a
+  // blind epoch outside any challenge or declared attack. It must hold the
+  // estimate ping 71 held, not the level the rollback at ping 18 replayed.
+  ParkingSimulation sim(ParkingConfig{}, parking_schedule(),
+                        blinder(13.0, 70.0));
+  const auto r = sim.run();
+  const auto& used = r.trace.column("used_m");
+  const auto& challenge = r.trace.column("challenge");
+  const auto& under = r.trace.column("under_attack");
+  ASSERT_EQ(challenge[71], 1.0);
+  ASSERT_EQ(under[71], 0.0);
+  ASSERT_EQ(challenge[72], 0.0);
+  ASSERT_EQ(under[72], 0.0);
+  EXPECT_EQ(used[72], used[71]);
+}
+
 TEST(Parking, LidarProfileWorksToo) {
   // Same study with the lidar profile: CRA is modality-agnostic.
   ParkingConfig cfg;

@@ -107,7 +107,7 @@ const std::vector<Pin> kParkingPins = {
     {"ultrasonic/blinder@40-200/off", {0xbfe3cda2be334e59ULL, 40, 0, 0}},
     {"ultrasonic/blinder@40-80/on", {0xe5014653163e83efULL, 40, 0, 0}},
     {"ultrasonic/blinder@40-80/off", {0xbfe3cda2be334e59ULL, 40, 0, 0}},
-    {"ultrasonic/blinder@13-70/on", {0xaf8caaef3cef1d56ULL, 18, 0, 0}},
+    {"ultrasonic/blinder@13-70/on", {0x6f2c62135de02556ULL, 18, 0, 0}},
     {"ultrasonic/blinder@13-70/off", {0x7008cc07b971b324ULL, 18, 0, 0}},
     {"ultrasonic/weak-blinder@40-200/on", {0x90e6587f19940ff6ULL, 40, 0, 0}},
     {"ultrasonic/weak-blinder@40-200/off", {0x469a4fe086aea50aULL, 40, 0, 0}},
