@@ -6,7 +6,9 @@
 namespace safe::core {
 
 Holdover::Holdover(std::vector<estimation::SeriesPredictorPtr> predictors,
-                   std::vector<bool> clamped, std::vector<double> initial) {
+                   std::vector<bool> clamped, std::size_t min_samples,
+                   std::vector<double> initial)
+    : estimate_(predictors.size()), min_samples_(min_samples) {
   const std::size_t n = predictors.size();
   if (clamped.size() != n || (!initial.empty() && initial.size() != n) ||
       std::ranges::any_of(predictors, [](const auto& p) { return !p; })) {
@@ -31,12 +33,15 @@ void Holdover::trust(std::span<const double> sample) {
 }
 
 void Holdover::free_run() {
-  for (Channel& c : channels_) c.raw = c.predictor->predict_next();
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    estimate_[i] = channels_[i].predictor->predict_next();
+  }
 }
 
 void Holdover::accept() {
-  for (Channel& c : channels_) {
-    c.last = c.clamped ? std::max(c.raw, 0.0) : c.raw;
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    Channel& c = channels_[i];
+    c.last = c.clamped ? std::max(estimate_[i], 0.0) : estimate_[i];
   }
 }
 
@@ -54,19 +59,18 @@ void Holdover::snapshot(std::int64_t step) {
   saved_step_ = step;
 }
 
-std::size_t Holdover::rollback(std::int64_t detection_step) {
-  if (!saved_step_) return 0;
+void Holdover::rollback(std::int64_t detection_step) {
+  if (!saved_step_) return;
   for (Channel& c : channels_) {
     c.predictor = c.saved->clone();
     c.last = c.saved_last;
   }
   state_ = saved_state_;
   // The snapshot already covers its own slot: free-run from the next step.
-  std::size_t replayed = 0;
-  for (auto k = *saved_step_ + 1; k < detection_step; ++k, ++replayed) {
-    advance();
+  for (auto k = *saved_step_ + 1; k < detection_step; ++k) {
+    free_run();
+    accept();
   }
-  return replayed;
 }
 
 void Holdover::reset() {

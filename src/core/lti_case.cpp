@@ -67,8 +67,8 @@ LtiCaseResult LtiSecureCase::run() {
   for (auto& p : predictors) {
     p = std::make_unique<estimation::RlsArPredictor>(predictor_options);
   }
-  Holdover holdover(std::move(predictors), std::vector<bool>(q, false));
-  RVector last_sample(q);  // what an undefended loop holds at mute slots
+  Holdover holdover(std::move(predictors), std::vector<bool>(q, false),
+                    config_.min_training_samples);
 
   LtiCaseResult result(q);
 
@@ -111,23 +111,14 @@ LtiCaseResult LtiSecureCase::run() {
     const detect::Verdict decision =
         detector.observe_scored(obs, attack_active);
 
-    if (decision.attack_started && defended) holdover.rollback(k);
-
-    // --- Choose what the controller consumes.
-    RVector y_used(q);
-    if (defended && (decision.under_attack || challenge)) {
-      holdover.hold(config_.min_training_samples);
-      for (std::size_t i = 0; i < q; ++i) y_used[i] = holdover.last(i);
-      if (challenge && !decision.under_attack && !decision.attack_started) {
-        holdover.snapshot(k);
-      }
-    } else if (challenge) {
-      y_used = last_sample;
-    } else {
-      y_used = y_sensor;
-      if (defended) holdover.trust({y_used.data(), q});
-      last_sample = y_used;
+    // --- Choose what the controller consumes: the last sensor reading, or
+    // the estimate a defended loop holds over an attack or a challenge. An
+    // undefended loop keeps its last reading at mute slots.
+    if (!(defended && holdover.defend(k, decision)) && !challenge) {
+      holdover.trust({y_sensor.data(), q});
     }
+    RVector y_used(q);
+    for (std::size_t i = 0; i < q; ++i) y_used[i] = holdover.last(i);
 
     // --- Static output feedback and plant update.
     const RVector error = config_.reference_output - y_used;

@@ -1,5 +1,7 @@
 #include "core/pipeline.hpp"
 
+#include <span>
+
 #include "detect/spec.hpp"
 #include "estimation/rls_predictor.hpp"
 #include "telemetry/telemetry.hpp"
@@ -56,11 +58,12 @@ const char* transition_cause(DegradationState to,
 }
 
 Holdover radar_holdover(estimation::SeriesPredictorPtr distance,
-                        estimation::SeriesPredictorPtr velocity) {
+                        estimation::SeriesPredictorPtr velocity,
+                        std::size_t min_samples) {
   std::vector<estimation::SeriesPredictorPtr> predictors(2);
   predictors[0] = std::move(distance);
   predictors[1] = std::move(velocity);
-  return Holdover(std::move(predictors), {true, false});
+  return Holdover(std::move(predictors), {true, false}, min_samples);
 }
 
 }  // namespace
@@ -84,7 +87,8 @@ SafeMeasurementPipeline::SafeMeasurementPipeline(
       detector_(detect::make_detector(options.detector_spec,
                                       options.detector)),
       holdover_(radar_holdover(std::move(distance_predictor),
-                               std::move(velocity_predictor))),
+                               std::move(velocity_predictor),
+                               options.min_training_samples)),
       options_(options),
       health_(options.health) {}
 
@@ -119,22 +123,8 @@ SafeMeasurement SafeMeasurementPipeline::process_scored(
   return finish(step, measurement, decision);
 }
 
-void SafeMeasurementPipeline::hold_over(SafeMeasurement& out) {
+void SafeMeasurementPipeline::report_holdover(SafeMeasurement& out) {
   out.target_present = out.estimated = holdover_.trusted();
-  if (holdover_.ready(options_.min_training_samples)) {
-    // Judge the unclamped free-run: -inf would clamp to a finite 0 m.
-    holdover_.free_run();
-    if (health_.prediction_ok(Meters{holdover_.raw(0)},
-                              MetersPerSecond{holdover_.raw(1)})) {
-      holdover_.accept();
-    } else {
-      // The free-run diverged (non-finite or non-physical): re-train from
-      // scratch instead of feeding garbage to the controller, and fall back
-      // to the last trusted values for this step.
-      holdover_.restart();
-      health_.record_predictor_reset();
-    }
-  }
   out.distance_m = Meters{holdover_.last(0)};
   out.relative_velocity_mps = MetersPerSecond{holdover_.last(1)};
   if (holdover_.trusted()) health_.note_holdover_step();
@@ -159,22 +149,23 @@ SafeMeasurement SafeMeasurementPipeline::finish(
   out.attack_started = decision.attack_started;
   out.attack_cleared = decision.attack_cleared;
 
-  if (decision.attack_started && options_.rollback_on_detection) {
-    holdover_.rollback(step);
-  }
-
+  // Every holdover step judges the unclamped free-run (-inf would clamp to
+  // a finite 0 m). A diverged one (non-finite or non-physical) re-trains the
+  // predictors from scratch instead of feeding garbage to the controller,
+  // and the last trusted values stand for this step.
+  const auto guard = [this](std::span<const double> estimate) {
+    const bool ok = health_.prediction_ok(Meters{estimate[0]},
+                                          MetersPerSecond{estimate[1]});
+    if (!ok) health_.record_predictor_reset();
+    return ok;
+  };
   bool sensor_dead = false;
 
-  if (decision.under_attack || decision.challenge_slot) {
-    // No trustworthy radar data this epoch: hold over with the RLS
-    // estimates when trained, else repeat the last trusted values.
-    hold_over(out);
-    // A silent challenge re-verifies cleanliness; snapshot the rolled-
-    // forward state so the next detection quarantines from here.
-    if (decision.challenge_slot && !decision.under_attack &&
-        !decision.attack_started) {
-      holdover_.snapshot(step);
-    }
+  if (holdover_.defend(step, decision, guard)) {
+    // No trustworthy radar data this epoch (attack or challenge slot): the
+    // holdover held with the RLS estimates when trained, else the last
+    // trusted values stand.
+    report_holdover(out);
   } else if (measurement.coherent_echo) {
     // Clean, probing epoch with a report: validate before trusting it.
     const HealthMonitor::Verdict verdict = health_.validate(
@@ -195,7 +186,8 @@ SafeMeasurement SafeMeasurementPipeline::finish(
       // outlier): never train on it; hold over when a target is tracked.
       out.measurement_rejected = true;
       if (holdover_.trusted()) {
-        hold_over(out);
+        holdover_.hold(guard);
+        report_holdover(out);
       } else {
         out.target_present = false;
       }
@@ -208,7 +200,8 @@ SafeMeasurement SafeMeasurementPipeline::finish(
     // target lost.
     ++silent_run_;
     health_.record_bridged_dropout();
-    hold_over(out);
+    holdover_.hold(guard);
+    report_holdover(out);
   } else {
     out.target_present = false;
     if (holdover_.trusted() && options_.health.dropout_holdover_steps > 0) {

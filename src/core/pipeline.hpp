@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <memory>
-
 #include <string>
 
 #include "core/health_monitor.hpp"
@@ -59,11 +58,6 @@ struct PipelineOptions {
   /// Minimum consecutive trusted samples before estimates are considered
   /// trained enough to substitute for measurements.
   std::size_t min_training_samples = 8;
-  /// Snapshot predictor state at every verified-clean challenge slot and
-  /// roll back to it on detection. Samples recorded between attack onset
-  /// and the detecting challenge are thereby quarantined: a stealthy offset
-  /// injected just before detection cannot bias the holdover estimates.
-  bool rollback_on_detection = true;
   /// Measurement validation, innovation gating, holdover budget.
   HealthOptions health{};
   /// Detector debounce (clearance after M consecutive silent challenges).
@@ -139,12 +133,15 @@ class SafeMeasurementPipeline {
   [[nodiscard]] detect::Observation make_observation(
       std::int64_t step, const radar::RadarMeasurement& measurement) const;
 
-  /// One holdover step with divergence protection; fills `out`.
-  void hold_over(SafeMeasurement& out);
+  /// Fills `out` with the held values and charges the holdover budget.
+  void report_holdover(SafeMeasurement& out);
 
   cra::ProbeModulator modulator_;
   detect::DetectorBackendPtr detector_;
-  /// Two channels: range (clamped at zero) and range rate.
+  /// Two channels: range (clamped at zero) and range rate. Snapshots at
+  /// every verified-clean challenge slot and rolls back to it on detection:
+  /// a stealthy offset injected just before detection cannot bias the
+  /// holdover estimates.
   Holdover holdover_;
   PipelineOptions options_;
   HealthMonitor health_;

@@ -221,26 +221,6 @@ TEST(Pipeline, RollbackQuarantinesPoisonedSamples) {
   EXPECT_NEAR(next.distance_m.value(), 100.0 - 0.5 * 31.0, 2.0);
 }
 
-TEST(Pipeline, RollbackDisabledKeepsPoisonedLevel) {
-  PipelineOptions opts;
-  opts.rollback_on_detection = false;
-  SafeMeasurementPipeline p(schedule_with({20, 30}),
-                            std::make_unique<estimation::RlsArPredictor>(),
-                            std::make_unique<estimation::RlsArPredictor>(),
-                            opts);
-  for (std::int64_t k = 0; k < 20; ++k) {
-    p.process(k, echo_measurement(100.0 - 0.5 * static_cast<double>(k), -0.5));
-  }
-  p.process(20, silent_measurement());
-  for (std::int64_t k = 21; k < 30; ++k) {
-    p.process(k, echo_measurement(
-                     100.0 - 0.5 * static_cast<double>(k) + 6.0, -0.5));
-  }
-  const auto at_detect = p.process(30, jammed_measurement());
-  // The +6 m poison survives: ablation-style counterexample.
-  EXPECT_GT(at_detect.distance_m.value(), 100.0 - 0.5 * 30.0 + 3.0);
-}
-
 TEST(Pipeline, SnapshotRefreshesAtEachCleanChallenge) {
   // Two clean challenges: rollback must restore the state captured at the
   // SECOND one, i.e. samples between 10 and 20 stay in the training set and
