@@ -38,10 +38,7 @@ enum class DegradationState : std::uint8_t {
 [[nodiscard]] const char* to_string(DegradationState state);
 
 struct HealthOptions {
-  /// Reject non-finite / out-of-physical-range measurements before they
-  /// reach the predictors or the controller. Always safe to leave on: valid
-  /// radar reports are never rejected.
-  bool validate_measurements = true;
+  /// Physical bounds a measurement (and a free-run) must respect.
   Meters max_range_m = units::kMaxPlausibleRange;
   MetersPerSecond max_speed_mps = units::kMaxPlausibleSpeed;
 
@@ -51,12 +48,6 @@ struct HealthOptions {
   /// either channel is quarantined as a suspected stealth fault.
   double innovation_threshold = 0.0;
   std::size_t innovation_min_samples = 8;
-  /// Consecutive innovation rejections tolerated before the monitor
-  /// concludes the reference is stale (regime change or re-acquisition
-  /// after target loss), resets both gates, and accepts the sample. Without
-  /// a bound the gate can latch closed forever: rejected samples are never
-  /// absorbed, so the variance never adapts. 0 = never resync.
-  std::size_t innovation_max_consecutive_rejections = 8;
   /// Variance floors for the innovation gates, expressed as one-step
   /// innovation scales (squared internally). The simulated channels are
   /// smooth, so a learned variance alone can make an ordinary maneuver look

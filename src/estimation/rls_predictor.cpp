@@ -9,21 +9,21 @@ using linalg::RVector;
 
 RlsArPredictor::RlsArPredictor(const RlsArOptions& options)
     : options_(options),
-      filter_(std::max<std::size_t>(options.order, 1) +
-                  (options.intercept ? 1 : 0),
-              options.rls) {
+      filter_(std::max<std::size_t>(options.order, 1) + 1, options.rls) {
   if (options_.order == 0) {
     throw std::invalid_argument("RlsArPredictor: order must be >= 1");
   }
 }
 
 RVector RlsArPredictor::regressor() const {
-  const std::size_t offset = options_.intercept ? 1 : 0;
-  RVector h(options_.order + offset);
-  if (options_.intercept) h[0] = 1.0;
+  // A constant 1 leads the regressor: with differencing it anchors the
+  // free-run steady-state increment at the learned mean slope instead of
+  // letting it decay toward zero on noisy data.
+  RVector h(options_.order + 1);
+  h[0] = 1.0;
   for (std::size_t i = 0; i < options_.order; ++i) {
     // Pad with the oldest available value during warm-up.
-    h[i + offset] =
+    h[i + 1] =
         series_.empty() ? 0.0 : series_[std::min(i, series_.size() - 1)];
   }
   return h;
@@ -75,8 +75,9 @@ double RlsArPredictor::predict_next() {
     }
   }
 
-  ingest(increment_or_value,
-         /*train=*/!options_.freeze_during_prediction);
+  // The weights stay frozen while free-running: adapting against its own
+  // predictions would make the filter self-confirming.
+  ingest(increment_or_value, /*train=*/false);
 
   const double y_hat = options_.difference
                            ? last_value_ + increment_or_value

@@ -1,7 +1,7 @@
 // RLS-based time-series predictors (the paper's estimator, Section 5.3).
 //
 // Two regressor choices are provided:
-//  * AR(p): h_k is built from the last p samples. By default the filter
+//  * AR(p): h_k is a constant 1 and the last p samples. By default the filter
 //    models first differences (ARIMA-style d = 1): ramps become stationary,
 //    so a long free-run through an attack window integrates the learned
 //    slope instead of accumulating drift. `difference = false` gives the
@@ -24,14 +24,6 @@ struct RlsArOptions {
   RlsOptions rls{};       ///< Forgetting factor / initial covariance.
   /// Model first differences of the series instead of raw values.
   bool difference = true;
-  /// Prepend a constant 1 to the regressor. With differencing this anchors
-  /// the free-run steady-state increment at the learned mean slope instead
-  /// of letting it decay toward zero on noisy data.
-  bool intercept = true;
-  /// Freeze weights while free-running (default). When false the filter
-  /// keeps adapting against its own predictions (self-confirming; exposed
-  /// for the ablation bench).
-  bool freeze_during_prediction = true;
 };
 
 class RlsArPredictor final : public SeriesPredictor {
