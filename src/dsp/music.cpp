@@ -24,7 +24,7 @@ namespace lanes = linalg::lanes;
 
 /// Entry (i, j) of the noise projector En En^H: v(i, k) conj(v(j, k))
 /// added to +0 in k order, the order that fixes its rounding (and so the
-/// roots and the figures). The scalar form of project_noise, which redoes
+/// roots and the figures). The scalar form of ProjectNoise, which redoes
 /// the entries it flags.
 Complex projector_entry(const CMatrix& v, std::size_t noise_dim,
                         std::size_t i, std::size_t j) {
@@ -40,41 +40,43 @@ Complex projector_entry(const CMatrix& v, std::size_t noise_dim,
 /// (ld a multiple of L), so a vector holds v(j, k) for L rows j. Each lane
 /// runs projector_entry's operations in its order; entries whose sum may
 /// hold a NaN are redone by projector_entry.
-template <std::size_t L>
-[[gnu::always_inline]] inline void project_noise(const CMatrix& v,
-                                                 std::size_t noise_dim,
-                                                 CMatrix& projector) {
-  const std::size_t m = projector.rows();
-  const std::size_t ld = (m + L - 1) / L * L;
-  std::vector<double> v_re(noise_dim * ld, 0.0);
-  std::vector<double> v_im(noise_dim * ld, 0.0);
-  for (std::size_t k = 0; k < noise_dim; ++k) {
-    for (std::size_t j = 0; j < m; ++j) {
-      v_re[k * ld + j] = v(j, k).real();
-      v_im[k * ld + j] = v(j, k).imag();
-    }
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < m; j += L) {
-      lanes::SplitN<L> acc = lanes::splat<L>(0.0, 0.0);
-      for (std::size_t k = 0; k < noise_dim; ++k) {
-        const lanes::SplitN<L> vik =
-            lanes::splat<L>(v(i, k).real(), v(i, k).imag());
-        const lanes::SplitN<L> vjk =
-            lanes::load<L>(&v_re[k * ld + j], &v_im[k * ld + j]);
-        acc = acc + lanes::mul(vik, {vjk.re, -vjk.im});
-      }
-      const bool redo = lanes::maybe_nan(acc);
-      for (std::size_t e = 0; e < L && j + e < m; ++e) {
-        projector(i, j + e) = redo ? projector_entry(v, noise_dim, i, j + e)
-                                   : Complex{acc.re[e], acc.im[e]};
+struct ProjectNoise {
+  template <std::size_t L>
+  [[gnu::always_inline]] static void run(const CMatrix& v,
+                                         std::size_t noise_dim,
+                                         CMatrix& projector) {
+    const std::size_t m = projector.rows();
+    const std::size_t ld = (m + L - 1) / L * L;
+    std::vector<double> v_re(noise_dim * ld, 0.0);
+    std::vector<double> v_im(noise_dim * ld, 0.0);
+    for (std::size_t k = 0; k < noise_dim; ++k) {
+      for (std::size_t j = 0; j < m; ++j) {
+        v_re[k * ld + j] = v(j, k).real();
+        v_im[k * ld + j] = v(j, k).imag();
       }
     }
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < m; j += L) {
+        lanes::SplitN<L> acc = lanes::splat<L>(0.0, 0.0);
+        for (std::size_t k = 0; k < noise_dim; ++k) {
+          const lanes::SplitN<L> vik =
+              lanes::splat<L>(v(i, k).real(), v(i, k).imag());
+          const lanes::SplitN<L> vjk =
+              lanes::load<L>(&v_re[k * ld + j], &v_im[k * ld + j]);
+          acc = acc + lanes::mul(vik, {vjk.re, -vjk.im});
+        }
+        const bool redo = lanes::maybe_nan(acc);
+        for (std::size_t e = 0; e < L && j + e < m; ++e) {
+          projector(i, j + e) = redo ? projector_entry(v, noise_dim, i, j + e)
+                                     : Complex{acc.re[e], acc.im[e]};
+        }
+      }
+    }
   }
-}
+};
 
 /// MUSIC null spectrum a(omega)^H C a(omega) with a(omega)_i = e^{j omega i},
-/// evaluated as dot(a, C * a). The scalar form of null_powers, which redoes
+/// evaluated as dot(a, C * a). The scalar form of NullPowers, which redoes
 /// the lanes it flags.
 double null_power(const CMatrix& c, double omega) {
   const std::size_t m = c.rows();
@@ -99,57 +101,45 @@ double null_power(const CMatrix& c, double omega) {
 /// and runs null_power's operations in its order; only the real part of
 /// the power is formed, since any product that __muldc3 would have redone
 /// leaves a NaN there. A lane that may hold a NaN is redone by null_power.
-template <std::size_t L>
-[[gnu::always_inline]] inline void null_powers(
-    const CMatrix& c, const std::vector<double>& omegas,
-    std::vector<double>& powers) {
-  const std::size_t m = c.rows();
-  std::vector<double> steer_re(m * L);
-  std::vector<double> steer_im(m * L);
-  for (std::size_t first = 0; first < omegas.size(); first += L) {
-    const std::size_t count = std::min(L, omegas.size() - first);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t l = 0; l < L; ++l) {
-        const double omega = l < count ? omegas[first + l] : 0.0;
-        const Complex ai = std::polar(1.0, omega * static_cast<double>(i));
-        steer_re[i * L + l] = ai.real();
-        steer_im[i * L + l] = ai.imag();
+struct NullPowers {
+  template <std::size_t L>
+  [[gnu::always_inline]] static void run(const CMatrix& c,
+                                         const std::vector<double>& omegas,
+                                         std::vector<double>& powers) {
+    const std::size_t m = c.rows();
+    std::vector<double> steer_re(m * L);
+    std::vector<double> steer_im(m * L);
+    for (std::size_t first = 0; first < omegas.size(); first += L) {
+      const std::size_t count = std::min(L, omegas.size() - first);
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t l = 0; l < L; ++l) {
+          const double omega = l < count ? omegas[first + l] : 0.0;
+          const Complex ai = std::polar(1.0, omega * static_cast<double>(i));
+          steer_re[i * L + l] = ai.real();
+          steer_im[i * L + l] = ai.imag();
+        }
       }
-    }
-    lanes::V<L> power{};
-    for (std::size_t i = 0; i < m; ++i) {
-      lanes::SplitN<L> cai = lanes::splat<L>(0.0, 0.0);
-      for (std::size_t j = 0; j < m; ++j) {
-        cai = cai + lanes::mul(lanes::splat<L>(c(i, j).real(), c(i, j).imag()),
-                               lanes::load<L>(&steer_re[j * L],
-                                              &steer_im[j * L]));
+      lanes::V<L> power{};
+      for (std::size_t i = 0; i < m; ++i) {
+        lanes::SplitN<L> cai = lanes::splat<L>(0.0, 0.0);
+        for (std::size_t j = 0; j < m; ++j) {
+          cai = cai +
+                lanes::mul(lanes::splat<L>(c(i, j).real(), c(i, j).imag()),
+                           lanes::load<L>(&steer_re[j * L], &steer_im[j * L]));
+        }
+        // Re(conj(a_i) * ca_i) = a_i.re ca_i.re - (-a_i.im) ca_i.im.
+        const lanes::SplitN<L> ai =
+            lanes::load<L>(&steer_re[i * L], &steer_im[i * L]);
+        power = power + (ai.re * cai.re - (-ai.im) * cai.im);
       }
-      // Re(conj(a_i) * ca_i) = a_i.re ca_i.re - (-a_i.im) ca_i.im.
-      const lanes::SplitN<L> ai =
-          lanes::load<L>(&steer_re[i * L], &steer_im[i * L]);
-      power = power + (ai.re * cai.re - (-ai.im) * cai.im);
-    }
-    for (std::size_t l = 0; l < count; ++l) {
-      powers[first + l] = std::isnan(power[l])
-                              ? null_power(c, omegas[first + l])
-                              : power[l];
+      for (std::size_t l = 0; l < count; ++l) {
+        powers[first + l] = std::isnan(power[l])
+                                ? null_power(c, omegas[first + l])
+                                : power[l];
+      }
     }
   }
-}
-
-#if defined(__x86_64__)
-[[gnu::target("avx2")]] void four_lane_project_noise(const CMatrix& v,
-                                                     std::size_t noise_dim,
-                                                     CMatrix& projector) {
-  project_noise<4>(v, noise_dim, projector);
-}
-
-[[gnu::target("avx2")]] void four_lane_null_powers(
-    const CMatrix& c, const std::vector<double>& omegas,
-    std::vector<double>& powers) {
-  null_powers<4>(c, omegas, powers);
-}
-#endif
+};
 
 /// Noise-subspace projector En En^H from the covariance of `signal`.
 CMatrix noise_projector(const ComplexSignal& signal, std::size_t num_sources,
@@ -167,28 +157,9 @@ CMatrix noise_projector(const ComplexSignal& signal, std::size_t num_sources,
   // noise subspace.
   const std::size_t noise_dim = m - num_sources;
   CMatrix projector(m, m);
-#if defined(__x86_64__)
-  if (lanes::width() >= 4) {
-    four_lane_project_noise(eig.eigenvectors, noise_dim, projector);
-    return projector;
-  }
-#endif
-  project_noise<2>(eig.eigenvectors, noise_dim, projector);
+  lanes::dispatch<ProjectNoise, lanes::kMaxMusicWidth>(eig.eigenvectors,
+                                                       noise_dim, projector);
   return projector;
-}
-
-/// null_powers at four lanes when lanes::width() is 4 or 8, else at two.
-std::vector<double> null_powers_at_width(const CMatrix& c,
-                                         const std::vector<double>& omegas) {
-  std::vector<double> powers(omegas.size());
-#if defined(__x86_64__)
-  if (lanes::width() >= 4) {
-    four_lane_null_powers(c, omegas, powers);
-    return powers;
-  }
-#endif
-  null_powers<2>(c, omegas, powers);
-  return powers;
 }
 
 /// D(z) = a^T(1/z) C a(z): coefficient of z^(l + m - 1) is the sum of the
@@ -233,7 +204,8 @@ std::vector<double> pick_frequencies(const CMatrix& c,
     candidates.push_back({z, 0.0});
     omegas.push_back(std::arg(z));
   }
-  const std::vector<double> powers = null_powers_at_width(c, omegas);
+  std::vector<double> powers(omegas.size());
+  lanes::dispatch<NullPowers, lanes::kMaxMusicWidth>(c, omegas, powers);
   for (std::size_t n = 0; n < candidates.size(); ++n) {
     candidates[n].null_power = powers[n];
   }

@@ -204,114 +204,87 @@ namespace {
 /// not null) every bin's power. Two vectors of L lanes take the bins in
 /// turn (bin mod 2L), each lane keeping the first bin of its largest power
 /// above zero; the two vectors keep two compare chains in flight.
-template <std::size_t L, bool kSum>
-[[gnu::always_inline]] inline PowerScan scan_lanes(
-    const SplitSpectrum& spectrum, double* power) {
-  using V = lanes::V<L>;
-  using Index = typename lanes::Lanes<L>::Index;
-  const std::size_t n = spectrum.size();
-  const double* re = spectrum.re();
-  const double* im = spectrum.im();
-  const auto none = static_cast<std::int64_t>(n);
-  V best[2] = {};
-  Index best_bin[2] = {};
-  Index bin[2] = {};
-  Index step = {};
-  for (std::size_t lane = 0; lane < L; ++lane) {
-    for (std::size_t h = 0; h < 2; ++h) {
-      best_bin[h][lane] = none;
-      bin[h][lane] = static_cast<std::int64_t>(h * L + lane);
-    }
-    step[lane] = static_cast<std::int64_t>(2 * L);
-  }
-  double sum = 0.0;
-  std::size_t i = 0;
-  for (; i + 2 * L <= n; i += 2 * L) {
-    // Unrolled, so each chain's vectors stay in registers.
-#pragma GCC unroll 2
-    for (std::size_t h = 0; h < 2; ++h) {
-      V r;
-      V m;
-      lanes::load_plane<L>(r, re + i + h * L);
-      lanes::load_plane<L>(m, im + i + h * L);
-      const V p = r * r + m * m;
-      if constexpr (kSum) {
-#pragma GCC unroll 8
-        for (std::size_t lane = 0; lane < L; ++lane) sum += p[lane];
-        if (power != nullptr) lanes::store_plane<L>(power + i + h * L, p);
-      }
-      const Index better = p > best[h];
-      best[h] = better ? p : best[h];
-      best_bin[h] = better ? bin[h] : best_bin[h];
-      bin[h] += step;
-    }
-  }
-  // The largest power wins, and on a tie the lowest bin: the bin one strict
-  // > scan from bin 0 keeps.
-  PowerScan result{.peak_bin = n, .peak = 0.0, .sum = 0.0};
-  for (std::size_t h = 0; h < 2; ++h) {
+template <bool kSum>
+struct ScanPower {
+  template <std::size_t L>
+  [[gnu::always_inline]] static PowerScan run(const SplitSpectrum& spectrum,
+                                              double* power) {
+    using V = lanes::V<L>;
+    using Index = typename lanes::Lanes<L>::Index;
+    const std::size_t n = spectrum.size();
+    const double* re = spectrum.re();
+    const double* im = spectrum.im();
+    const auto none = static_cast<std::int64_t>(n);
+    V best[2] = {};
+    Index best_bin[2] = {};
+    Index bin[2] = {};
+    Index step = {};
     for (std::size_t lane = 0; lane < L; ++lane) {
-      const double p = best[h][lane];
-      const auto b = static_cast<std::size_t>(best_bin[h][lane]);
-      if (p > result.peak || (p == result.peak && b < result.peak_bin)) {
-        result.peak = p;
-        result.peak_bin = b;
+      for (std::size_t h = 0; h < 2; ++h) {
+        best_bin[h][lane] = none;
+        bin[h][lane] = static_cast<std::int64_t>(h * L + lane);
+      }
+      step[lane] = static_cast<std::int64_t>(2 * L);
+    }
+    double sum = 0.0;
+    std::size_t i = 0;
+    for (; i + 2 * L <= n; i += 2 * L) {
+      // Unrolled, so each chain's vectors stay in registers.
+#pragma GCC unroll 2
+      for (std::size_t h = 0; h < 2; ++h) {
+        V r;
+        V m;
+        lanes::load_plane<L>(r, re + i + h * L);
+        lanes::load_plane<L>(m, im + i + h * L);
+        const V p = r * r + m * m;
+        if constexpr (kSum) {
+#pragma GCC unroll 8
+          for (std::size_t lane = 0; lane < L; ++lane) sum += p[lane];
+          if (power != nullptr) lanes::store_plane<L>(power + i + h * L, p);
+        }
+        const Index better = p > best[h];
+        best[h] = better ? p : best[h];
+        best_bin[h] = better ? bin[h] : best_bin[h];
+        bin[h] += step;
       }
     }
-  }
-  for (; i < n; ++i) {
-    const double p = re[i] * re[i] + im[i] * im[i];
-    if constexpr (kSum) {
-      sum += p;
-      if (power != nullptr) power[i] = p;
+    // The largest power wins, and on a tie the lowest bin: the bin one strict
+    // > scan from bin 0 keeps.
+    PowerScan result{.peak_bin = n, .peak = 0.0, .sum = 0.0};
+    for (std::size_t h = 0; h < 2; ++h) {
+      for (std::size_t lane = 0; lane < L; ++lane) {
+        const double p = best[h][lane];
+        const auto b = static_cast<std::size_t>(best_bin[h][lane]);
+        if (p > result.peak || (p == result.peak && b < result.peak_bin)) {
+          result.peak = p;
+          result.peak_bin = b;
+        }
+      }
     }
-    if (p > result.peak) {
-      result.peak = p;
-      result.peak_bin = i;
+    for (; i < n; ++i) {
+      const double p = re[i] * re[i] + im[i] * im[i];
+      if constexpr (kSum) {
+        sum += p;
+        if (power != nullptr) power[i] = p;
+      }
+      if (p > result.peak) {
+        result.peak = p;
+        result.peak_bin = i;
+      }
     }
+    result.sum = sum;
+    return result;
   }
-  result.sum = sum;
-  return result;
-}
-
-#if defined(__x86_64__)
-[[gnu::target("avx2")]] PowerScan four_lane_scan(const SplitSpectrum& spectrum,
-                                                 double* power) {
-  return scan_lanes<4, true>(spectrum, power);
-}
-
-[[gnu::target("avx2")]] PowerPeak four_lane_peak(
-    const SplitSpectrum& spectrum) {
-  return peak_of(scan_lanes<4, false>(spectrum, nullptr));
-}
-
-[[gnu::target("avx512f")]] PowerPeak eight_lane_peak(
-    const SplitSpectrum& spectrum) {
-  return peak_of(scan_lanes<8, false>(spectrum, nullptr));
-}
-#endif
+};
 
 }  // namespace
 
 PowerScan scan_power(const SplitSpectrum& spectrum, double* power) {
-#if defined(__x86_64__)
-  if (lanes::width() >= 4) return four_lane_scan(spectrum, power);
-#endif
-  return scan_lanes<2, true>(spectrum, power);
+  return lanes::dispatch<ScanPower<true>, 4>(spectrum, power);
 }
 
 PowerPeak scan_peak(const SplitSpectrum& spectrum) {
-#if defined(__x86_64__)
-  switch (lanes::width()) {
-    case 8:
-      return eight_lane_peak(spectrum);
-    case 4:
-      return four_lane_peak(spectrum);
-    default:
-      break;
-  }
-#endif
-  return peak_of(scan_lanes<2, false>(spectrum, nullptr));
+  return peak_of(lanes::dispatch<ScanPower<false>, 8>(spectrum, nullptr));
 }
 
 double peak_to_average_power(const ComplexSignal& signal,

@@ -162,100 +162,84 @@ struct JacobiPlanes {
 /// The cyclic sweeps: until the off-diagonal norm falls to threshold2 or
 /// max_sweeps have run, one rotation per pair p < q whose |a_pq| exceeds
 /// `negligible`, its columns rotated L entries per vector. Returns the
-/// sweeps run.
-template <std::size_t L, typename T>
-[[gnu::always_inline]] inline std::size_t jacobi_sweeps(
-    JacobiPlanes<T>& m, double threshold2, double negligible,
-    std::size_t max_sweeps) {
-  const std::size_t n = m.n;
-  const std::size_t ld = m.ld;
-  std::size_t sweep = 0;
-  for (; sweep < max_sweeps; ++sweep) {
-    if (m.off_diagonal_norm2() <= threshold2) break;
-    for (std::size_t p = 0; p + 1 < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
-        const T apq = m.a(p, q);
-        const double alpha = std::abs(apq);
-        if (alpha <= negligible || alpha == 0.0) continue;
-        const double app = m.a_re[p * ld + p];
-        const double aqq = m.a_re[q * ld + q];
-        // Unit phase so that apq * conj(phase) is the real number alpha.
-        const T phase = apq / static_cast<T>(alpha);
+/// sweeps run. The whole loop runs at one width, rotations and the scalar
+/// work between them alike, so a rotation costs no call across targets.
+struct JacobiSweeps {
+  template <std::size_t L, typename T>
+  [[gnu::always_inline]] static std::size_t run(JacobiPlanes<T>& m,
+                                                double threshold2,
+                                                double negligible,
+                                                std::size_t max_sweeps) {
+    const std::size_t n = m.n;
+    const std::size_t ld = m.ld;
+    std::size_t sweep = 0;
+    for (; sweep < max_sweeps; ++sweep) {
+      if (m.off_diagonal_norm2() <= threshold2) break;
+      for (std::size_t p = 0; p + 1 < n; ++p) {
+        for (std::size_t q = p + 1; q < n; ++q) {
+          const T apq = m.a(p, q);
+          const double alpha = std::abs(apq);
+          if (alpha <= negligible || alpha == 0.0) continue;
+          const double app = m.a_re[p * ld + p];
+          const double aqq = m.a_re[q * ld + q];
+          // Unit phase so that apq * conj(phase) is the real number alpha.
+          const T phase = apq / static_cast<T>(alpha);
 
-        const double tau = (aqq - app) / (2.0 * alpha);
-        double t;
-        if (tau >= 0.0) {
-          t = 1.0 / (tau + std::sqrt(1.0 + tau * tau));
-        } else {
-          t = -1.0 / (-tau + std::sqrt(1.0 + tau * tau));
-        }
-        const double c = 1.0 / std::sqrt(1.0 + t * t);
-        const double s = t * c;
-
-        // New diagonal entries (exactly real).
-        const double app_new = c * c * app - 2.0 * c * s * alpha + s * s * aqq;
-        const double aqq_new = s * s * app + 2.0 * c * s * alpha + c * c * aqq;
-
-        // Rotate columns p and q of A: A <- U^H A U with
-        //   U(p,p)=c, U(p,q)=s*phase, U(q,p)=-s*conj(phase), U(q,q)=c.
-        // Entries p and q of both columns are garbage until set below.
-        if constexpr (JacobiPlanes<T>::kComplex) {
-          rotate_columns<L>(&m.a_re[p * ld], &m.a_im[p * ld], &m.a_re[q * ld],
-                            &m.a_im[q * ld], ld, c, s, phase);
-        } else {
-          rotate_columns<L>(&m.a_re[p * ld], &m.a_re[q * ld], ld, c, s, phase);
-        }
-        // Rows p and q are the conjugates of the new columns (the four
-        // entries where rows and columns p, q cross are set just below).
-        for (std::size_t i = 0; i < n; ++i) {
-          m.a_re[i * ld + p] = m.a_re[p * ld + i];
-          m.a_re[i * ld + q] = m.a_re[q * ld + i];
-          if constexpr (JacobiPlanes<T>::kComplex) {
-            m.a_im[i * ld + p] = -m.a_im[p * ld + i];
-            m.a_im[i * ld + q] = -m.a_im[q * ld + i];
+          const double tau = (aqq - app) / (2.0 * alpha);
+          double t;
+          if (tau >= 0.0) {
+            t = 1.0 / (tau + std::sqrt(1.0 + tau * tau));
+          } else {
+            t = -1.0 / (-tau + std::sqrt(1.0 + tau * tau));
           }
-        }
-        m.set(p, p, app_new);
-        m.set(q, q, aqq_new);
-        m.set(p, q, 0.0);
-        m.set(q, p, 0.0);
+          const double c = 1.0 / std::sqrt(1.0 + t * t);
+          const double s = t * c;
 
-        // Accumulate eigenvectors: V <- V U.
-        if constexpr (JacobiPlanes<T>::kComplex) {
-          rotate_columns<L>(&m.v_re[p * ld], &m.v_im[p * ld], &m.v_re[q * ld],
-                            &m.v_im[q * ld], ld, c, s, phase);
-        } else {
-          rotate_columns<L>(&m.v_re[p * ld], &m.v_re[q * ld], ld, c, s, phase);
+          // New diagonal entries (exactly real).
+          const double app_new =
+              c * c * app - 2.0 * c * s * alpha + s * s * aqq;
+          const double aqq_new =
+              s * s * app + 2.0 * c * s * alpha + c * c * aqq;
+
+          // Rotate columns p and q of A: A <- U^H A U with
+          //   U(p,p)=c, U(p,q)=s*phase, U(q,p)=-s*conj(phase), U(q,q)=c.
+          // Entries p and q of both columns are garbage until set below.
+          if constexpr (JacobiPlanes<T>::kComplex) {
+            rotate_columns<L>(&m.a_re[p * ld], &m.a_im[p * ld], &m.a_re[q * ld],
+                              &m.a_im[q * ld], ld, c, s, phase);
+          } else {
+            rotate_columns<L>(&m.a_re[p * ld], &m.a_re[q * ld], ld, c, s,
+                              phase);
+          }
+          // Rows p and q are the conjugates of the new columns (the four
+          // entries where rows and columns p, q cross are set just below).
+          for (std::size_t i = 0; i < n; ++i) {
+            m.a_re[i * ld + p] = m.a_re[p * ld + i];
+            m.a_re[i * ld + q] = m.a_re[q * ld + i];
+            if constexpr (JacobiPlanes<T>::kComplex) {
+              m.a_im[i * ld + p] = -m.a_im[p * ld + i];
+              m.a_im[i * ld + q] = -m.a_im[q * ld + i];
+            }
+          }
+          m.set(p, p, app_new);
+          m.set(q, q, aqq_new);
+          m.set(p, q, 0.0);
+          m.set(q, p, 0.0);
+
+          // Accumulate eigenvectors: V <- V U.
+          if constexpr (JacobiPlanes<T>::kComplex) {
+            rotate_columns<L>(&m.v_re[p * ld], &m.v_im[p * ld], &m.v_re[q * ld],
+                              &m.v_im[q * ld], ld, c, s, phase);
+          } else {
+            rotate_columns<L>(&m.v_re[p * ld], &m.v_re[q * ld], ld, c, s,
+                              phase);
+          }
         }
       }
     }
+    return sweep;
   }
-  return sweep;
-}
-
-#if defined(__x86_64__)
-/// jacobi_sweeps at four lanes (AVX2), in eigen_hermitian.cpp; callers
-/// check lanes::width() first.
-[[gnu::target("avx2")]] std::size_t four_lane_sweeps(
-    JacobiPlanes<double>& m, double threshold2, double negligible,
-    std::size_t max_sweeps);
-[[gnu::target("avx2")]] std::size_t four_lane_sweeps(
-    JacobiPlanes<std::complex<double>>& m, double threshold2,
-    double negligible, std::size_t max_sweeps);
-#endif
-
-/// jacobi_sweeps at four lanes when lanes::width() is 4 or 8 (eight measured
-/// no faster), else at two.
-template <typename T>
-std::size_t sweeps_at_width(JacobiPlanes<T>& m, double threshold2,
-                            double negligible, std::size_t max_sweeps) {
-#if defined(__x86_64__)
-  if (lanes::width() >= 4) {
-    return four_lane_sweeps(m, threshold2, negligible, max_sweeps);
-  }
-#endif
-  return jacobi_sweeps<2>(m, threshold2, negligible, max_sweeps);
-}
+};
 
 }  // namespace detail
 
@@ -267,7 +251,7 @@ std::size_t sweeps_at_width(JacobiPlanes<T>& m, double threshold2,
 ///
 /// A and V are held as split real/imaginary planes of contiguous columns,
 /// so a rotation updates columns p and q of A and of V two or four entries
-/// per vector (sweeps_at_width); the rows p and q of A it also writes are
+/// per vector (JacobiSweeps); the rows p and q of A it also writes are
 /// their conjugates, scattered afterwards. Every entry goes through the
 /// operations of the textbook cyclic sweep in the same order, so results
 /// are bit-identical to it at either width (tests/oracles.hpp keeps that
@@ -290,8 +274,8 @@ HermitianEigenResult<T> eigen_hermitian(Matrix<T> a,
   const R negligible = tol * scale / static_cast<R>(n * n);
 
   detail::JacobiPlanes<T> m(a);
-  result.sweeps =
-      detail::sweeps_at_width(m, threshold2, negligible, max_sweeps);
+  result.sweeps = lanes::dispatch<detail::JacobiSweeps, lanes::kMaxMusicWidth>(
+      m, threshold2, negligible, max_sweeps);
   result.converged = m.off_diagonal_norm2() <= threshold2;
 
   // Extract and sort eigenpairs ascending by eigenvalue.

@@ -69,62 +69,47 @@ struct Coefficients {
 /// Polynomial::evaluate runs it (acc = acc * z + c from the top),
 /// L * kChainVectors chains interleaved. Values that may hold a NaN are
 /// recomputed by Polynomial::evaluate itself.
-template <std::size_t L>
-[[gnu::always_inline]] inline void horner_chains(const Coefficients& c,
-                                                 const RootPlanes& z,
-                                                 double* out_re,
-                                                 double* out_im) {
-  constexpr std::size_t kChains = L * kChainVectors;
-  for (std::size_t i = 0; i < z.count(); i += kChains) {
-    lanes::SplitN<L> zv[kChainVectors] = {};
-    lanes::SplitN<L> acc[kChainVectors] = {};
-    for (std::size_t v = 0; v < kChainVectors; ++v) {
-      zv[v] = z.lanes_at<L>(i + L * v);
-      acc[v] = lanes::splat<L>(0.0, 0.0);
-    }
-    for (std::size_t k = c.re.size(); k > 0; --k) {
-      const lanes::SplitN<L> ck = lanes::splat<L>(c.re[k - 1], c.im[k - 1]);
-#pragma GCC unroll 4
+struct HornerChains {
+  template <std::size_t L>
+  [[gnu::always_inline]] static void run(const Coefficients& c,
+                                         const RootPlanes& z, double* out_re,
+                                         double* out_im) {
+    constexpr std::size_t kChains = L * kChainVectors;
+    for (std::size_t i = 0; i < z.count(); i += kChains) {
+      lanes::SplitN<L> zv[kChainVectors] = {};
+      lanes::SplitN<L> acc[kChainVectors] = {};
       for (std::size_t v = 0; v < kChainVectors; ++v) {
-        acc[v] = lanes::mul(acc[v], zv[v]) + ck;
+        zv[v] = z.lanes_at<L>(i + L * v);
+        acc[v] = lanes::splat<L>(0.0, 0.0);
+      }
+      for (std::size_t k = c.re.size(); k > 0; --k) {
+        const lanes::SplitN<L> ck = lanes::splat<L>(c.re[k - 1], c.im[k - 1]);
+#pragma GCC unroll 4
+        for (std::size_t v = 0; v < kChainVectors; ++v) {
+          acc[v] = lanes::mul(acc[v], zv[v]) + ck;
+        }
+      }
+      lanes::SplitN<L> any = lanes::splat<L>(0.0, 0.0);
+      for (std::size_t v = 0; v < kChainVectors; ++v) {
+        lanes::store(out_re + i + L * v, out_im + i + L * v, acc[v]);
+        any = any + acc[v];
+      }
+      if (!lanes::maybe_nan(any)) continue;
+      for (std::size_t e = i; e < i + kChains && e < z.count(); ++e) {
+        const Complex v = c.p.evaluate(z.get(e));
+        out_re[e] = v.real();
+        out_im[e] = v.imag();
       }
     }
-    lanes::SplitN<L> any = lanes::splat<L>(0.0, 0.0);
-    for (std::size_t v = 0; v < kChainVectors; ++v) {
-      lanes::store(out_re + i + L * v, out_im + i + L * v, acc[v]);
-      any = any + acc[v];
-    }
-    if (!lanes::maybe_nan(any)) continue;
-    for (std::size_t e = i; e < i + kChains && e < z.count(); ++e) {
-      const Complex v = c.p.evaluate(z.get(e));
-      out_re[e] = v.real();
-      out_im[e] = v.imag();
-    }
   }
-}
+};
 
-#if defined(__x86_64__)
-[[gnu::target("avx2")]] void four_lane_horner_chains(const Coefficients& c,
-                                                     const RootPlanes& z,
-                                                     double* out_re,
-                                                     double* out_im) {
-  horner_chains<4>(c, z, out_re, out_im);
-}
-#endif
-
-/// horner_chains at four lanes when lanes::width() is 4 or 8 (eight measured
-/// no faster), else at two: the one AVX2 call of a Durand-Kerner sweep. The
-/// product loop of a sweep stays in code built without AVX2, where it
-/// measured faster.
+/// HornerChains, the one AVX2 call of a Durand-Kerner sweep. The product
+/// loop of a sweep stays in code built without AVX2, where it measured
+/// faster.
 void evaluate_all(const Coefficients& c, const RootPlanes& z, double* out_re,
                   double* out_im) {
-#if defined(__x86_64__)
-  if (lanes::width() >= 4) {
-    four_lane_horner_chains(c, z, out_re, out_im);
-    return;
-  }
-#endif
-  horner_chains<2>(c, z, out_re, out_im);
+  lanes::dispatch<HornerChains, lanes::kMaxMusicWidth>(c, z, out_re, out_im);
 }
 
 /// Whether std::abs(step) >= tol, decided from |step|^2 = re^2 + im^2
