@@ -105,7 +105,9 @@ class Holdover {
   /// slot's own holdover step.
   void snapshot(std::int64_t step);
   /// Restores a copy of the snapshot, if any, and free-runs over the steps
-  /// between it and `detection_step`, with no readiness test and no check.
+  /// between it and `detection_step`, with no readiness test and no check;
+  /// a snapshot taken before any trusted sample restores its last values
+  /// and replays nothing.
   void rollback(std::int64_t detection_step);
 
   std::vector<Channel> channels_;

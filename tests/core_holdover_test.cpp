@@ -150,16 +150,16 @@ TEST(Holdover, ChallengeUnderAttackHoldsWithoutSnapshot) {
   EXPECT_EQ(challenged.last(0), reference.last(0));
 }
 
-TEST(Holdover, ReplayFromAnUntrainedSnapshotStillFreeRuns) {
-  // The snapshot at 0 precedes every trusted sample. The replay over 1-10
-  // runs no readiness test: the restored, untrained predictor free-runs to
-  // its zero output over the seed, and the detecting step then holds it.
+TEST(Holdover, ReplayFromAnUntrainedSnapshotKeepsTheSeed) {
+  // The snapshot at 0 precedes every trusted sample. The rollback restores
+  // the seed and replays nothing over 1-10: the untrained predictor would
+  // free-run to zero. The detecting step then holds the seed.
   Holdover h = rls_holdover({false}, {7.0});
   EXPECT_TRUE(h.defend(0, kCleanChallenge));
   trust_ramp(h, 10);
   EXPECT_TRUE(h.defend(11, kDetection));
   EXPECT_FALSE(h.trusted());
-  EXPECT_EQ(h.last(0), 0.0);
+  EXPECT_EQ(h.last(0), 7.0);
 }
 
 }  // namespace
