@@ -54,13 +54,17 @@ const char* to_string(DegradationState state) {
 
 namespace {
 
-estimation::InnovationGate::Options gate_options(const HealthOptions& o,
-                                                 double innovation_floor) {
+/// One channel's innovation gate, warming up over the gate's default 8
+/// samples. Its variance floor is a one-step innovation scale squared,
+/// 0.5 m on the range and 0.5 m/s on the range rate. The simulated channels
+/// are smooth, so a learned variance alone can make an ordinary maneuver
+/// look like a 100-sigma event; the floor is the smallest per-step jump
+/// ever worth flagging.
+estimation::InnovationGate::Options gate_options(const HealthOptions& o) {
+  constexpr double kInnovationFloor = 0.5;
   estimation::InnovationGate::Options g;
   g.threshold = o.innovation_threshold;
-  g.min_samples = o.innovation_min_samples;
-  g.variance_floor =
-      std::max(innovation_floor * innovation_floor, 1e-12);
+  g.variance_floor = kInnovationFloor * kInnovationFloor;
   return g;
 }
 
@@ -68,10 +72,8 @@ estimation::InnovationGate::Options gate_options(const HealthOptions& o,
 
 HealthMonitor::HealthMonitor(const HealthOptions& options)
     : options_(options),
-      distance_gate_(
-          gate_options(options, options.innovation_floor_m.value())),
-      velocity_gate_(
-          gate_options(options, options.innovation_floor_mps.value())) {}
+      distance_gate_(gate_options(options)),
+      velocity_gate_(gate_options(options)) {}
 
 HealthMonitor::Verdict HealthMonitor::validate(Meters distance,
                                                MetersPerSecond velocity,

@@ -47,14 +47,6 @@ struct HealthOptions {
   /// sample whose jump from the last trusted value is a variance outlier on
   /// either channel is quarantined as a suspected stealth fault.
   double innovation_threshold = 0.0;
-  std::size_t innovation_min_samples = 8;
-  /// Variance floors for the innovation gates, expressed as one-step
-  /// innovation scales (squared internally). The simulated channels are
-  /// smooth, so a learned variance alone can make an ordinary maneuver look
-  /// like a 100-sigma event; the floors define the smallest per-step jump
-  /// ever worth flagging.
-  Meters innovation_floor_m{0.5};
-  MetersPerSecond innovation_floor_mps{0.5};
   /// Consecutive bit-identical (distance, velocity) reports tolerated
   /// before the stream is declared frozen (stuck tracker, dead clock) and
   /// further repeats are quarantined; 0 = off. Real radar noise never

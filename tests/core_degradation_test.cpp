@@ -154,7 +154,6 @@ TEST(Degradation, OutOfRangeMeasurementIsQuarantined) {
 TEST(Degradation, InnovationGateQuarantinesStealthJump) {
   PipelineOptions opts;
   opts.health.innovation_threshold = 25.0;
-  opts.health.innovation_min_samples = 8;
   auto p = make_pipeline(schedule_with({200}), opts);
   for (std::int64_t k = 0; k < 40; ++k) {
     p.process(k, echo_measurement(ramp(k), -0.5));
