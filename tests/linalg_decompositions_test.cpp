@@ -1,10 +1,9 @@
-// Unit + property tests for LU, Cholesky, and QR decompositions.
+// Unit + property tests for LU and QR decompositions.
 #include <gtest/gtest.h>
 
 #include <complex>
 #include <random>
 
-#include "linalg/cholesky.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/qr.hpp"
@@ -20,11 +19,6 @@ RMatrix random_matrix(std::size_t n, unsigned seed, double lo = -1.0,
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) m(i, j) = dist(rng);
   return m;
-}
-
-RMatrix random_spd(std::size_t n, unsigned seed) {
-  const RMatrix a = random_matrix(n, seed);
-  return a * a.transpose() + RMatrix::scaled_identity(n, 0.5);
 }
 
 TEST(Lu, SolvesKnownSystem) {
@@ -83,52 +77,6 @@ TEST(Lu, ComplexSystemSolve) {
   const CVector x = solve(a, b);
   const CVector r = a * x - b;
   EXPECT_LT(norm2(r), 1e-12);
-}
-
-TEST(Cholesky, FactorsKnownSpdMatrix) {
-  RMatrix a{{4.0, 2.0}, {2.0, 3.0}};
-  CholeskyDecomposition<double> chol(a);
-  ASSERT_TRUE(chol.valid());
-  const RMatrix l = chol.lower();
-  EXPECT_NEAR(l(0, 0), 2.0, 1e-12);
-  EXPECT_NEAR(l(1, 0), 1.0, 1e-12);
-  EXPECT_NEAR(l(1, 1), std::sqrt(2.0), 1e-12);
-}
-
-TEST(Cholesky, RejectsIndefiniteMatrix) {
-  RMatrix a{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3, -1
-  EXPECT_FALSE(CholeskyDecomposition<double>(a).valid());
-  EXPECT_FALSE(is_positive_definite(a));
-}
-
-TEST(Cholesky, RejectsNonSquare) {
-  EXPECT_THROW(CholeskyDecomposition<double>(RMatrix(2, 3)),
-               std::invalid_argument);
-}
-
-TEST(Cholesky, SolveMatchesLu) {
-  const RMatrix a = random_spd(6, 3);
-  const RVector b{1.0, -2.0, 3.0, 0.5, 0.0, 1.5};
-  CholeskyDecomposition<double> chol(a);
-  ASSERT_TRUE(chol.valid());
-  const RVector x_chol = chol.solve(b);
-  const RVector x_lu = solve(a, b);
-  EXPECT_LT(norm2(x_chol - x_lu), 1e-9);
-}
-
-TEST(Cholesky, SolveOnInvalidThrows) {
-  RMatrix a{{-1.0}};
-  CholeskyDecomposition<double> chol(a);
-  EXPECT_THROW(chol.solve(RVector{1.0}), std::domain_error);
-}
-
-TEST(Cholesky, ComplexHermitianSpd) {
-  using C = std::complex<double>;
-  CMatrix a{{C{2.0, 0.0}, C{0.5, 0.5}}, {C{0.5, -0.5}, C{2.0, 0.0}}};
-  CholeskyDecomposition<C> chol(a);
-  ASSERT_TRUE(chol.valid());
-  const CMatrix l = chol.lower();
-  EXPECT_LT(max_abs(l * l.adjoint() - a), 1e-12);
 }
 
 TEST(Qr, FactorsTallMatrix) {
@@ -199,15 +147,6 @@ TEST_P(DecompositionProperty, LuSolveResidualIsSmall) {
   for (auto& bi : b) bi = dist(rng);
   const RVector x = solve(a, b);
   EXPECT_LT(norm2(a * x - b), 1e-9 * (1.0 + norm2(b)));
-}
-
-TEST_P(DecompositionProperty, CholeskyReconstructsSpd) {
-  const std::size_t n = 2 + GetParam() % 7;
-  const RMatrix a = random_spd(n, GetParam() + 500);
-  CholeskyDecomposition<double> chol(a);
-  ASSERT_TRUE(chol.valid());
-  const RMatrix l = chol.lower();
-  EXPECT_LT(max_abs(l * l.transpose() - a), 1e-10 * (1.0 + max_abs(a)));
 }
 
 TEST_P(DecompositionProperty, QrReconstructionAndOrthogonality) {
