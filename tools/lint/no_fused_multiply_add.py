@@ -5,8 +5,8 @@ The split-plane kernels return the bits std::complex<double> arithmetic
 returns (DESIGN.md §3, linalg/lanes.hpp). A fused multiply-add rounds once
 where that arithmetic rounds twice, so a single one moves bits. The
 libraries are built with -ffp-contract=off, and the one target with FMA
-they enable is avx512f, on the eight-lane entry points (its EVEX
-encodings include FMA). -ffp-contract=off alone is not enough: with FMA
+they enable is avx512f, in the eight-lane thunk of lanes::dispatch
+(lanes::detail::avx512f_thunk; its EVEX encodings include FMA). -ffp-contract=off alone is not enough: with FMA
 available, GCC 12 still turns a vectorized a * b -/+ c into vfmaddsub.
 This check disassembles every library and names each FMA it finds.
 

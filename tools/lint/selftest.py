@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Self-test for the lint framework: pins each check against fixtures.
 
-Every check has two fixture trees under tests/fixtures/<check>/:
+Every check has two fixture trees under tests/fixtures/<check>/ (dashes in
+the check's name become underscores):
 
   flag/  a mini-repo where each of the check's rules must fire exactly the
          expected number of times — proving the patterns still match;
@@ -24,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import check_determinism  # noqa: F401  (registers on import)
 import check_units  # noqa: F401
+import check_width_dispatch  # noqa: F401
 from framework import CheckContext, get_check
 
 FIXTURES = Path(__file__).resolve().parent / "tests" / "fixtures"
@@ -47,6 +49,7 @@ EXPECTED_FLAG = {
             ("src/core/bad.cpp", "unordered-iter"): 1,
         }
     ),
+    "width-dispatch": Counter({("src/dsp/bad.cpp", "width-dispatch"): 5}),
 }
 
 
@@ -61,8 +64,9 @@ def run(check_name: str, tree: Path) -> Counter:
 def main() -> int:
     failures: list[str] = []
     for check_name, expected in sorted(EXPECTED_FLAG.items()):
-        flag_tree = FIXTURES / check_name / "flag"
-        pass_tree = FIXTURES / check_name / "pass"
+        fixture = FIXTURES / check_name.replace("-", "_")
+        flag_tree = fixture / "flag"
+        pass_tree = fixture / "pass"
         if not flag_tree.is_dir() or not pass_tree.is_dir():
             failures.append(f"{check_name}: missing fixture trees")
             continue
