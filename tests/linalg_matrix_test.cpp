@@ -273,5 +273,28 @@ TEST(Lanes, ScopedWidthForcesOnlyWidthsThisCpuRuns) {
   }
 }
 
+/// A kernel that returns the lane count it was run at.
+struct LaneCount {
+  template <std::size_t L>
+  static std::size_t run(std::size_t& calls) {
+    ++calls;
+    return L;
+  }
+};
+
+TEST(Lanes, DispatchRunsAtTheWidthItsCallSiteCaps) {
+  // The bit-identity oracles pass at any width, so only this test notices a
+  // kernel run narrower (or wider) than min(width(), cap).
+  for (const std::size_t lanes_wanted : {2U, 4U, 8U}) {
+    if (!lanes::width_supported(lanes_wanted)) continue;
+    const lanes::detail::ScopedWidth forced(lanes_wanted);
+    std::size_t calls = 0;
+    EXPECT_EQ((lanes::dispatch<LaneCount, 4>(calls)),
+              lanes_wanted < 4 ? lanes_wanted : 4U);
+    EXPECT_EQ((lanes::dispatch<LaneCount, 8>(calls)), lanes_wanted);
+    EXPECT_EQ(calls, 2U);
+  }
+}
+
 }  // namespace
 }  // namespace safe::linalg
