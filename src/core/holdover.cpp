@@ -66,9 +66,9 @@ void Holdover::rollback(std::int64_t detection_step) {
     c.last = c.saved_last;
   }
   state_ = saved_state_;
-  // A snapshot before any trusted sample has nothing to replay: predictors
-  // that never observed free-run to zero, so the last values stand.
-  if (!state_.trusted) return;
+  // Untrained predictors free-run to zero, so a state that could not hold
+  // replays nothing and its last values stand.
+  if (!ready()) return;
   // The snapshot already covers its own slot: free-run from the next step.
   for (auto k = *saved_step_ + 1; k < detection_step; ++k) {
     free_run();

@@ -53,7 +53,7 @@ class Holdover {
   /// untrained and the last values stand. Untrained, the last values stand.
   template <typename Check = AcceptEstimate>
   void hold(Check&& check = {}) {
-    if (!state_.trusted || state_.trained < min_samples_) return;
+    if (!ready()) return;
     free_run();
     if (check(std::span<const double>(estimate_))) {
       accept();
@@ -94,6 +94,11 @@ class Holdover {
     bool trusted = false;
   };
 
+  /// The channels may free-run: a sample has been trusted and at least
+  /// `min_samples` have trained the predictors since they last restarted.
+  [[nodiscard]] bool ready() const {
+    return state_.trusted && state_.trained >= min_samples_;
+  }
   /// Free-runs every channel one step into estimate_.
   void free_run();
   /// estimate_, clamped on range channels, becomes the last values.
@@ -104,10 +109,11 @@ class Holdover {
   /// Snapshots the state at the verified-clean challenge `step`, after that
   /// slot's own holdover step.
   void snapshot(std::int64_t step);
-  /// Restores a copy of the snapshot, if any, and free-runs over the steps
-  /// between it and `detection_step`, with no readiness test and no check;
-  /// a snapshot taken before any trusted sample restores its last values
-  /// and replays nothing.
+  /// Restores a copy of the snapshot, if any. When the restored state is
+  /// ready, as hold() requires, it free-runs with no check over the steps
+  /// between the snapshot and `detection_step`; otherwise (nothing trusted
+  /// yet, or predictors restarted and not yet retrained) the restored last
+  /// values stand and nothing is replayed.
   void rollback(std::int64_t detection_step);
 
   std::vector<Channel> channels_;

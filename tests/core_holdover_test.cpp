@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -160,6 +161,26 @@ TEST(Holdover, ReplayFromAnUntrainedSnapshotKeepsTheSeed) {
   EXPECT_TRUE(h.defend(11, kDetection));
   EXPECT_FALSE(h.trusted());
   EXPECT_EQ(h.last(0), 7.0);
+}
+
+TEST(Holdover, ReplayFromARestartedSnapshotKeepsTheLastValues) {
+  // A rejected free-run restarts the predictor (training count 0, a target
+  // still trusted), and the clean challenge at 21 snapshots that state.
+  // The detection at 30 restores it: the restarted predictor would
+  // free-run the range to zero over 22-29, so nothing is replayed and the
+  // last trusted range, 24, stands, as it does at the detecting step.
+  Holdover h = rls_holdover({true});
+  for (int k = 5; k <= 24; ++k) {
+    const double sample[] = {static_cast<double>(k)};
+    h.trust(sample);
+  }
+  h.hold([](std::span<const double>) { return false; });
+  EXPECT_TRUE(h.defend(21, kCleanChallenge));
+  const double poison[] = {60.0};
+  for (int k = 0; k < 8; ++k) h.trust(poison);
+  EXPECT_TRUE(h.defend(30, kDetection));
+  EXPECT_EQ(h.last(0), 24.0);
+  EXPECT_TRUE(h.trusted());
 }
 
 }  // namespace
