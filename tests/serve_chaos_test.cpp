@@ -21,34 +21,13 @@
 #include "serve/resilient.hpp"
 #include "serve/server.hpp"
 #include "serve/trace_source.hpp"
+#include "serve_loopback.hpp"
 
 namespace {
 
 using namespace safe;
 using namespace safe::serve;
-
-class ServerHarness {
- public:
-  explicit ServerHarness(ServerOptions options = {})
-      : pool_(2), server_(std::move(options), pool_) {
-    server_.bind_and_listen();
-    thread_ = std::thread([this] { server_.run(); });
-  }
-
-  ~ServerHarness() {
-    server_.request_drain();
-    thread_.join();
-    pool_.drain();
-  }
-
-  StreamServer& server() { return server_; }
-  [[nodiscard]] std::uint16_t port() const { return server_.port(); }
-
- private:
-  runtime::ThreadPool pool_;
-  StreamServer server_;
-  std::thread thread_;
-};
+using loopback::ServerHarness;
 
 /// Chaos proxy on its own thread, stopped and joined on destruction.
 class ProxyHarness {

@@ -13,35 +13,13 @@
 #include "serve/server.hpp"
 #include "serve/trace_source.hpp"
 #include "serve/wire.hpp"
+#include "serve_loopback.hpp"
 
 namespace {
 
 using namespace safe;
 using namespace safe::serve;
-
-/// Server on a kernel-assigned loopback port, event loop on its own thread,
-/// drained and joined on destruction.
-class ServerHarness {
- public:
-  explicit ServerHarness(ServerOptions options = {})
-      : pool_(2), server_(std::move(options), pool_) {
-    server_.bind_and_listen();
-    thread_ = std::thread([this] { server_.run(); });
-  }
-
-  ~ServerHarness() {
-    server_.request_drain();
-    thread_.join();
-    pool_.drain();
-  }
-
-  [[nodiscard]] std::uint16_t port() const { return server_.port(); }
-
- private:
-  runtime::ThreadPool pool_;
-  StreamServer server_;
-  std::thread thread_;
-};
+using loopback::ServerHarness;
 
 TraceSpec quick_spec(std::uint64_t seed = 11) {
   TraceSpec spec;

@@ -1,9 +1,10 @@
 // Loopback tests for session resumption and overload shedding: detached
 // sessions replay unacked frames on RESUME with the byte-parity contract
 // intact across the disconnect, ACK trims the replay window, grace expiry
-// and delivered (finished + final-ACKed) sessions reject resumption, and
-// admission/deadline overload
-// control sheds with STATUS kOverloaded while keeping sessions resumable.
+// and delivered (finished + final-ACKed) sessions reject resumption,
+// admission/deadline overload control sheds with STATUS kOverloaded while
+// keeping sessions resumable, and every RESUME rejection and shed ends with
+// its own last frame and counters.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -15,6 +16,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,36 +26,16 @@
 #include "serve/server.hpp"
 #include "serve/trace_source.hpp"
 #include "serve/wire.hpp"
+#include "serve_loopback.hpp"
 
 namespace {
 
 using namespace safe;
 using namespace safe::serve;
+using loopback::ServerHarness;
+using loopback::WedgedServer;
 
 constexpr std::uint64_t kRecvDeadlineNs = 10'000'000'000ULL;
-
-class ServerHarness {
- public:
-  explicit ServerHarness(ServerOptions options = {})
-      : pool_(2), server_(std::move(options), pool_) {
-    server_.bind_and_listen();
-    thread_ = std::thread([this] { server_.run(); });
-  }
-
-  ~ServerHarness() {
-    server_.request_drain();
-    thread_.join();
-    pool_.drain();
-  }
-
-  StreamServer& server() { return server_; }
-  [[nodiscard]] std::uint16_t port() const { return server_.port(); }
-
- private:
-  runtime::ThreadPool pool_;
-  StreamServer server_;
-  std::thread thread_;
-};
 
 TraceSpec quick_spec(std::uint64_t seed = 31) {
   TraceSpec spec;
@@ -355,37 +337,6 @@ TEST(ServeResume, FinishedSessionStaysResumableUntilFinalAck) {
   EXPECT_EQ(error.code, ErrorCode::kResumeUnknown);
 }
 
-/// Wedged-pool harness: a single worker blocked on a gate so dispatched
-/// batches stay in flight for as long as the test wants.
-struct WedgedServer {
-  explicit WedgedServer(ServerOptions options) : pool(1) {
-    gate = std::shared_future<void>(release.get_future());
-    pool.submit([g = gate] { g.wait(); });
-    server.emplace(std::move(options), pool);
-    server->bind_and_listen();
-    thread = std::thread([this] { server->run(); });
-  }
-
-  ~WedgedServer() {
-    if (release_needed) release.set_value();
-    server->request_drain();
-    thread.join();
-    pool.drain();
-  }
-
-  void open_gate() {
-    release.set_value();
-    release_needed = false;
-  }
-
-  runtime::ThreadPool pool;
-  std::promise<void> release;
-  std::shared_future<void> gate;
-  std::optional<StreamServer> server;
-  std::thread thread;
-  bool release_needed = true;
-};
-
 TEST(ServeOverload, AdmissionControlShedsHelloWhileBatchesInFlight) {
   ServerOptions options;
   options.admission_max_batches = 1;
@@ -589,6 +540,184 @@ TEST(ServeOverload, FrameDeadlineShedsButSessionStaysResumable) {
     EXPECT_EQ(result.estimate_frames[i], encode(reference[step]))
         << "step " << step;
   }
+}
+
+// --- goodbyes ---------------------------------------------------------------
+// The RESUME rejections and the overload sheds, each pinned by the last frame
+// the client receives before the server closes the connection, with every
+// counter checked against its telemetry twin.
+
+class ServeResumeGoodbye : public loopback::MetricsOn {};
+
+using loopback::error_text;
+using loopback::goodbye;
+using loopback::status_text;
+using loopback::wait_until;
+
+/// RESUME on a fresh connection; returns the goodbye it earns.
+std::string resume_goodbye(std::uint16_t port, std::uint64_t token,
+                           std::int64_t last_step) {
+  SessionClient client;
+  client.connect("127.0.0.1", port);
+  client.send_raw(
+      encode(ResumeFrame{.session_token = token, .last_step = last_step}));
+  return goodbye(client);
+}
+
+TEST_F(ServeResumeGoodbye, RejectedResumesEndWithTheirError) {
+  ServerOptions options;
+  options.session.max_retained_steps = 8;
+  ServerHarness harness(options);
+  const TraceSpec spec = quick_spec(43);
+  const std::vector<MeasurementFrame> trace = make_measurement_trace(spec);
+
+  EXPECT_EQ(resume_goodbye(harness.port(), 0xDEADBEEFCAFEF00DULL, -1),
+            error_text(ErrorCode::kResumeUnknown,
+                       "unknown, expired, or finished session token"));
+  const std::uint64_t ahead =
+      stream_prefix_then_disconnect(harness.port(), spec, trace, 30);
+  EXPECT_EQ(resume_goodbye(harness.port(), ahead, 45),
+            error_text(ErrorCode::kProtocolOrder,
+                       "RESUME last_step 45 is beyond the session's last "
+                       "processed step 29"));
+  const std::uint64_t trimmed =
+      stream_prefix_then_disconnect(harness.port(), spec, trace, 30);
+  EXPECT_EQ(resume_goodbye(harness.port(), trimmed, -1),
+            error_text(ErrorCode::kResumeGap,
+                       "replay window no longer reaches back to step -1; "
+                       "restart the session"));
+  harness.stop();
+
+  EXPECT_EQ(harness.server().stats().resume_rejects, 3u);
+  EXPECT_EQ(harness.server().stats().protocol_errors, 3u);
+  EXPECT_EQ(harness.server().stats().frames_in, 60u);
+  loopback::expect_tallies_match(harness.server());
+}
+
+TEST_F(ServeResumeGoodbye, AdmissionShedsHelloAndResumeWithOverloaded) {
+  ServerOptions options;
+  options.admission_max_batches = 1;
+  WedgedServer wedged(options);
+  const std::uint16_t port = wedged.server->port();
+  const TraceSpec spec = quick_spec(44);
+  const std::vector<MeasurementFrame> trace = make_measurement_trace(spec);
+
+  SessionClient occupant;
+  occupant.connect("127.0.0.1", port);
+  const auto open = occupant.open_session(hello_from(spec, "occupant"));
+  ASSERT_TRUE(open.ok) << open.transport_error;
+  for (std::size_t i = 0; i < 4; ++i) occupant.send_raw(encode(trace[i]));
+  ASSERT_TRUE(
+      wait_until([&] { return wedged.server->stats().frames_in >= 4; }));
+
+  SessionClient hello;
+  hello.connect("127.0.0.1", port);
+  hello.send_raw(encode(hello_from(spec, "shed")));
+  // Only the number of batches in flight may vary; it reads as N here.
+  std::string shed = goodbye(hello);
+  const std::size_t count = shed.find_first_of(
+      "0123456789", status_text(StatusCode::kOverloaded, 0, "").size());
+  if (count != std::string::npos) {
+    shed.replace(count, shed.find_first_not_of("0123456789", count) - count,
+                 "N");
+  }
+  EXPECT_EQ(shed, status_text(StatusCode::kOverloaded, 0,
+                              "admission control: N batches in flight; "
+                              "retry after backoff"));
+  EXPECT_EQ(resume_goodbye(port, open.status.session_token, -1),
+            status_text(StatusCode::kOverloaded, 0,
+                        "admission control: resume shed; retry after "
+                        "backoff"));
+  wedged.stop();
+
+  EXPECT_EQ(wedged.server->stats().shed_hellos, 2u);
+  EXPECT_EQ(wedged.server->stats().resume_rejects, 1u);
+  loopback::expect_tallies_match(*wedged.server);
+}
+
+TEST_F(ServeResumeGoodbye, FrameDeadlineShedEndsWithOverloaded) {
+  ServerOptions options;
+  options.frame_deadline_ns = 100'000'000ULL;  // 100 ms
+  options.idle_check_period_ns = 20'000'000ULL;
+  WedgedServer wedged(options);
+  const std::uint16_t port = wedged.server->port();
+  const TraceSpec spec = quick_spec(45);
+  const std::vector<MeasurementFrame> trace = make_measurement_trace(spec);
+
+  SessionClient client;
+  client.connect("127.0.0.1", port);
+  const auto open = client.open_session(hello_from(spec, "deadline"));
+  ASSERT_TRUE(open.ok) << open.transport_error;
+  // The first measurement dispatches as a wedged batch; the rest wait as
+  // pending measurements until their deadline sheds the connection.
+  client.send_raw(encode(trace[0]));
+  ASSERT_TRUE(
+      wait_until([&] { return wedged.server->stats().frames_in >= 1; }));
+  for (std::size_t i = 1; i < 8; ++i) client.send_raw(encode(trace[i]));
+
+  const auto shed = client.recv_frame(loopback::kGoodbyeDeadlineNs);
+  ASSERT_TRUE(shed.has_value()) << client.reason();
+  // The connection closes once its wedged batch is back; nothing follows.
+  wedged.open_gate();
+  EXPECT_EQ(goodbye(client, loopback::describe(*shed)),
+            status_text(StatusCode::kOverloaded, open.status.session_token,
+                        "frame deadline exceeded; shedding load — resume "
+                        "after backoff"));
+  wedged.stop();
+
+  EXPECT_EQ(wedged.server->stats().deadline_sheds, 1u);
+  loopback::expect_tallies_match(*wedged.server);
+}
+
+TEST_F(ServeResumeGoodbye, ResumeOfABusySessionEndsWithOverloaded) {
+  WedgedServer wedged(ServerOptions{});
+  const std::uint16_t port = wedged.server->port();
+  const TraceSpec spec = quick_spec(46);
+  const std::vector<MeasurementFrame> trace = make_measurement_trace(spec);
+
+  SessionClient client;
+  client.connect("127.0.0.1", port);
+  const auto open = client.open_session(hello_from(spec, "busy"));
+  ASSERT_TRUE(open.ok) << open.transport_error;
+  client.send_raw(encode(trace[0]));
+  ASSERT_TRUE(
+      wait_until([&] { return wedged.server->stats().frames_in >= 1; }));
+  client.close();
+  ASSERT_TRUE(wait_until(
+      [&] { return wedged.server->session_counters().detached == 1; }));
+
+  EXPECT_EQ(resume_goodbye(port, open.status.session_token, -1),
+            status_text(StatusCode::kOverloaded, 0,
+                        "session batch still in flight; retry after "
+                        "backoff"));
+  wedged.stop();
+
+  EXPECT_EQ(wedged.server->stats().resume_rejects, 1u);
+  loopback::expect_tallies_match(*wedged.server);
+}
+
+TEST_F(ServeResumeGoodbye, ResumeBeyondTheSessionCapEndsWithOverloaded) {
+  ServerOptions options;
+  options.session.max_sessions = 1;
+  ServerHarness harness(options);
+  const TraceSpec spec = quick_spec(47);
+  const std::vector<MeasurementFrame> trace = make_measurement_trace(spec);
+  const std::uint64_t token =
+      stream_prefix_then_disconnect(harness.port(), spec, trace, 10);
+  ASSERT_TRUE(wait_until(
+      [&] { return harness.server().session_counters().detached == 1; }));
+  SessionClient occupant;
+  occupant.connect("127.0.0.1", harness.port());
+  ASSERT_TRUE(occupant.open_session(hello_from(spec, "occupant")).ok);
+
+  EXPECT_EQ(resume_goodbye(harness.port(), token, 9),
+            status_text(StatusCode::kOverloaded, 0,
+                        "live session cap reached; retry after backoff"));
+  harness.stop();
+
+  EXPECT_EQ(harness.server().stats().resume_rejects, 1u);
+  EXPECT_EQ(harness.server().session_counters().resume_rejected, 1u);
+  loopback::expect_tallies_match(harness.server());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Loopback tests for the streaming server: the byte-parity contract under
 // concurrency, protocol-error handling, the session cap over the wire,
-// slow-consumer disconnects, idle eviction, and graceful drain.
+// slow-consumer disconnects, idle eviction, graceful drain, and the last
+// frame and counters of every protocol, decode, cap, idle, slow-consumer and
+// drain goodbye.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,37 +18,14 @@
 #include "serve/loadgen.hpp"
 #include "serve/server.hpp"
 #include "serve/trace_source.hpp"
+#include "serve_loopback.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
 
 using namespace safe;
 using namespace safe::serve;
-
-/// Server on a kernel-assigned loopback port, event loop on its own thread,
-/// drained and joined on destruction.
-class ServerHarness {
- public:
-  explicit ServerHarness(ServerOptions options = {})
-      : pool_(2), server_(std::move(options), pool_) {
-    server_.bind_and_listen();
-    thread_ = std::thread([this] { server_.run(); });
-  }
-
-  ~ServerHarness() {
-    server_.request_drain();
-    thread_.join();
-    pool_.drain();
-  }
-
-  StreamServer& server() { return server_; }
-  [[nodiscard]] std::uint16_t port() const { return server_.port(); }
-
- private:
-  runtime::ThreadPool pool_;
-  StreamServer server_;
-  std::thread thread_;
-};
+using loopback::ServerHarness;
 
 TraceSpec quick_spec(std::uint64_t seed = 11) {
   TraceSpec spec;
@@ -396,6 +375,199 @@ TEST(LoadReportJson, EscapesControlCharactersInErrorDetails) {
   EXPECT_TRUE(std::none_of(json.begin(), json.end(), [](char c) {
     return static_cast<unsigned char>(c) < 0x20;
   })) << json;
+}
+
+// --- goodbyes ---------------------------------------------------------------
+// Every way the server ends a connection, pinned by the last frame the
+// client receives before the server closes it: type, code, session token
+// and message, word for word. Each test then checks every counter against
+// its telemetry twin.
+
+class ServeGoodbye : public loopback::MetricsOn {};
+
+using loopback::error_text;
+using loopback::goodbye;
+using loopback::status_text;
+using loopback::wait_until;
+
+/// Opens a session on a fresh connection and returns its token.
+std::uint64_t open_on(SessionClient& client, std::uint16_t port,
+                      const TraceSpec& spec = quick_spec()) {
+  client.connect("127.0.0.1", port);
+  const auto open = client.open_session(hello_from(spec, "goodbye"));
+  EXPECT_TRUE(open.ok) << open.transport_error;
+  return open.status.session_token;
+}
+
+/// `frame` with its last payload byte cut, or one zero byte added.
+std::vector<std::uint8_t> resized(std::vector<std::uint8_t> frame,
+                                  bool longer) {
+  if (longer) {
+    frame.push_back(0);
+    ++frame[0];  // the u32 payload length, little-endian; below 255 here
+  } else {
+    frame.pop_back();
+    --frame[0];
+  }
+  return frame;
+}
+
+/// Bytes that make the server end a fresh connection (after a HELLO when
+/// `in_session`) and the goodbye they earn.
+struct Provocation {
+  bool in_session = false;
+  std::vector<std::uint8_t> bytes;
+  std::string expected;
+  bool decode_error = false;
+};
+
+std::string server_only(FrameType type) {
+  return error_text(ErrorCode::kProtocolOrder,
+                    std::string("client sent server-only frame ") +
+                        to_string(type));
+}
+
+TEST_F(ServeGoodbye, ProtocolAndDecodeErrorsEndWithTheirError) {
+  const std::vector<Provocation> cases = {
+      {true, encode(hello_from(quick_spec(), "again")),
+       error_text(ErrorCode::kProtocolOrder, "duplicate HELLO")},
+      {false, encode(MeasurementFrame{}),
+       error_text(ErrorCode::kProtocolOrder, "MEASUREMENT before HELLO")},
+      {false, encode(AckFrame{.last_step = 3}),
+       error_text(ErrorCode::kProtocolOrder, "ACK before HELLO")},
+      {false, encode(EstimateFrame{}), server_only(FrameType::kEstimate)},
+      {false, encode(ChallengeResultFrame{}),
+       server_only(FrameType::kChallengeResult)},
+      {false, encode(StatusFrame{}), server_only(FrameType::kStatus)},
+      {false, encode(ErrorFrame{}), server_only(FrameType::kError)},
+      {false, encode(ResumeOkFrame{}), server_only(FrameType::kResumeOk)},
+      {true, encode(ResumeFrame{.session_token = 7, .last_step = -1}),
+       error_text(ErrorCode::kProtocolOrder,
+                  "RESUME on a connection with an open session")},
+      {false, {0xFF, 0xFF, 0xFF, 0xFF, 0x99, 0x00, 0x01, 0x02},
+       error_text(ErrorCode::kMalformedFrame,
+                  "oversized frame: 4294967295 bytes exceeds max payload "
+                  "4096"),
+       true},
+      {false, {0x00, 0x00, 0x00, 0x00, 0x63},
+       error_text(ErrorCode::kMalformedFrame, "unknown frame type 99"), true},
+      {false, resized(encode(hello_from(quick_spec(), "long")), true),
+       error_text(ErrorCode::kMalformedFrame,
+                  "HELLO payload has trailing bytes"),
+       true},
+      {true, resized(encode(MeasurementFrame{}), false),
+       error_text(ErrorCode::kMalformedFrame, "MEASUREMENT payload truncated"),
+       true},
+  };
+  ServerHarness harness;
+  std::uint64_t sessions = 0;
+  std::uint64_t decode_errors = 0;
+  for (const Provocation& c : cases) {
+    SessionClient client;
+    if (c.in_session) {
+      EXPECT_NE(open_on(client, harness.port()), 0u);
+      ++sessions;
+    } else {
+      client.connect("127.0.0.1", harness.port());
+    }
+    client.send_raw(c.bytes);
+    EXPECT_EQ(goodbye(client), c.expected);
+    if (c.decode_error) ++decode_errors;
+  }
+  harness.stop();
+
+  const ServerStats stats = harness.server().stats();
+  EXPECT_EQ(stats.accepted, cases.size());
+  EXPECT_EQ(stats.closed, cases.size());
+  EXPECT_EQ(stats.frames_in, 0u);
+  EXPECT_EQ(stats.frames_out, sessions + cases.size());
+  EXPECT_EQ(stats.decode_errors, decode_errors);
+  EXPECT_EQ(stats.protocol_errors, cases.size() - decode_errors);
+  EXPECT_EQ(harness.server().session_counters().opened, sessions);
+  EXPECT_EQ(harness.server().session_counters().detached, sessions);
+  loopback::expect_tallies_match(harness.server());
+}
+
+TEST_F(ServeGoodbye, SessionCapEndsWithSessionLimit) {
+  ServerOptions options;
+  options.session.max_sessions = 1;
+  ServerHarness harness(options);
+  SessionClient first;
+  open_on(first, harness.port());
+
+  SessionClient second;
+  second.connect("127.0.0.1", harness.port());
+  second.send_raw(encode(hello_from(quick_spec(), "two")));
+  EXPECT_EQ(goodbye(second),
+            error_text(ErrorCode::kSessionLimit,
+                       "session cap reached (1 live sessions)"));
+  harness.stop();
+
+  EXPECT_EQ(harness.server().session_counters().rejected, 1u);
+  EXPECT_EQ(harness.server().stats().protocol_errors, 1u);
+  loopback::expect_tallies_match(harness.server());
+}
+
+TEST_F(ServeGoodbye, IdleEvictionEndsWithIdleTimeout) {
+  ServerOptions options;
+  options.session.idle_timeout_ns = 100'000'000ULL;  // 100 ms
+  options.idle_check_period_ns = 20'000'000ULL;      // 20 ms sweep
+  ServerHarness harness(options);
+  SessionClient client;
+  const std::uint64_t token = open_on(client, harness.port());
+
+  EXPECT_EQ(goodbye(client),
+            status_text(StatusCode::kIdleTimeout, token,
+                        "session evicted after idle timeout"));
+  harness.stop();
+
+  EXPECT_EQ(harness.server().session_counters().evicted, 1u);
+  EXPECT_EQ(harness.server().stats().frames_out, 2u);
+  loopback::expect_tallies_match(harness.server());
+}
+
+TEST_F(ServeGoodbye, SlowConsumerEndsWithSlowConsumer) {
+  ServerOptions options;
+  options.max_outbound_bytes = 256;  // a handful of estimate frames
+  options.max_pending_frames = 512;  // don't pause reads before overflow
+  ServerHarness harness(options);
+  const TraceSpec spec = quick_spec();
+  SessionClient client;
+  const std::uint64_t token = open_on(client, harness.port(), spec);
+
+  std::vector<std::uint8_t> burst;
+  for (const MeasurementFrame& m : make_measurement_trace(spec)) {
+    const std::vector<std::uint8_t> bytes = encode(m);
+    burst.insert(burst.end(), bytes.begin(), bytes.end());
+  }
+  client.send_raw(burst);
+  EXPECT_EQ(goodbye(client),
+            status_text(StatusCode::kSlowConsumer, token,
+                        "outbound queue exceeded 256 bytes"));
+  harness.stop();
+
+  EXPECT_EQ(harness.server().stats().slow_consumer_disconnects, 1u);
+  loopback::expect_tallies_match(harness.server());
+}
+
+TEST_F(ServeGoodbye, DrainEndsEveryConnectionWithDraining) {
+  ServerHarness harness;
+  SessionClient in_session;
+  const std::uint64_t token = open_on(in_session, harness.port());
+  SessionClient bare;
+  bare.connect("127.0.0.1", harness.port());
+  ASSERT_TRUE(
+      wait_until([&] { return harness.server().stats().accepted == 2; }));
+
+  harness.stop();
+  EXPECT_EQ(goodbye(in_session),
+            status_text(StatusCode::kDraining, token, "server draining"));
+  EXPECT_EQ(goodbye(bare),
+            status_text(StatusCode::kDraining, 0, "server draining"));
+
+  EXPECT_EQ(harness.server().stats().frames_out, 3u);
+  EXPECT_EQ(harness.server().session_counters().closed, 1u);
+  loopback::expect_tallies_match(harness.server());
 }
 
 }  // namespace
