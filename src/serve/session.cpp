@@ -145,9 +145,10 @@ SessionManager::OpenResult SessionManager::open(const HelloFrame& hello,
                                                 std::uint64_t now_ns) {
   OpenResult result;
   const auto rejected = [&](ErrorCode code, std::string message) {
-    runtime::MutexLock guard(mutex_);
-    ++counters_.rejected;
-    telemetry::add(sessions_rejected_metric());
+    {
+      runtime::MutexLock guard(mutex_);
+      tally(&Counters::rejected, sessions_rejected_metric());
+    }
     result.error_code = code;
     result.error = std::move(message);
     return result;
@@ -194,8 +195,7 @@ SessionManager::OpenResult SessionManager::open(const HelloFrame& hello,
   {
     runtime::MutexLock guard(mutex_);
     if (sessions_.size() >= limits_.max_sessions) {
-      ++counters_.rejected;
-      telemetry::add(sessions_rejected_metric());
+      tally(&Counters::rejected, sessions_rejected_metric());
       result.error_code = ErrorCode::kSessionLimit;
       result.error = "session cap reached (" +
                      std::to_string(limits_.max_sessions) + " live sessions)";
@@ -219,21 +219,19 @@ SessionManager::OpenResult SessionManager::open(const HelloFrame& hello,
                                         spec_from(hello), now_ns,
                                         limits_.max_retained_steps);
   } catch (const std::exception& e) {
-    runtime::MutexLock guard(mutex_);
-    sessions_.erase(token);
-    ++counters_.rejected;
-    telemetry::add(sessions_rejected_metric());
-    result.error_code = ErrorCode::kInternal;
-    result.error = std::string("session setup failed: ") + e.what();
-    return result;
+    {
+      runtime::MutexLock guard(mutex_);
+      sessions_.erase(token);
+    }
+    return rejected(ErrorCode::kInternal,
+                    std::string("session setup failed: ") + e.what());
   }
 
   {
     runtime::MutexLock guard(mutex_);
     sessions_[token] = session;
-    ++counters_.opened;
+    tally(&Counters::opened, sessions_opened_metric());
   }
-  telemetry::add(sessions_opened_metric());
   telemetry::instant_event("serve.session_open", "serve");
   result.session = std::move(session);
   return result;
@@ -260,14 +258,13 @@ bool SessionManager::close(std::uint64_t token, std::uint64_t now_ns) {
     if (it != sessions_.end()) {
       session = std::move(it->second);
       sessions_.erase(it);
-      ++counters_.closed;
     } else {
       const auto detached = detached_.find(token);
       if (detached == detached_.end()) return false;
       session = std::move(detached->second.session);
       detached_.erase(detached);
-      ++counters_.closed;
     }
+    ++counters_.closed;
   }
   if (session) record_session_end(*session, now_ns);
   return true;
@@ -284,7 +281,7 @@ bool SessionManager::detach(std::uint64_t token, std::uint64_t now_ns) {
     session->touch(now_ns);
     detached_[token] =
         Detached{.session = std::move(session), .detached_ns = now_ns};
-    ++counters_.detached;
+    tally(&Counters::detached, sessions_detached_metric());
     if (detached_.size() > limits_.max_detached_sessions) {
       auto oldest = detached_.begin();
       for (auto dit = detached_.begin(); dit != detached_.end(); ++dit) {
@@ -292,14 +289,10 @@ bool SessionManager::detach(std::uint64_t token, std::uint64_t now_ns) {
       }
       dropped = std::move(oldest->second.session);
       detached_.erase(oldest);
-      ++counters_.expired;
+      tally(&Counters::expired, sessions_expired_metric());
     }
   }
-  telemetry::add(sessions_detached_metric());
-  if (dropped) {
-    telemetry::add(sessions_expired_metric());
-    record_session_end(*dropped, now_ns);
-  }
+  if (dropped) record_session_end(*dropped, now_ns);
   return true;
 }
 
@@ -331,9 +324,8 @@ SessionManager::ResumeResult SessionManager::resume(std::uint64_t token,
     result.session->touch(now_ns);
     sessions_[token] = result.session;
     result.status = ResumeStatus::kOk;
-    ++counters_.resumed;
+    tally(&Counters::resumed, sessions_resumed_metric());
   }
-  telemetry::add(sessions_resumed_metric());
   return result;
 }
 
@@ -345,16 +337,13 @@ std::size_t SessionManager::expire_detached(std::uint64_t now_ns) {
       if (now_ns - it->second.detached_ns > limits_.resume_grace_ns) {
         dead.push_back(std::move(it->second.session));
         it = detached_.erase(it);
-        ++counters_.expired;
+        tally(&Counters::expired, sessions_expired_metric());
       } else {
         ++it;
       }
     }
   }
-  for (const SessionPtr& session : dead) {
-    telemetry::add(sessions_expired_metric());
-    record_session_end(*session, now_ns);
-  }
+  for (const SessionPtr& session : dead) record_session_end(*session, now_ns);
   return dead.size();
 }
 
@@ -378,16 +367,13 @@ std::vector<SessionManager::Evicted> SessionManager::evict_idle(
                                   .client_id = session->client_id()});
         dead.push_back(session);
         it = sessions_.erase(it);
-        ++counters_.evicted;
+        tally(&Counters::evicted, sessions_evicted_metric());
       } else {
         ++it;
       }
     }
   }
-  for (const SessionPtr& session : dead) {
-    telemetry::add(sessions_evicted_metric());
-    record_session_end(*session, now_ns);
-  }
+  for (const SessionPtr& session : dead) record_session_end(*session, now_ns);
   return evicted;
 }
 
@@ -399,6 +385,12 @@ std::size_t SessionManager::size() const {
 std::size_t SessionManager::detached_size() const {
   runtime::MutexLock guard(mutex_);
   return detached_.size();
+}
+
+void SessionManager::tally(std::uint64_t Counters::*field,
+                           const telemetry::MetricId& twin) {
+  ++(counters_.*field);
+  telemetry::add(twin);
 }
 
 SessionManager::Counters SessionManager::counters() const {

@@ -33,6 +33,7 @@
 #include "runtime/sync.hpp"
 #include "serve/trace_source.hpp"
 #include "serve/wire.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace safe::serve {
 
@@ -241,6 +242,9 @@ class SessionManager {
   };
 
   void record_session_end(const Session& session, std::uint64_t now_ns) const;
+  /// The one tally: bumps a Counters field and its serve.sessions_* twin.
+  void tally(std::uint64_t Counters::*field, const telemetry::MetricId& twin)
+      SAFE_REQUIRES(mutex_);
 
 #ifdef SAFE_SENSING_TS_NEGATIVE_TEST
   // Hooks for tests/compile_fail/ts_*.cpp only (see ThreadPool): defined by
