@@ -1,8 +1,6 @@
 #include "serve/chaos.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -163,34 +161,10 @@ ChaosProxy::~ChaosProxy() {
 }
 
 void ChaosProxy::bind_and_listen(const std::string& host, std::uint16_t port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error("chaos: socket() failed: " +
-                             errno_string(errno));
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    throw std::runtime_error("chaos: bad bind address: " + host);
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0 ||
-      ::listen(listen_fd_, 64) != 0) {
-    throw std::runtime_error("chaos: bind/listen failed: " +
-                             errno_string(errno));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
-  port_ = ntohs(bound.sin_port);
-  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0,
-                   wake_fds_) != 0) {
-    throw std::runtime_error("chaos: socketpair failed: " +
-                             errno_string(errno));
-  }
+  const Listener listener = listen_tcp(host, port);
+  listen_fd_ = listener.fd;
+  port_ = listener.port;
+  wake_fds_ = wake_pair();
 }
 
 void ChaosProxy::request_stop() {
@@ -208,24 +182,15 @@ void ChaosProxy::accept_ready(std::uint64_t now) {
     if (client_fd < 0) return;
     set_tcp_nodelay(client_fd);
 
-    const int server_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    bool ok = server_fd >= 0;
-    if (ok) {
-      sockaddr_in addr{};
-      addr.sin_family = AF_INET;
-      addr.sin_port = htons(target_port_);
-      ok = ::inet_pton(AF_INET, target_host_.c_str(), &addr.sin_addr) == 1 &&
-           ::connect(server_fd, reinterpret_cast<const sockaddr*>(&addr),
-                     sizeof(addr)) == 0;
-    }
-    if (!ok) {
-      if (server_fd >= 0) ::close(server_fd);
+    int server_fd = -1;
+    try {
+      server_fd = connect_tcp(target_host_, target_port_);
+    } catch (const std::runtime_error&) {
       ::close(client_fd);
       const runtime::MutexLock lock(stats_mutex_);
       ++stats_.connect_failures;
       continue;
     }
-    set_tcp_nodelay(server_fd);
     set_nonblocking(server_fd);
 
     Link link{client_fd,

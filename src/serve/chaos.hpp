@@ -21,6 +21,7 @@
 // transparent passthrough.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -174,7 +175,7 @@ class ChaosProxy {
 
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
-  int wake_fds_[2] = {-1, -1};
+  std::array<int, 2> wake_fds_ = {-1, -1};
   std::atomic<bool> stop_{false};
   std::uint64_t next_connection_index_ = 0;
   std::vector<Link> links_;

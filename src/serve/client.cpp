@@ -1,9 +1,5 @@
 #include "serve/client.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -54,26 +50,7 @@ void SessionClient::close() noexcept {
 
 void SessionClient::connect(const std::string& host, std::uint16_t port) {
   close();
-  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd_ < 0) {
-    throw std::runtime_error("socket() failed: " +
-                             errno_string(errno));
-  }
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    close();
-    throw std::runtime_error("bad host address: " + host);
-  }
-  if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const std::string what = errno_string(errno);
-    close();
-    throw std::runtime_error("connect(" + host + ":" + std::to_string(port) +
-                             ") failed: " + what);
-  }
-  set_tcp_nodelay(fd_);
+  fd_ = connect_tcp(host, port);
   decoder_ = FrameDecoder{};
   reason_.clear();
 }

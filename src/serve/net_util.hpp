@@ -1,13 +1,16 @@
 // Shared socket plumbing for the serving layer (server, client, chaos
-// proxy). The wire protocol is request/response at single-frame granularity,
-// so Nagle's algorithm would add a full RTT of coalescing delay per frame;
-// every stream socket in the serving path disables it.
+// proxy): the one copy of each TCP setup step, and the error text each
+// step throws. The wire protocol is request/response at single-frame
+// granularity, so Nagle's algorithm would add a full RTT of coalescing
+// delay per frame; every stream socket in the serving path disables it.
 #pragma once
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 
+#include <array>
+#include <cstdint>
 #include <cstring>
 #include <string>
 
@@ -50,5 +53,27 @@ inline bool tcp_nodelay_enabled(int fd) noexcept {
   }
   return value != 0;
 }
+
+/// A listening TCP socket and the port the kernel bound it to.
+struct Listener {
+  int fd = -1;
+  std::uint16_t port = 0;  ///< resolves a requested port 0; 0 if unreadable
+};
+
+/// A non-blocking, close-on-exec TCP listener on `address`:`port` with
+/// SO_REUSEADDR and a backlog of 128. Throws std::runtime_error naming the
+/// failed step: "socket() failed: ...", "bad bind address: <address>",
+/// "bind(<address>:<port>) failed: ..." or "listen() failed: ...".
+Listener listen_tcp(const std::string& address, std::uint16_t port);
+
+/// A blocking, close-on-exec TCP connection to `host`:`port` with Nagle
+/// off. Throws std::runtime_error: "socket() failed: ...", "bad host
+/// address: <host>" or "connect(<host>:<port>) failed: ...".
+int connect_tcp(const std::string& host, std::uint16_t port);
+
+/// A non-blocking AF_UNIX stream pair that wakes a poll loop: a byte sent
+/// on [1] makes [0] readable. Throws std::runtime_error ("socketpair()
+/// failed: ...").
+std::array<int, 2> wake_pair();
 
 }  // namespace safe::serve
