@@ -3,15 +3,15 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "platoon/platoon.hpp"
+#include "runtime/sync.hpp"
 #include "runtime/thread_pool.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -266,8 +266,8 @@ CampaignResult Campaign::run(std::size_t jobs,
   // scheduling-independent assignment — and finalize() sorts by trial id,
   // so the merged summary is identical at any job count.
   struct Shard {
-    std::mutex mutex;
-    SummaryAccumulator acc;
+    Mutex mutex;
+    SummaryAccumulator acc SAFE_GUARDED_BY(mutex);
   };
   std::vector<std::unique_ptr<Shard>> shards;
   shards.reserve(workers);
@@ -277,21 +277,31 @@ CampaignResult Campaign::run(std::size_t jobs,
 
   // Completed trials park here until the caller thread can emit them in
   // trial-id order; max_in_flight bounds the reorder window.
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::map<std::uint64_t, TrialRecord> done;
-  std::uint64_t next_emit = 0;
+  struct Done {
+    Mutex mutex;
+    CondVar parked;
+    std::map<std::uint64_t, TrialRecord> records SAFE_GUARDED_BY(mutex);
+  } done;
+  std::uint64_t next_emit = 0;  // caller thread only
 
-  const auto drain_ready = [&](std::unique_lock<std::mutex>& lock) {
-    for (auto it = done.find(next_emit); it != done.end();
-         it = done.find(next_emit)) {
-      TrialRecord record = std::move(it->second);
-      done.erase(it);
-      ++next_emit;
-      lock.unlock();
-      for (TrialSink* sink : sinks) sink->consume(record);
-      lock.lock();
+  // Takes trial next_emit's record out of the window: at once if a worker
+  // has parked it, else nothing, or, with `wait`, as soon as it is parked.
+  // The caller hands it to the sinks once the lock is released.
+  const auto take_next = [&](bool wait) -> std::optional<TrialRecord> {
+    MutexLock guard(done.mutex);
+    auto it = done.records.find(next_emit);
+    while (wait && it == done.records.end()) {
+      done.parked.wait(done.mutex);
+      it = done.records.find(next_emit);
     }
+    if (it == done.records.end()) return std::nullopt;
+    std::optional<TrialRecord> record(std::move(it->second));
+    done.records.erase(it);
+    ++next_emit;
+    return record;
+  };
+  const auto emit = [&sinks](const TrialRecord& record) {
+    for (TrialSink* sink : sinks) sink->consume(record);
   };
 
   {
@@ -299,40 +309,36 @@ CampaignResult Campaign::run(std::size_t jobs,
     const std::uint64_t max_in_flight =
         static_cast<std::uint64_t>(workers) * 4 + 8;
     for (std::uint64_t t = 0; t < n; ++t) {
-      pool.submit([this, t, &shards, &done_mutex, &done_cv, &done] {
+      pool.submit([this, t, &shards, &done] {
         TrialRecord record = run_trial(t);
         {
           Shard& shard = *shards[static_cast<std::size_t>(t) % shards.size()];
-          std::lock_guard<std::mutex> guard(shard.mutex);
+          MutexLock guard(shard.mutex);
           shard.acc.add(record);
         }
         {
-          std::lock_guard<std::mutex> guard(done_mutex);
-          done.emplace(t, std::move(record));
+          MutexLock guard(done.mutex);
+          done.records.emplace(t, std::move(record));
         }
-        done_cv.notify_all();
+        done.parked.notify_all();
       });
-      std::unique_lock<std::mutex> lock(done_mutex);
-      drain_ready(lock);
-      while (t + 1 - next_emit >= max_in_flight) {
-        done_cv.wait(lock);
-        drain_ready(lock);
+      // Emit every record that is ready; wait while the window is full.
+      while (const std::optional<TrialRecord> record =
+                 take_next(t + 1 - next_emit >= max_in_flight)) {
+        emit(*record);
       }
     }
-    {
-      std::unique_lock<std::mutex> lock(done_mutex);
-      while (next_emit < n) {
-        done_cv.wait(lock, [&] { return done.count(next_emit) > 0; });
-        drain_ready(lock);
-      }
-    }
+    while (next_emit < n) emit(*take_next(/*wait=*/true));
     pool.wait_idle();  // surfaces engine-level failures (e.g. bad_alloc)
     pool.shutdown();
   }
   for (TrialSink* sink : sinks) sink->finish();
 
   SummaryAccumulator merged;
-  for (const auto& shard : shards) merged.merge(shard->acc);
+  for (const auto& shard : shards) {
+    MutexLock guard(shard->mutex);
+    merged.merge(shard->acc);
+  }
 
   CampaignResult result;
   result.summary = merged.finalize();

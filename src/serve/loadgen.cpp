@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "runtime/seed.hpp"
+#include "runtime/sync.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace safe::serve {
@@ -119,7 +119,7 @@ LoadReport run_load(const LoadOptions& options) {
   LoadReport report;
   report.sessions_attempted = options.sessions;
 
-  std::mutex merge_mutex;
+  runtime::Mutex merge_mutex;
   std::vector<std::uint64_t> all_latencies;
   const std::size_t workers = std::min(options.connections, options.sessions);
 
@@ -127,7 +127,7 @@ LoadReport run_load(const LoadOptions& options) {
   // session from a completed-but-mismatched one (which ok() still rejects).
   const auto record_error = [&](std::size_t index, SessionErrorKind kind,
                                 std::string detail, bool failed = true) {
-    std::lock_guard<std::mutex> guard(merge_mutex);
+    runtime::MutexLock guard(merge_mutex);
     if (failed) ++report.sessions_failed;
     ++report.error_counts[static_cast<std::size_t>(kind)];
     if (report.session_errors.size() < 16) {
@@ -171,7 +171,7 @@ LoadReport run_load(const LoadOptions& options) {
     ResilientResult result =
         client.run(run.spec, client_id, run.trace, options.deadline_ns);
     {
-      std::lock_guard<std::mutex> guard(merge_mutex);
+      runtime::MutexLock guard(merge_mutex);
       report.frames_sent += run.trace.size();
       report.estimates_received += result.estimates.size();
       report.challenges_received += result.challenges.size();
@@ -205,7 +205,7 @@ LoadReport run_load(const LoadOptions& options) {
       const std::uint64_t mismatches =
           count_mismatches(run.spec, run.trace, run.estimate_frames);
       {
-        std::lock_guard<std::mutex> guard(merge_mutex);
+        runtime::MutexLock guard(merge_mutex);
         report.verify_mismatched_frames += mismatches;
         if (mismatches == 0) ++report.sessions_verified;
       }
