@@ -21,6 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import check_determinism  # noqa: F401  (registers on import)
+import check_lock_type  # noqa: F401
 import check_units  # noqa: F401
 import check_width_dispatch  # noqa: F401
 from framework import all_checks, get_check, run_checks

@@ -24,6 +24,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import check_determinism  # noqa: F401  (registers on import)
+import check_lock_type  # noqa: F401
 import check_units  # noqa: F401
 import check_width_dispatch  # noqa: F401
 from framework import CheckContext, get_check
@@ -50,6 +51,7 @@ EXPECTED_FLAG = {
         }
     ),
     "width-dispatch": Counter({("src/dsp/bad.cpp", "width-dispatch"): 5}),
+    "lock-type": Counter({("src/runtime/bad.cpp", "lock-type"): 5}),
 }
 
 
