@@ -29,6 +29,10 @@ bool reject(std::string* error, const Parts&... parts) {
 /// in canonical little-endian form; finish() fills in the payload length.
 class Writer {
  public:
+  /// Every fixed-size frame fits (MEASUREMENT, the largest, is 62 bytes),
+  /// so encoding one allocates once; a frame with strings may grow.
+  Writer() { bytes_.reserve(64); }
+
   void frame(FrameType type) {
     u32(0);
     u8(static_cast<std::uint8_t>(type));
