@@ -68,7 +68,7 @@ enum class StatusCode : std::uint8_t {
 
 enum class ErrorCode : std::uint8_t {
   kMalformedFrame = 1,      ///< decoder entered the failed state
-  kUnsupportedVersion = 2,  ///< HELLO version != kProtocolVersion
+  kUnsupportedVersion = 2,  ///< HELLO version outside 1..kProtocolVersion
   kSessionLimit = 3,        ///< session cap reached; HELLO rejected
   kProtocolOrder = 4,       ///< MEASUREMENT before HELLO, duplicate HELLO...
   kInternal = 5,            ///< server-side failure (message says what)
@@ -163,8 +163,8 @@ struct AckFrame {
 
 /// Each encoder returns the complete frame (header + payload). String
 /// fields are clamped at encode time to the same caps the decoders enforce
-/// (kMaxClientIdBytes / kMaxFaultSpecBytes / kMaxMessageBytes),
-/// so an encoded frame always round-trips through decode.
+/// (kMaxClientIdBytes / kMaxFaultSpecBytes / kMaxDetectorSpecBytes /
+/// kMaxMessageBytes), so an encoded frame always round-trips through decode.
 [[nodiscard]] std::vector<std::uint8_t> encode(const HelloFrame& hello);
 [[nodiscard]] std::vector<std::uint8_t> encode(const MeasurementFrame& m);
 [[nodiscard]] std::vector<std::uint8_t> encode(const EstimateFrame& e);
