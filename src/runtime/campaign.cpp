@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <map>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -262,19 +261,6 @@ CampaignResult Campaign::run(std::size_t jobs,
   campaign_span.arg("trials", static_cast<std::int64_t>(n));
   campaign_span.arg("jobs", static_cast<std::int64_t>(workers));
 
-  // Mergeable shard accumulators: a trial lands in shard trial_id % K — a
-  // scheduling-independent assignment — and finalize() sorts by trial id,
-  // so the merged summary is identical at any job count.
-  struct Shard {
-    Mutex mutex;
-    SummaryAccumulator acc SAFE_GUARDED_BY(mutex);
-  };
-  std::vector<std::unique_ptr<Shard>> shards;
-  shards.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    shards.push_back(std::make_unique<Shard>());
-  }
-
   // Completed trials park here until the caller thread can emit them in
   // trial-id order; max_in_flight bounds the reorder window.
   struct Done {
@@ -286,7 +272,7 @@ CampaignResult Campaign::run(std::size_t jobs,
 
   // Takes trial next_emit's record out of the window: at once if a worker
   // has parked it, else nothing, or, with `wait`, as soon as it is parked.
-  // The caller hands it to the sinks once the lock is released.
+  // The caller emits it once the lock is released.
   const auto take_next = [&](bool wait) -> std::optional<TrialRecord> {
     MutexLock guard(done.mutex);
     auto it = done.records.find(next_emit);
@@ -300,8 +286,12 @@ CampaignResult Campaign::run(std::size_t jobs,
     ++next_emit;
     return record;
   };
-  const auto emit = [&sinks](const TrialRecord& record) {
+  // The one ordered stream: the sinks, then the summary, see each record in
+  // trial-id order on this thread, so neither depends on scheduling.
+  SummaryAccumulator summary;
+  const auto emit = [&sinks, &summary](const TrialRecord& record) {
     for (TrialSink* sink : sinks) sink->consume(record);
+    summary.add(record);
   };
 
   {
@@ -309,13 +299,8 @@ CampaignResult Campaign::run(std::size_t jobs,
     const std::uint64_t max_in_flight =
         static_cast<std::uint64_t>(workers) * 4 + 8;
     for (std::uint64_t t = 0; t < n; ++t) {
-      pool.submit([this, t, &shards, &done] {
+      pool.submit([this, t, &done] {
         TrialRecord record = run_trial(t);
-        {
-          Shard& shard = *shards[static_cast<std::size_t>(t) % shards.size()];
-          MutexLock guard(shard.mutex);
-          shard.acc.add(record);
-        }
         {
           MutexLock guard(done.mutex);
           done.records.emplace(t, std::move(record));
@@ -334,14 +319,8 @@ CampaignResult Campaign::run(std::size_t jobs,
   }
   for (TrialSink* sink : sinks) sink->finish();
 
-  SummaryAccumulator merged;
-  for (const auto& shard : shards) {
-    MutexLock guard(shard->mutex);
-    merged.merge(shard->acc);
-  }
-
   CampaignResult result;
-  result.summary = merged.finalize();
+  result.summary = summary.finalize();
   result.trials = static_cast<std::size_t>(n);
   result.jobs = workers;
   result.wall_s = units::Seconds{

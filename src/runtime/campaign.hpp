@@ -10,9 +10,10 @@
 //     corresponding grid/base value.
 //
 // Campaign::run expands the spec into `trials` trials, executes them on a
-// work-stealing ThreadPool, and streams TrialRecords to the attached sinks
-// in trial-id order. Every per-trial quantity derives from
-// (spec.seed, trial id) alone, so output is bit-identical at any --jobs.
+// work-stealing ThreadPool, and streams TrialRecords in trial-id order to
+// the attached sinks and then to the summary, on the caller's thread. Every
+// per-trial quantity derives from (spec.seed, trial id) alone, so output is
+// bit-identical at any --jobs.
 #pragma once
 
 #include <cstddef>
@@ -119,7 +120,8 @@ class Campaign {
                                              TrialRecord& record) const;
 
   /// Runs all trials on `jobs` workers (0 = hardware_concurrency), feeding
-  /// `sinks` in trial-id order on this thread. Returns the merged summary.
+  /// `sinks` in trial-id order on this thread. Returns the summary of that
+  /// same ordered stream.
   CampaignResult run(std::size_t jobs,
                      const std::vector<TrialSink*>& sinks = {}) const;
 

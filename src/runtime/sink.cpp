@@ -20,17 +20,6 @@ double quantile(const std::vector<double>& sorted, double q) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-/// Splits (trial id, value) samples into trial-ordered values: the one
-/// canonical reduction order shared by every shard layout.
-std::vector<double> values_in_trial_order(
-    std::vector<std::pair<std::uint64_t, double>> samples) {
-  std::sort(samples.begin(), samples.end());
-  std::vector<double> values;
-  values.reserve(samples.size());
-  for (const auto& [id, v] : samples) values.push_back(v);
-  return values;
-}
-
 }  // namespace
 
 const char* leader_name(core::LeaderScenario leader) {
@@ -141,6 +130,16 @@ void JsonlWriter::consume(const TrialRecord& record) {
 
 void JsonlWriter::finish() { out_.flush(); }
 
+void SummaryAccumulator::Running::add(double value) {
+  max = count == 0 ? value : std::max(max, value);
+  sum += value;
+  ++count;
+}
+
+double SummaryAccumulator::Running::mean() const {
+  return count > 0 ? sum / static_cast<double>(count) : 0.0;
+}
+
 void SummaryAccumulator::add(const TrialRecord& r) {
   ++trials_;
   if (!r.error.empty()) {
@@ -148,21 +147,17 @@ void SummaryAccumulator::add(const TrialRecord& r) {
     return;  // a throwing trial has no trustworthy outcome fields
   }
   if (r.collided) ++collisions_;
-  min_gap_samples_.emplace_back(r.trial_id, r.min_gap_m.value());
+  min_gap_samples_.push_back(r.min_gap_m.value());
   false_positives_ += r.false_positives;
   false_negatives_ += r.false_negatives;
   if (r.safe_stop_steps > 0) ++safe_stop_trials_;
-  if (r.holdover_steps > 0) {
-    holdover_rmse_samples_.emplace_back(r.trial_id, r.holdover_rmse_m.value());
-  }
+  if (r.holdover_steps > 0) holdover_rmse_.add(r.holdover_rmse_m.value());
   if (r.platoon_size >= 2) {
     ++platoon_trials_;
     safe_stop_vehicles_ += r.safe_stop_vehicles;
     detected_vehicles_ += r.detected_vehicles;
-    shock_depth_samples_.emplace_back(r.trial_id,
-                                      static_cast<double>(r.shock_depth));
-    linf_amplification_samples_.emplace_back(r.trial_id,
-                                             r.linf_amplification);
+    shock_depth_.add(static_cast<double>(r.shock_depth));
+    linf_amplification_.add(r.linf_amplification);
   }
   const bool spec_attacked = !r.attack_spec.empty() && r.attack_spec != "none";
   if (spec_attacked) {
@@ -173,42 +168,11 @@ void SummaryAccumulator::add(const TrialRecord& r) {
     ++attacked_;
     if (r.detection_step >= 0) {
       ++detected_;
-      latency_samples_.emplace_back(r.trial_id,
-                                    r.detection_latency_s.value());
+      latency_samples_.push_back(r.detection_latency_s.value());
     } else {
       ++missed_;
     }
   }
-}
-
-void SummaryAccumulator::merge(const SummaryAccumulator& o) {
-  trials_ += o.trials_;
-  errors_ += o.errors_;
-  collisions_ += o.collisions_;
-  attacked_ += o.attacked_;
-  detected_ += o.detected_;
-  missed_ += o.missed_;
-  false_positives_ += o.false_positives_;
-  false_negatives_ += o.false_negatives_;
-  safe_stop_trials_ += o.safe_stop_trials_;
-  platoon_trials_ += o.platoon_trials_;
-  safe_stop_vehicles_ += o.safe_stop_vehicles_;
-  detected_vehicles_ += o.detected_vehicles_;
-  spec_attacked_ += o.spec_attacked_;
-  spec_detected_ += o.spec_detected_;
-  latency_samples_.insert(latency_samples_.end(), o.latency_samples_.begin(),
-                          o.latency_samples_.end());
-  min_gap_samples_.insert(min_gap_samples_.end(), o.min_gap_samples_.begin(),
-                          o.min_gap_samples_.end());
-  holdover_rmse_samples_.insert(holdover_rmse_samples_.end(),
-                                o.holdover_rmse_samples_.begin(),
-                                o.holdover_rmse_samples_.end());
-  shock_depth_samples_.insert(shock_depth_samples_.end(),
-                              o.shock_depth_samples_.begin(),
-                              o.shock_depth_samples_.end());
-  linf_amplification_samples_.insert(linf_amplification_samples_.end(),
-                                     o.linf_amplification_samples_.begin(),
-                                     o.linf_amplification_samples_.end());
 }
 
 CampaignSummary SummaryAccumulator::finalize() const {
@@ -227,7 +191,7 @@ CampaignSummary SummaryAccumulator::finalize() const {
   s.false_negatives = false_negatives_;
   s.safe_stop_trials = safe_stop_trials_;
 
-  std::vector<double> latency = values_in_trial_order(latency_samples_);
+  std::vector<double> latency = latency_samples_;
   if (!latency.empty()) {
     double sum = 0.0;
     for (const double v : latency) sum += v;  // trial order: deterministic
@@ -239,7 +203,7 @@ CampaignSummary SummaryAccumulator::finalize() const {
     s.latency_max_s = units::Seconds{latency.back()};
   }
 
-  std::vector<double> gaps = values_in_trial_order(min_gap_samples_);
+  std::vector<double> gaps = min_gap_samples_;
   if (!gaps.empty()) {
     double sum = 0.0;
     for (const double v : gaps) sum += v;
@@ -255,44 +219,14 @@ CampaignSummary SummaryAccumulator::finalize() const {
   s.detected_vehicles_total = detected_vehicles_;
   s.spec_attack_trials = spec_attacked_;
   s.spec_attack_detected = spec_detected_;
-  const std::vector<double> depth =
-      values_in_trial_order(shock_depth_samples_);
-  if (!depth.empty()) {
-    double sum = 0.0;
-    double peak = depth.front();
-    for (const double v : depth) {
-      sum += v;
-      peak = std::max(peak, v);
-    }
-    s.shock_depth_mean = sum / static_cast<double>(depth.size());
-    s.shock_depth_max = static_cast<std::size_t>(peak);
-  }
-  const std::vector<double> amp =
-      values_in_trial_order(linf_amplification_samples_);
-  if (!amp.empty()) {
-    double sum = 0.0;
-    double peak = amp.front();
-    for (const double v : amp) {
-      sum += v;
-      peak = std::max(peak, v);
-    }
-    s.linf_amplification_mean = sum / static_cast<double>(amp.size());
-    s.linf_amplification_max = peak;
-  }
+  s.shock_depth_mean = shock_depth_.mean();
+  s.shock_depth_max = static_cast<std::size_t>(shock_depth_.max);
+  s.linf_amplification_mean = linf_amplification_.mean();
+  s.linf_amplification_max = linf_amplification_.max;
 
-  std::vector<double> rmse = values_in_trial_order(holdover_rmse_samples_);
-  s.holdover_trials = rmse.size();
-  if (!rmse.empty()) {
-    double sum = 0.0;
-    double peak = rmse.front();
-    for (const double v : rmse) {
-      sum += v;
-      peak = std::max(peak, v);
-    }
-    s.holdover_rmse_mean_m =
-        units::Meters{sum / static_cast<double>(rmse.size())};
-    s.holdover_rmse_max_m = units::Meters{peak};
-  }
+  s.holdover_trials = holdover_rmse_.count;
+  s.holdover_rmse_mean_m = units::Meters{holdover_rmse_.mean()};
+  s.holdover_rmse_max_m = units::Meters{holdover_rmse_.max};
   return s;
 }
 

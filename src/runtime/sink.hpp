@@ -5,18 +5,15 @@
 // worker finished which trial when. Sinks therefore need no locking and
 // their output is bit-identical across job counts.
 //
-// SummaryAccumulator is the mergeable half: worker shards accumulate
-// concurrently (each shard under its own lock) and the engine merges them
-// when the campaign drains. All order-sensitive floating-point reductions
-// happen in finalize(), after a canonical sort by trial id, so the summary
-// too is independent of scheduling.
+// SummaryAccumulator reads the same ordered stream: the engine adds each
+// record right after the sinks consume it, so every floating-point sum runs
+// in trial-id order and the summary too is independent of scheduling.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/scenario.hpp"
@@ -164,18 +161,24 @@ struct CampaignSummary {
   std::size_t spec_attack_detected = 0;
 };
 
-/// Mergeable online accumulator. add() keeps only order-independent tallies
-/// plus (trial id, value) samples; merge() concatenates; finalize() sorts by
-/// trial id before reducing, so the result is identical no matter how trials
-/// were sharded across workers.
+/// Online accumulator over the ordered record stream. add() takes records in
+/// trial-id order; its sums are then the same at any job count. Only the
+/// latency and min-gap values are kept, for their quantiles.
 class SummaryAccumulator {
  public:
   void add(const TrialRecord& record);
-  void merge(const SummaryAccumulator& other);
   [[nodiscard]] CampaignSummary finalize() const;
 
  private:
-  using Sample = std::pair<std::uint64_t, double>;
+  /// Count, sum and maximum of one statistic, in the order added.
+  struct Running {
+    std::size_t count = 0;
+    double sum = 0.0;
+    double max = 0.0;
+
+    void add(double value);
+    [[nodiscard]] double mean() const;
+  };
 
   std::size_t trials_ = 0;
   std::size_t errors_ = 0;
@@ -191,11 +194,11 @@ class SummaryAccumulator {
   std::size_t detected_vehicles_ = 0;
   std::size_t spec_attacked_ = 0;
   std::size_t spec_detected_ = 0;
-  std::vector<Sample> latency_samples_;
-  std::vector<Sample> min_gap_samples_;
-  std::vector<Sample> holdover_rmse_samples_;
-  std::vector<Sample> shock_depth_samples_;
-  std::vector<Sample> linf_amplification_samples_;
+  std::vector<double> latency_samples_;
+  std::vector<double> min_gap_samples_;
+  Running holdover_rmse_;
+  Running shock_depth_;
+  Running linf_amplification_;
 };
 
 /// Renders the summary as the aligned text block campaign_cli prints.

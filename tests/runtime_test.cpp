@@ -268,13 +268,13 @@ TEST(JsonlWriter, EscapesStringsAndEmitsOneObjectPerLine) {
   EXPECT_EQ(std::count(line.begin(), line.end(), '\n'), 1);
 }
 
-TEST(SummaryAccumulator, MergeMatchesSequentialAccumulation) {
+TEST(SummaryAccumulator, InOrderRecordsGiveCountsAndQuantiles) {
   const Campaign campaign(small_spec());
-  std::vector<TrialRecord> records;
+  SummaryAccumulator acc;
   for (std::uint64_t t = 0; t < 12; ++t) {
     TrialRecord r;
     (void)campaign.expand(t, r);
-    // Synthesize outcomes so latency/gap/rmse vectors are non-trivial.
+    // Synthesize outcomes so latency/gap/rmse statistics are non-trivial.
     r.min_gap_m = units::Meters{5.0 + static_cast<double>(t)};
     r.holdover_steps = t % 2;
     r.holdover_rmse_m = units::Meters{0.1 * static_cast<double>(t)};
@@ -283,33 +283,29 @@ TEST(SummaryAccumulator, MergeMatchesSequentialAccumulation) {
       r.detection_latency_s = units::Seconds{static_cast<double>(t)};
     }
     r.collided = (t % 5 == 0);
-    records.push_back(r);
+    acc.add(r);
   }
 
-  SummaryAccumulator sequential;
-  for (const auto& r : records) sequential.add(r);
-
-  // Shard by a scheduling-like interleave, then merge in a different order.
-  SummaryAccumulator shard_a;
-  SummaryAccumulator shard_b;
-  SummaryAccumulator shard_c;
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    (i % 3 == 0   ? shard_a
-     : i % 3 == 1 ? shard_b
-                  : shard_c)
-        .add(records[records.size() - 1 - i]);
-  }
-  SummaryAccumulator merged;
-  merged.merge(shard_c);
-  merged.merge(shard_a);
-  merged.merge(shard_b);
-
-  EXPECT_EQ(format_summary(sequential.finalize()),
-            format_summary(merged.finalize()));
-  const CampaignSummary s = merged.finalize();
+  const CampaignSummary s = acc.finalize();
   EXPECT_EQ(s.trials, 12U);
   EXPECT_EQ(s.collisions, 3U);
   EXPECT_EQ(s.attacked_trials, 8U);
+  EXPECT_EQ(s.detected, 8U);
+  // Latencies {1, 2, 4, 5, 7, 8, 10, 11} s (the t % 3 != 0 trials):
+  // nearest ranks round(0.5 * 7) = 4 and round(0.9 * 7) = 6.
+  EXPECT_DOUBLE_EQ(s.latency_mean_s.value(), 6.0);
+  EXPECT_DOUBLE_EQ(s.latency_p50_s.value(), 7.0);
+  EXPECT_DOUBLE_EQ(s.latency_p90_s.value(), 10.0);
+  EXPECT_DOUBLE_EQ(s.latency_max_s.value(), 11.0);
+  // Min gaps 5..16 m: nearest ranks round(0.05 * 11) = 1, round(0.5 * 11) = 6.
+  EXPECT_DOUBLE_EQ(s.min_gap_min_m.value(), 5.0);
+  EXPECT_DOUBLE_EQ(s.min_gap_p5_m.value(), 6.0);
+  EXPECT_DOUBLE_EQ(s.min_gap_p50_m.value(), 11.0);
+  EXPECT_DOUBLE_EQ(s.min_gap_mean_m.value(), 10.5);
+  // The odd trials held over, with RMSE 0.1 t m.
+  EXPECT_EQ(s.holdover_trials, 6U);
+  EXPECT_DOUBLE_EQ(s.holdover_rmse_mean_m.value(), 0.6);
+  EXPECT_DOUBLE_EQ(s.holdover_rmse_max_m.value(), 1.1);
 }
 
 // --- the tentpole property: determinism across job counts ------------------
