@@ -674,15 +674,19 @@ void StreamServer::check_outbound_limit(Connection& conn) {
       conn.close_after_flush) {
     return;
   }
-  // Slow consumer: replace the queue it is not absorbing with one STATUS
-  // and disconnect. That STATUS is no reply, so frames_out leaves it out.
-  conn.outbound.assign(
-      1, status_frame(StatusCode::kSlowConsumer, conn.session,
-                      "outbound queue exceeded " +
-                          std::to_string(options_.max_outbound_bytes) +
-                          " bytes"));
-  conn.outbound_head = 0;
-  conn.outbound_bytes = conn.outbound.front().size();
+  // Slow consumer: drop the queue it is not absorbing, send one STATUS and
+  // disconnect. A partly sent front chunk keeps its unsent rest (chunks
+  // hold whole frames), so the STATUS still starts on a frame boundary.
+  // That STATUS is no reply, so frames_out leaves it out.
+  conn.outbound.resize(conn.outbound_head > 0 ? 1 : 0);
+  conn.outbound_bytes =
+      conn.outbound.empty() ? 0
+                            : conn.outbound.front().size() - conn.outbound_head;
+  conn.outbound.push_back(status_frame(
+      StatusCode::kSlowConsumer, conn.session,
+      "outbound queue exceeded " +
+          std::to_string(options_.max_outbound_bytes) + " bytes"));
+  conn.outbound_bytes += conn.outbound.back().size();
   conn.reading_paused = true;
   conn.pending.clear();
   conn.close_after_flush = true;

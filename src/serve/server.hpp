@@ -16,8 +16,9 @@
 //     measurements stops being polled for reads until the backlog halves,
 //     so TCP flow control pushes back on the producer;
 //   * outbound — a connection whose unsent reply bytes exceed
-//     max_outbound_bytes is a slow consumer: its queue is dropped, a STATUS
-//     frame with the reason is sent, and the connection closes.
+//     max_outbound_bytes is a slow consumer: its queue is dropped (all but
+//     the unsent rest of a partly sent chunk), a STATUS frame with the
+//     reason is sent, and the connection closes.
 //
 // Graceful drain: request_drain() (thread- and signal-safe) stops the
 // listener, stops reading, lets every in-flight batch finish, flushes a

@@ -96,14 +96,14 @@ struct WedgedServer {
 
 inline constexpr std::uint64_t kGoodbyeDeadlineNs = 10'000'000'000ULL;
 
-/// Polls `done` every 5 ms for up to 10 s; returns its last answer.
+/// Polls `done` every millisecond for up to 10 s; returns its last answer.
 template <typename Predicate>
 bool wait_until(Predicate done) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (!done()) {
     if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   return true;
 }

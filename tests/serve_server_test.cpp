@@ -4,11 +4,16 @@
 // frame and counters of every protocol, decode, cap, idle, slow-consumer and
 // drain goodbye.
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -544,6 +549,139 @@ TEST_F(ServeGoodbye, SlowConsumerEndsWithSlowConsumer) {
   EXPECT_EQ(goodbye(client),
             status_text(StatusCode::kSlowConsumer, token,
                         "outbound queue exceeded 256 bytes"));
+  harness.stop();
+
+  EXPECT_EQ(harness.server().stats().slow_consumer_disconnects, 1u);
+  loopback::expect_tallies_match(harness.server());
+}
+
+/// A raw loopback client whose receive buffer is set to 2 KiB before it
+/// connects, so the window it advertises stays that small.
+class SmallWindowClient {
+ public:
+  explicit SmallWindowClient(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0)) {
+    const int rcvbuf = 2048;
+    EXPECT_EQ(
+        ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)), 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+  }
+  ~SmallWindowClient() { ::close(fd_); }
+
+  SmallWindowClient(const SmallWindowClient&) = delete;
+  SmallWindowClient& operator=(const SmallWindowClient&) = delete;
+
+  void send_all(const std::vector<std::uint8_t>& bytes) {
+    for (std::size_t sent = 0; sent < bytes.size();) {
+      const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      ASSERT_GT(n, 0) << "send failed: errno " << errno;
+      sent += static_cast<std::size_t>(n);
+    }
+  }
+
+  /// Reads into `decoder` until it yields a frame or, with `to_eof`, until
+  /// the server closes; returns that frame, or the last of them.
+  std::optional<Frame> read(FrameDecoder& decoder, bool to_eof) {
+    std::optional<Frame> last;
+    std::uint8_t buffer[4096];
+    while (true) {
+      while (std::optional<Frame> frame = decoder.next()) {
+        last = std::move(frame);
+        if (!to_eof) return last;
+      }
+      const ssize_t n = ::recv(fd_, buffer, sizeof(buffer), 0);
+      if (n < 0 && errno == EINTR) continue;
+      EXPECT_GE(n, 0) << "recv failed: errno " << errno;
+      if (n <= 0) return last;
+      decoder.feed(buffer, static_cast<std::size_t>(n));
+    }
+  }
+
+ private:
+  int fd_;
+};
+
+TEST_F(ServeGoodbye, SlowConsumerMidFrameStillEndsWithSlowConsumer) {
+  // A client that reads nothing until the server's kernel send buffer is
+  // full, so the reply chunk at the front of the outbound queue is partly
+  // sent when the queue overflows. The goodbye must keep the rest of that
+  // chunk ahead of the STATUS, or the STATUS lands inside a cut frame.
+  ServerOptions options;
+  options.max_outbound_bytes = 16 * 1024;
+  ServerHarness harness(options);
+  TraceSpec spec = quick_spec();
+  spec.horizon_steps = 100'000;  // the session limit's longest horizon
+  const std::vector<MeasurementFrame> base = make_measurement_trace(
+      quick_spec());
+
+  SmallWindowClient client(harness.port());
+  client.send_all(encode(hello_from(spec, "small-window")));
+  FrameDecoder decoder;
+  const std::optional<Frame> hello_ok = client.read(decoder, false);
+  ASSERT_TRUE(hello_ok.has_value());
+  StatusFrame opened;
+  ASSERT_TRUE(decode(*hello_ok, opened, nullptr));
+  ASSERT_EQ(opened.code, StatusCode::kHelloOk);
+
+  // Each group of 256 measurements is one read and one batch on the server,
+  // and one outbound chunk of about 11 KB. The next group goes out only
+  // once the last one's replies are queued and the overflow check behind
+  // them has run, so the server has read every byte sent when it gives up
+  // on this client: its close sends a FIN, not a reset that would discard
+  // the replies still in its kernel buffer.
+  const auto stats = [&harness] { return harness.server().stats(); };
+  const std::size_t estimate_bytes = encode(EstimateFrame{}).size();
+  const std::size_t challenge_bytes = encode(ChallengeResultFrame{}).size();
+  core::SafeMeasurementPipeline offline = build_session_pipeline(spec);
+  std::uint64_t queued_frames = 1;  // the HELLO_OK
+  std::uint64_t queued_bytes = stats().bytes_out;
+  std::int64_t step = 0;
+  while (stats().slow_consumer_disconnects == 0) {
+    ASSERT_LE(step + 256, spec.horizon_steps) << "the queue never overflowed";
+    std::vector<std::uint8_t> group;
+    for (const std::int64_t end = step + 256; step < end; ++step) {
+      const MeasurementFrame m{
+          .step = step,
+          .measurement =
+              base[static_cast<std::size_t>(step) % base.size()].measurement};
+      const std::vector<std::uint8_t> bytes = encode(m);
+      group.insert(group.end(), bytes.begin(), bytes.end());
+      const bool challenge =
+          offline.process(step, m.measurement).challenge_slot;
+      queued_frames += challenge ? 2 : 1;
+      queued_bytes += estimate_bytes + (challenge ? challenge_bytes : 0);
+    }
+    client.send_all(group);
+    ASSERT_TRUE(
+        wait_until([&] { return stats().frames_out == queued_frames; }));
+    // The overflow check runs right after frames_out is counted and before
+    // bytes_out moves: all bytes out, or 50 ms with none moving, means it
+    // has run.
+    std::uint64_t out = 0;
+    for (int still = 0; still < 50; ++still) {
+      const std::uint64_t now = stats().bytes_out;
+      if (now == queued_bytes) break;
+      if (now != out) still = 0;
+      out = now;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  std::optional<Frame> last = client.read(decoder, true);
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(loopback::describe(*last),
+            status_text(StatusCode::kSlowConsumer, opened.session_token,
+                        "outbound queue exceeded 16384 bytes"));
+  EXPECT_FALSE(decoder.failed()) << decoder.error();
+  EXPECT_EQ(decoder.buffered_bytes(), 0u);
   harness.stop();
 
   EXPECT_EQ(harness.server().stats().slow_consumer_disconnects, 1u);
