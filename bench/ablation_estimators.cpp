@@ -75,8 +75,6 @@ void run_scenario(core::LeaderScenario leader, const char* label) {
            [] { return std::make_unique<dsp::LevinsonPredictor>(); }},
           {"lms-ar",
            [] { return std::make_unique<estimation::LmsArPredictor>(); }},
-          {"kalman-cv",
-           [] { return std::make_unique<estimation::KalmanCvPredictor>(); }},
           {"linear-extrap",
            [] { return std::make_unique<estimation::LinearExtrapolator>(); }},
           {"hold-last",
@@ -104,7 +102,7 @@ int main() {
                "scenario (ii): decelerate then accelerate");
   std::printf(
       "shape: on the steady deceleration (i), trend-aware estimators (RLS "
-      "family, Kalman-CV) beat hold-last by 3-6x in distance RMSE. After the "
+      "family, LMS-AR) beat hold-last by 3-6x in distance RMSE. After the "
       "manoeuvre change of (ii), short-memory estimators that anchor to the "
       "recent gentle trend win; the RLS family remains within safe margins "
       "in closed loop (see the figure benches), which is the property the "

@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) for the estimation and DSP kernels:
-// per-update cost of RLS / LMS / Kalman, the paper's 118-step RLS holdover,
+// per-update cost of RLS / LMS, the paper's 118-step RLS holdover,
 // the per-epoch cost of root-MUSIC vs periodogram beat extraction, the FFT
 // both as a bare 4096-point transform and as the radar runs it, the three
 // root-MUSIC kernels at the radar's order-16, 512-sample configuration (the
@@ -58,18 +58,6 @@ void BM_LmsObserve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LmsObserve);
-
-void BM_KalmanCvObserve(benchmark::State& state) {
-  estimation::KalmanCvPredictor kf;
-  std::mt19937 rng(3);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  double y = 0.0;
-  for (auto _ : state) {
-    y += dist(rng);
-    kf.observe(y);
-  }
-}
-BENCHMARK(BM_KalmanCvObserve);
 
 // The paper's Results-paragraph workload: free-run the trained RLS pair
 // across the 118-step attack window (k = 182..300). Paper reports ~1.2e7 ns

@@ -5,9 +5,6 @@
 
 namespace safe::estimation {
 
-using linalg::RMatrix;
-using linalg::RVector;
-
 LinearExtrapolator::LinearExtrapolator(std::size_t window) : window_(window) {
   if (window_ < 2) {
     throw std::invalid_argument("LinearExtrapolator: window must be >= 2");
@@ -103,45 +100,6 @@ void LmsArPredictor::reset() {
   weights_.assign(order_, 0.0);
   history_.clear();
   updates_ = 0;
-}
-
-KalmanFilter KalmanCvPredictor::make_filter() const {
-  // Constant-velocity model with unit sample time.
-  KalmanModel model{
-      .a = RMatrix{{1.0, 1.0}, {0.0, 1.0}},
-      .c = RMatrix{{1.0, 0.0}},
-      .q = RMatrix{{0.25 * process_noise_, 0.5 * process_noise_},
-                   {0.5 * process_noise_, process_noise_}},
-      .r = RMatrix{{measurement_noise_}},
-  };
-  return KalmanFilter(std::move(model), RVector{0.0, 0.0},
-                      RMatrix::scaled_identity(2, 1e3));
-}
-
-KalmanCvPredictor::KalmanCvPredictor(double process_noise,
-                                     double measurement_noise)
-    : process_noise_(process_noise),
-      measurement_noise_(measurement_noise),
-      filter_(make_filter()) {
-  if (!(process_noise > 0.0) || !(measurement_noise > 0.0)) {
-    throw std::invalid_argument("KalmanCvPredictor: noise must be positive");
-  }
-}
-
-void KalmanCvPredictor::observe(double y) {
-  if (primed_) filter_.predict();
-  filter_.correct(RVector{y});
-  primed_ = true;
-}
-
-double KalmanCvPredictor::predict_next() {
-  filter_.predict();
-  return filter_.predicted_output()[0];
-}
-
-void KalmanCvPredictor::reset() {
-  filter_ = make_filter();
-  primed_ = false;
 }
 
 }  // namespace safe::estimation

@@ -3,8 +3,8 @@
 
 #include <cstddef>
 #include <deque>
+#include <vector>
 
-#include "estimation/kalman.hpp"
 #include "estimation/series_predictor.hpp"
 
 namespace safe::estimation {
@@ -67,31 +67,6 @@ class LmsArPredictor final : public SeriesPredictor {
   std::vector<double> weights_;
   std::deque<double> history_;  ///< Most recent first.
   std::size_t updates_ = 0;
-};
-
-/// Constant-velocity Kalman filter on the measurement series: state
-/// [value; slope], observe value, predict by time update only.
-class KalmanCvPredictor final : public SeriesPredictor {
- public:
-  /// `process_noise` scales Q; `measurement_noise` is R.
-  KalmanCvPredictor(double process_noise = 1e-3,
-                    double measurement_noise = 0.25);
-
-  void observe(double y) override;
-  double predict_next() override;
-  void reset() override;
-  [[nodiscard]] std::unique_ptr<SeriesPredictor> clone() const override {
-    return std::make_unique<KalmanCvPredictor>(*this);
-  }
-  [[nodiscard]] std::string name() const override { return "kalman-cv"; }
-
- private:
-  [[nodiscard]] KalmanFilter make_filter() const;
-
-  double process_noise_;
-  double measurement_noise_;
-  KalmanFilter filter_;
-  bool primed_ = false;
 };
 
 }  // namespace safe::estimation
