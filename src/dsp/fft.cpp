@@ -465,12 +465,4 @@ ComplexSignal fft(const RealSignal& x, std::size_t min_size) {
   return fft(cx, min_size);
 }
 
-RealSignal power_spectrum(const ComplexSignal& spectrum) {
-  RealSignal p(spectrum.size());
-  for (std::size_t i = 0; i < spectrum.size(); ++i) {
-    p[i] = std::norm(spectrum[i]);
-  }
-  return p;
-}
-
 }  // namespace safe::dsp

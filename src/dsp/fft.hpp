@@ -81,7 +81,4 @@ void fft_into(const ComplexSignal& x, std::size_t min_size, SplitSpectrum& out);
 /// Convenience: FFT of a real signal.
 ComplexSignal fft(const RealSignal& x, std::size_t min_size = 0);
 
-/// Magnitude-squared of each bin.
-RealSignal power_spectrum(const ComplexSignal& spectrum);
-
 }  // namespace safe::dsp

@@ -18,7 +18,6 @@ namespace safe::radar {
 
 using units::Decibels;
 using units::Hertz;
-using units::HertzPerSecond;
 using units::Meters;
 using units::MetersPerSecond;
 using units::Seconds;
@@ -38,12 +37,6 @@ struct FmcwParameters {
   Hertz baseband_bandwidth_hz{1.0e6};
   Meters min_range_m{2.0};
   Meters max_range_m{200.0};
-
-  /// Chirp slope B_s / T_s — the factor that turns a round-trip delay into
-  /// a beat frequency (Eqs. 5-6).
-  [[nodiscard]] constexpr HertzPerSecond sweep_slope() const {
-    return sweep_bandwidth_hz / sweep_time_s;
-  }
 };
 
 /// Bosch LRR2-class long-range radar profile used by the paper's case study.

@@ -102,10 +102,6 @@ bool ThreadPool::submit_once(std::function<void()>& task) {
   return true;
 }
 
-bool ThreadPool::try_submit(std::function<void()> task) {
-  return submit_once(task);
-}
-
 void ThreadPool::submit(std::function<void()> task) {
   while (!submit_once(task)) {
     MutexLock lock(wake_mutex_);
@@ -137,7 +133,6 @@ bool ThreadPool::pop_or_steal(std::size_t index, std::function<void()>& task) {
       task = std::move(victim.tasks.front());
       victim.tasks.pop_front();
       queued_.fetch_sub(1, std::memory_order_release);
-      steals_.fetch_add(1, std::memory_order_relaxed);
       telemetry::add(pool_steals_metric());
       return true;
     }

@@ -46,9 +46,6 @@ class ThreadPool {
   /// std::runtime_error after shutdown().
   void submit(std::function<void()> task);
 
-  /// Non-blocking submit; false when every queue is at capacity.
-  [[nodiscard]] bool try_submit(std::function<void()> task);
-
   /// Blocks until every submitted task has finished, then rethrows the
   /// first exception that escaped a task (if any).
   void wait_idle();
@@ -57,8 +54,8 @@ class ThreadPool {
   /// submitted task has finished. Workers stay alive (shutdown() still joins
   /// them later). Unlike wait_idle() it never throws — exceptions stashed by
   /// tasks stay retrievable via wait_idle() afterwards. Idempotent: a second
-  /// drain(), or a drain() after shutdown(), is a safe no-op. submit() /
-  /// try_submit() after drain() throw std::runtime_error. This is the
+  /// drain(), or a drain() after shutdown(), is a safe no-op. submit()
+  /// after drain() throws std::runtime_error. This is the
   /// graceful-shutdown hook the streaming server uses: finish in-flight
   /// session work, refuse new work, then shutdown().
   void drain();
@@ -67,12 +64,6 @@ class ThreadPool {
   /// wait_idle() it never throws (safe from the destructor). Exceptions
   /// stashed by tasks stay retrievable via wait_idle() before shutdown.
   void shutdown();
-
-  /// Number of tasks executed by a worker other than the one whose queue
-  /// they were submitted to (observability; exercised by tests).
-  [[nodiscard]] std::size_t steal_count() const noexcept {
-    return steals_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct WorkerQueue {
@@ -102,7 +93,6 @@ class ThreadPool {
   std::atomic<bool> draining_{false};  ///< Submissions refused; workers live.
   std::atomic<std::size_t> queued_{0};     ///< Tasks sitting in deques.
   std::atomic<std::size_t> in_flight_{0};  ///< Queued plus running.
-  std::atomic<std::size_t> steals_{0};
   std::atomic<std::size_t> next_queue_{0};
 
   /// Serializes sleep/wake transitions only; the fields the predicates read

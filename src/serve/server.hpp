@@ -116,9 +116,6 @@ class StreamServer {
     return sessions_.counters();
   }
   [[nodiscard]] std::size_t live_sessions() const { return sessions_.size(); }
-  [[nodiscard]] std::size_t detached_sessions() const {
-    return sessions_.detached_size();
-  }
 
  private:
   struct PendingMeasurement {

@@ -382,11 +382,6 @@ std::size_t SessionManager::size() const {
   return sessions_.size();
 }
 
-std::size_t SessionManager::detached_size() const {
-  runtime::MutexLock guard(mutex_);
-  return detached_.size();
-}
-
 void SessionManager::tally(std::uint64_t Counters::*field,
                            const telemetry::MetricId& twin) {
   ++(counters_.*field);

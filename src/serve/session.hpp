@@ -218,7 +218,6 @@ class SessionManager {
   std::vector<Evicted> evict_idle(std::uint64_t now_ns);
 
   [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t detached_size() const;
   [[nodiscard]] const SessionLimits& limits() const noexcept {
     return limits_;
   }

@@ -47,7 +47,6 @@ class LtiSystem {
   [[nodiscard]] const LtiModel& model() const { return model_; }
   [[nodiscard]] std::size_t state_dim() const { return model_.a.rows(); }
   [[nodiscard]] std::size_t input_dim() const { return model_.b.cols(); }
-  [[nodiscard]] std::size_t output_dim() const { return model_.c.rows(); }
 
   void reset(linalg::RVector initial_state);
 

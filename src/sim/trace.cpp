@@ -48,10 +48,6 @@ const std::vector<double>& Trace::column(const std::string& name) const {
   return columns_[static_cast<std::size_t>(it - names_.begin())];
 }
 
-bool Trace::has_column(const std::string& name) const {
-  return std::find(names_.begin(), names_.end(), name) != names_.end();
-}
-
 double Trace::column_max(const std::string& name) const {
   const std::vector<double>& values = column(name);
   double best = 0.0;

@@ -29,10 +29,6 @@ class Trace {
   /// Column by name; throws std::out_of_range for unknown names.
   [[nodiscard]] const std::vector<double>& column(const std::string& name) const;
 
-  /// True when a column of that name exists (lets consumers stay compatible
-  /// with traces recorded before a column was added).
-  [[nodiscard]] bool has_column(const std::string& name) const;
-
   /// Largest value of a column (0.0 for an empty trace) — convenient for
   /// "did this flag ever fire" queries on indicator columns.
   [[nodiscard]] double column_max(const std::string& name) const;
