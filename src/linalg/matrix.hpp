@@ -1,9 +1,9 @@
 // Dense row-major matrix and vector types used throughout the library.
 //
 // The reproduction deliberately avoids external linear-algebra dependencies:
-// everything downstream (RLS, Kalman filtering, root-MUSIC) operates on small
-// dense matrices (n <= a few hundred), for which a straightforward, carefully
-// tested implementation is both fast enough and easy to audit.
+// everything downstream (RLS, root-MUSIC) operates on small dense matrices
+// (n <= a few hundred), for which a straightforward, carefully tested
+// implementation is both fast enough and easy to audit.
 #pragma once
 
 #include <algorithm>

@@ -72,11 +72,10 @@ TEST(ThreadPoolDrain, UnblocksAWaitingSubmitter) {
   });
   // Only fill the queue once the worker is pinned inside the first task;
   // otherwise that task may still be queued and the fill races with it.
-  // One busy worker with capacity 1: a single task fills the queue.
   while (!started.load()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  pool.submit([] {});
+  pool.submit([] {});  // one busy worker, capacity 1: the queue is now full
   std::atomic<bool> threw{false};
   std::thread submitter([&pool, &threw] {
     try {

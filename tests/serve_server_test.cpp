@@ -645,7 +645,9 @@ TEST_F(ServeGoodbye, SlowConsumerMidFrameStillEndsWithSlowConsumer) {
   std::uint64_t queued_bytes = stats().bytes_out;
   std::int64_t step = 0;
   while (stats().slow_consumer_disconnects == 0) {
-    ASSERT_LE(step + 256, spec.horizon_steps) << "the queue never overflowed";
+    ASSERT_LE(step + 256, spec.horizon_steps)
+        << "the queue never overflowed: the server's kernel send buffer took "
+        << stats().bytes_out << " bytes, the whole horizon's replies";
     std::vector<std::uint8_t> group;
     for (const std::int64_t end = step + 256; step < end; ++step) {
       const MeasurementFrame m{
